@@ -36,7 +36,6 @@ from .equilibrium import (
 )
 from .simulate import (
     DegreeHistogram,
-    EdgeRecord,
     GraphState,
     ResourceLimit,
     SimConfig,

@@ -66,6 +66,10 @@ def _check_keys(section: str, given: dict, allowed) -> None:
         raise UnknownKey(f"unknown key(s) in '{section}': {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path) -> dict:
     """Strict parse of the run config; fills defaults for absent sections."""
     try:
@@ -100,6 +104,18 @@ def load_config(path) -> dict:
     formats = cfg["output"]["formats"]
     if not set(formats) <= {"csv", "json"}:
         raise ParseError(f"output.formats must be within ['csv','json'], got {formats}")
+    sim = cfg["sim"]
+    for key in ("n_steps", "seed", "max_edges"):
+        if not _is_int(sim[key]):
+            raise ParseError(f"sim.{key} must be an integer, got {sim[key]!r}")
+    snaps = sim["snapshots"]
+    if not isinstance(snaps, list) or not all(_is_int(s) for s in snaps):
+        raise ParseError(f"sim.snapshots must be a list of integers, got {snaps!r}")
+    if not isinstance(sim["emit_edges"], bool):
+        raise ParseError(f"sim.emit_edges must be true or false, got {sim['emit_edges']!r}")
+    n = cfg["verify"]["n"]
+    if not _is_int(n) or n not in (1, 2, 3):
+        raise ParseError(f"verify.n must be 1, 2 or 3, got {n!r}")
     rule = cfg["diagnose"]["hill_k_rule"]
     if rule != "sqrt" and not isinstance(rule, int):
         raise ParseError("diagnose.hill_k_rule must be 'sqrt' or an integer k")
@@ -207,7 +223,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
     sim = cfg["sim"]
     config = SimConfig(n_steps=sim["n_steps"], seed=sim["seed"],
                        snapshot_steps=tuple(sim["snapshots"]),
-                       emit_edges=sim["emit_edges"], max_edges=sim["max_edges"])
+                       max_edges=sim["max_edges"])
     result = run(params, config)
     state = result.state
     csv_on = "csv" in cfg["output"]["formats"]
@@ -215,8 +231,8 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
         rio.write_degree_snapshot(out_dir / "degrees.csv", state)
         if len(result.trajectory.steps):
             rio.write_trajectory(out_dir / "trajectory.csv", result.trajectory)
-        if config.emit_edges:
-            rio.write_edges(out_dir / "edges.csv", result.edges)
+        if sim["emit_edges"]:
+            rio.write_edges(out_dir / "edges.csv", state.edges())
     n = state.n
     summary = {
         "schema": "recipnet/simulate/v1",
@@ -327,7 +343,7 @@ def cmd_verify(cfg, out_dir: Path) -> None:
     runs = []
     passes = 0
     total = 0
-    for n in range(1, min(int(ver["n"]), 3) + 1):
+    for n in range(1, ver["n"] + 1):
         for rep in range(int(ver["repetitions"])):
             report = verify_equivalence(params, n=n, replicates=int(ver["replicates"]),
                                         seed=int(ver["seed"]) + rep)

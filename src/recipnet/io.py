@@ -17,15 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from .branching import JointPmfEstimate
-from .simulate import EdgeRecord, GraphState, Trajectory
+from .simulate import GraphState, Trajectory
+
+EDGE_CHUNK = 1 << 16
 
 
-def write_edges(path, edges: list[EdgeRecord]) -> None:
+def write_edges(path, edges: np.ndarray) -> None:
+    """Write the (E, 4) array of ``GraphState.edges``, EDGE_CHUNK rows at a time."""
     with open(path, "w", newline="") as fh:
         fh.write("step,source,target,reciprocal\n")
-        fh.writelines(
-            f"{e.step},{e.source},{e.target},{int(e.reciprocal)}\n" for e in edges
-        )
+        for lo in range(0, len(edges), EDGE_CHUNK):
+            fh.writelines(f"{k},{s},{t},{r}\n"
+                          for k, s, t, r in edges[lo:lo + EDGE_CHUNK].tolist())
 
 
 def write_degree_snapshot(path, state: GraphState) -> None:
@@ -111,12 +114,16 @@ def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf") -> dict:
 
 
 def read_pmf_grid(path, kmax: int, lmax: int):
-    """Read a pmf CSV back into a dense grid (cells beyond the shape error)."""
+    """Read a pmf CSV back into a dense grid; a cell outside it is a ValueError."""
     grid = np.zeros((kmax + 1, lmax + 1))
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            grid[int(row["k"]), int(row["l"])] = float(row["probability"])
+            k, l = int(row["k"]), int(row["l"])
+            if not (0 <= k <= kmax and 0 <= l <= lmax):
+                raise ValueError(f"{path}: cell (k={k}, l={l}) is outside the "
+                                 f"{grid.shape} grid for kmax={kmax}, lmax={lmax}")
+            grid[k, l] = float(row["probability"])
     return grid
 
 

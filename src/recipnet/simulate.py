@@ -17,15 +17,20 @@ entry is a degree-biased node. Mixing a uniform pool draw (weight
 Randomness contract: ``init_graph`` consumes one uniform (root group);
 every step consumes exactly five uniforms in fixed order (scenario,
 pool-vs-uniform mixture, index, new-node group, reciprocation coin), so
-runs with the same seed are reproducible draw for draw. ``run`` pre-draws
-uniforms in blocks; the stream is identical to repeated ``step`` calls.
+runs with the same seed are reproducible draw for draw. ``run`` and
+``step`` share one kernel that applies the transition to a block of
+uniforms; ``run`` draws blocks of up to BLOCK rows, ``step`` one row, and
+the streams are identical.
+
+The pools double as the edge list: edge i runs from ``out_pool[i]`` to
+``in_pool[i]``, and ``GraphState.edges`` derives the edge table from them.
 
 Node ids are 1-based (node 1 is the root); group indices are 0-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +48,11 @@ class SimConfig:
     n_steps: int
     seed: int = 0
     snapshot_steps: tuple = ()
-    emit_edges: bool = False
     max_edges: int = 100_000_000
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
-    """One directed edge; reciprocal edges immediately follow their trigger."""
-
-    step: int
-    source: int
-    target: int
-    reciprocal: bool
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,22 @@ class GraphState:
             np.array(self.node_group[1:], dtype=np.int64),
         )
 
+    def edges(self) -> np.ndarray:
+        """(E, 4) int64 rows of (step, source, target, reciprocal) in creation order.
+
+        Edge i is (out_pool[i], in_pool[i]). Step k creates node k + 1, so an
+        edge's step is its larger endpoint minus one; a reciprocal edge
+        directly follows its trigger and shares its step.
+        """
+        out = np.empty((len(self.in_pool), 4), dtype=np.int64)
+        out[:, 1] = self.out_pool
+        out[:, 2] = self.in_pool
+        np.maximum(out[:, 1], out[:, 2], out=out[:, 0])
+        out[:, 0] -= 1
+        out[:1, 3] = 0
+        out[1:, 3] = out[1:, 0] == out[:-1, 0]
+        return out
+
     def check_invariants(self):
         """Raise AssertionError on any violated conservation law."""
         assert self.n_nodes == self.n + 1, "node count must be n + 1"
@@ -133,20 +143,6 @@ def _draw_group(cum_pi: np.ndarray, u: float) -> int:
     return min(g, len(cum_pi) - 1)
 
 
-def sample_endpoint(pool: list, n_nodes: int, edge_count: int, delta: float,
-                    u_mix: float, u_idx: float) -> int:
-    """Degree-plus-offset endpoint draw from a pool, using two uniforms.
-
-    With probability |E|/(|E| + delta*|V|) returns a uniform pool entry
-    (degree-proportional), otherwise a uniform node id; the mixture equals
-    (D_v + delta)/(|E| + delta*|V|) for every node v. ``run`` inlines this
-    arithmetic; the equality of the two paths is covered by tests.
-    """
-    if u_mix * (edge_count + delta * n_nodes) < edge_count:
-        return pool[int(u_idx * edge_count)]
-    return int(u_idx * n_nodes) + 1
-
-
 def init_graph(params: ModelParams, rng: np.random.Generator) -> GraphState:
     """Root graph: node 1 with a self-loop and a group drawn from pi."""
     state = GraphState(params.K)
@@ -163,115 +159,19 @@ def init_graph(params: ModelParams, rng: np.random.Generator) -> GraphState:
     return state
 
 
-def step(state: GraphState, params: ModelParams, rng: np.random.Generator,
-         edges: list | None = None) -> GraphState:
-    """Advance the graph by one step, mutating ``state`` in place.
+def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
+    """Apply one transition per row of the (m, 5) uniform block ``u``.
 
-    Consumes exactly five uniforms. When ``edges`` is given, the created
-    EdgeRecord(s) are appended to it.
+    Columns are (scenario, pool-vs-uniform mixture, index, new-node group,
+    reciprocation coin). With probability |E|/(|E| + delta*|V|) the old
+    endpoint is a uniform pool entry (degree-proportional), otherwise a
+    uniform node id; the mixture equals (D_v + delta)/(|E| + delta*|V|).
+    Mutates ``state`` in place.
     """
-    u = rng.random(5)
-    alpha, delta = params.alpha, params.delta
-    rho = params.rho
-    cum_pi = np.cumsum(params.pi)
-
-    E = state.edge_count
-    V = state.n_nodes
-    w = V + 1
-    step_no = state.n + 1
-    r = _draw_group(cum_pi, u[3])
-
-    if u[0] < alpha:
-        # new node w sends (w, v); v by in-degree preference
-        v = sample_endpoint(state.in_pool, V, E, delta, u[1], u[2])
-        m = state.node_group[v]
-        state.in_deg[v] += 1
-        state.in_pool.append(v)
-        state.out_pool.append(w)
-        state.group_in_edges[m] += 1
-        state.group_out_edges[r] += 1
-        state.edge_count += 1
-        if edges is not None:
-            edges.append(EdgeRecord(step_no, w, v, False))
-        recip = u[4] < rho[m, r]
-        if recip:
-            state.out_deg[v] += 1
-            state.in_pool.append(w)
-            state.out_pool.append(v)
-            state.group_in_edges[r] += 1
-            state.group_out_edges[m] += 1
-            state.edge_count += 1
-            state.reciprocal_count += 1
-            if edges is not None:
-                edges.append(EdgeRecord(step_no, v, w, True))
-        state.in_deg.append(1 if recip else 0)
-        state.out_deg.append(1)
-    else:
-        # new node w receives (v, w); v by out-degree preference
-        v = sample_endpoint(state.out_pool, V, E, delta, u[1], u[2])
-        m = state.node_group[v]
-        state.out_deg[v] += 1
-        state.in_pool.append(w)
-        state.out_pool.append(v)
-        state.group_in_edges[r] += 1
-        state.group_out_edges[m] += 1
-        state.edge_count += 1
-        if edges is not None:
-            edges.append(EdgeRecord(step_no, v, w, False))
-        recip = u[4] < rho[r, m]
-        if recip:
-            state.in_deg[v] += 1
-            state.in_pool.append(v)
-            state.out_pool.append(w)
-            state.group_in_edges[m] += 1
-            state.group_out_edges[r] += 1
-            state.edge_count += 1
-            state.reciprocal_count += 1
-            if edges is not None:
-                edges.append(EdgeRecord(step_no, w, v, True))
-        state.in_deg.append(1)
-        state.out_deg.append(0 if not recip else 1)
-
-    state.node_group.append(r)
-    state.group_node_counts[r] += 1
-    state.n += 1
-    return state
-
-
-@dataclass(frozen=True)
-class SimResult:
-    state: GraphState
-    edges: list[EdgeRecord] = field(repr=False)
-    trajectory: Trajectory
-
-
-def run(params: ModelParams, config: SimConfig) -> SimResult:
-    """Run ``config.n_steps`` steps from a fresh seeded generator.
-
-    Deterministic given the seed; the uniform stream matches repeated
-    ``step`` calls. Snapshot steps record (|E(k)|, per-group edge counts)
-    after step k.
-    """
-    if 2 * config.n_steps + 1 > config.max_edges:
-        raise ResourceLimit(
-            f"n_steps={config.n_steps} implies up to {2 * config.n_steps + 1} edges, "
-            f"over budget {config.max_edges}"
-        )
-    rng = np.random.default_rng(config.seed)
-    state = init_graph(params, rng)
-    edges: list[EdgeRecord] = []
-    if config.emit_edges:
-        edges.append(EdgeRecord(0, 1, 1, False))
-
-    snaps = sorted(set(int(s) for s in config.snapshot_steps))
-    if snaps and (snaps[0] < 1 or snaps[-1] > config.n_steps):
-        raise ValueError("snapshot steps must lie in [1, n_steps]")
-    snap_rows = []
-
     alpha, delta = params.alpha, params.delta
     rho = params.rho.tolist()
-    cum_pi = np.cumsum(params.pi)
-    K_last = params.K - 1
+    grp = np.minimum(np.searchsorted(np.cumsum(params.pi), u[:, 3], side="right"),
+                     params.K - 1)
 
     in_pool = state.in_pool
     out_pool = state.out_pool
@@ -284,94 +184,108 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
     ipa, opa = in_pool.append, out_pool.append
     ida, oda = in_deg.append, out_deg.append
     nga = node_group.append
-    emit = config.emit_edges
-    ea = edges.append
 
     E = state.edge_count
     V = state.n_nodes
     rc = state.reciprocal_count
-
-    n = config.n_steps
-    done = 0
-    snap_iter = iter(snaps)
-    next_snap = next(snap_iter, -1)
-    while done < n:
-        m_block = min(BLOCK, n - done)
-        u = rng.random((m_block, 5))
-        grp = np.minimum(np.searchsorted(cum_pi, u[:, 3], side="right"), K_last)
-        ul = u.tolist()
-        gl = grp.tolist()
-        for j in range(m_block):
-            row = ul[j]
-            r = gl[j]
-            w = V + 1
-            if row[0] < alpha:
-                if row[1] * (E + delta * V) < E:
-                    v = in_pool[int(row[2] * E)]
-                else:
-                    v = int(row[2] * V) + 1
-                m = node_group[v]
-                in_deg[v] += 1
-                ipa(v)
-                opa(w)
-                g_in[m] += 1
-                g_out[r] += 1
-                E += 1
-                if emit:
-                    ea(EdgeRecord(done + j + 1, w, v, False))
-                if row[4] < rho[m][r]:
-                    out_deg[v] += 1
-                    ipa(w)
-                    opa(v)
-                    g_in[r] += 1
-                    g_out[m] += 1
-                    E += 1
-                    rc += 1
-                    ida(1)
-                    if emit:
-                        ea(EdgeRecord(done + j + 1, v, w, True))
-                else:
-                    ida(0)
-                oda(1)
+    for row, r in zip(u.tolist(), grp.tolist()):
+        w = V + 1
+        if row[0] < alpha:
+            # new node w sends (w, v); v by in-degree preference
+            if row[1] * (E + delta * V) < E:
+                v = in_pool[int(row[2] * E)]
             else:
-                if row[1] * (E + delta * V) < E:
-                    v = out_pool[int(row[2] * E)]
-                else:
-                    v = int(row[2] * V) + 1
-                m = node_group[v]
+                v = int(row[2] * V) + 1
+            m = node_group[v]
+            in_deg[v] += 1
+            ipa(v)
+            opa(w)
+            g_in[m] += 1
+            g_out[r] += 1
+            E += 1
+            if row[4] < rho[m][r]:
                 out_deg[v] += 1
                 ipa(w)
                 opa(v)
                 g_in[r] += 1
                 g_out[m] += 1
                 E += 1
-                if emit:
-                    ea(EdgeRecord(done + j + 1, v, w, False))
-                if row[4] < rho[r][m]:
-                    in_deg[v] += 1
-                    ipa(v)
-                    opa(w)
-                    g_in[m] += 1
-                    g_out[r] += 1
-                    E += 1
-                    rc += 1
-                    oda(1)
-                    if emit:
-                        ea(EdgeRecord(done + j + 1, w, v, True))
-                else:
-                    oda(0)
+                rc += 1
                 ida(1)
-            nga(r)
-            g_nodes[r] += 1
-            V += 1
-            if done + j + 1 == next_snap:
-                snap_rows.append((next_snap, E, list(g_in), list(g_out)))
-                next_snap = next(snap_iter, -1)
-        done += m_block
+            else:
+                ida(0)
+            oda(1)
+        else:
+            # new node w receives (v, w); v by out-degree preference
+            if row[1] * (E + delta * V) < E:
+                v = out_pool[int(row[2] * E)]
+            else:
+                v = int(row[2] * V) + 1
+            m = node_group[v]
+            out_deg[v] += 1
+            ipa(w)
+            opa(v)
+            g_in[r] += 1
+            g_out[m] += 1
+            E += 1
+            if row[4] < rho[r][m]:
+                in_deg[v] += 1
+                ipa(v)
+                opa(w)
+                g_in[m] += 1
+                g_out[r] += 1
+                E += 1
+                rc += 1
+                oda(1)
+            else:
+                oda(0)
+            ida(1)
+        nga(r)
+        g_nodes[r] += 1
+        V += 1
 
-    state.n = n
+    state.n += len(u)
     state.edge_count = E
     state.reciprocal_count = rc
+
+
+def step(state: GraphState, params: ModelParams, rng: np.random.Generator) -> GraphState:
+    """Advance the graph by one step, mutating ``state``; consumes five uniforms."""
+    _advance(state, params, rng.random(5).reshape(1, 5))
+    return state
+
+
+@dataclass(frozen=True)
+class SimResult:
+    state: GraphState
+    trajectory: Trajectory
+
+
+def run(params: ModelParams, config: SimConfig) -> SimResult:
+    """Run ``config.n_steps`` steps from a fresh seeded generator.
+
+    Deterministic given the seed; uniforms are drawn in blocks that end at
+    each snapshot step, and the stream matches repeated ``step`` calls.
+    Snapshot steps record (|E(k)|, per-group edge counts) after step k.
+    """
+    if 2 * config.n_steps + 1 > config.max_edges:
+        raise ResourceLimit(
+            f"n_steps={config.n_steps} implies up to {2 * config.n_steps + 1} edges, "
+            f"over budget {config.max_edges}"
+        )
+    snaps = sorted(set(int(s) for s in config.snapshot_steps))
+    if snaps and (snaps[0] < 1 or snaps[-1] > config.n_steps):
+        raise ValueError("snapshot steps must lie in [1, n_steps]")
+
+    rng = np.random.default_rng(config.seed)
+    state = init_graph(params, rng)
+    snap_rows = []
+    for i, end in enumerate(snaps + [config.n_steps]):
+        while state.n < end:
+            _advance(state, params, rng.random((min(BLOCK, end - state.n), 5)))
+        if i < len(snaps):
+            snap_rows.append((end, state.edge_count, list(state.group_in_edges),
+                              list(state.group_out_edges)))
 
     if snap_rows:
         traj = Trajectory(
@@ -388,7 +302,7 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
             group_in=np.empty((0, K), dtype=np.int64),
             group_out=np.empty((0, K), dtype=np.int64),
         )
-    return SimResult(state=state, edges=edges, trajectory=traj)
+    return SimResult(state=state, trajectory=traj)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,27 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "UnknownKey" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "sim", {"n_steps": "100"}),
+    ("simulate", "sim", {"seed": True}),
+    ("simulate", "sim", {"max_edges": 1.5}),
+    ("simulate", "sim", {"snapshots": [10, "20"]}),
+    ("simulate", "sim", {"snapshots": 10}),
+    ("simulate", "sim", {"emit_edges": "no"}),
+    ("verify", "verify", {"n": 5}),
+    ("verify", "verify", {"n": 0}),
+], ids=["n_steps-str", "seed-bool", "max_edges-float", "snapshots-str-entry",
+        "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0"])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, value):
+    out = tmp_path / "out"
+    code = main([command, "--config", _k1_config(tmp_path, out, extra={section: value})])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("recipnet: ParseError:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unparseable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

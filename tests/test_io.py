@@ -33,13 +33,14 @@ def test_degree_snapshot_rejects_bad_header(tmp_path):
 
 
 def test_edges_csv_format(tmp_path, k1_ref):
-    result = run(k1_ref, SimConfig(n_steps=5, seed=2, emit_edges=True))
+    result = run(k1_ref, SimConfig(n_steps=5, seed=2))
+    edges = result.state.edges()
     path = tmp_path / "edges.csv"
-    rio.write_edges(path, result.edges)
+    rio.write_edges(path, edges)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,source,target,reciprocal"
     assert lines[1] == "0,1,1,0"
-    assert len(lines) == 1 + len(result.edges)
+    assert len(lines) == 1 + len(edges)
     for line in lines[1:]:
         cells = line.split(",")
         assert len(cells) == 4
@@ -69,6 +70,13 @@ def test_pmf_write_and_read(tmp_path, k1_ref):
     grid = rio.read_pmf_grid(tmp_path / "pmf.csv", est.kmax, est.lmax)
     assert np.allclose(grid, est.grid, atol=0)
     assert abs(grid.sum() + loaded["overflow_mass"] - 1.0) <= 1e-12
+
+
+def test_pmf_grid_rejects_cell_outside_shape(tmp_path):
+    path = tmp_path / "pmf.csv"
+    path.write_text("k,l,probability\n0,0,0.5\n99,1,0.5\n")
+    with pytest.raises(ValueError, match=r"cell \(k=99, l=1\).*\(3, 3\)"):
+        rio.read_pmf_grid(path, 2, 2)
 
 
 def test_jsonable_handles_numpy():

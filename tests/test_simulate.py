@@ -1,19 +1,23 @@
 import copy
+import hashlib
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from recipnet import (
     ResourceLimit,
     SimConfig,
     degree_histogram,
+    enumerate_graph_law,
     init_graph,
     run,
     step,
     validate_params,
 )
-from recipnet.simulate import sample_endpoint
+from recipnet.cli import main
+from recipnet.embedding import _chi_square_against
 from conftest import random_params
 
 
@@ -56,13 +60,13 @@ def test_forced_scenario1_with_reciprocation(k1_ref):
     state = init_graph(k1_ref, np.random.default_rng(0))
     # scenario 1 (u0 < alpha), any mixture/index (single target), group 0,
     # reciprocation success (u4 < 0.5)
-    edges = []
-    step(state, k1_ref, ScriptedRng([0.0, 0.0, 0.0, 0.0, 0.0]), edges=edges)
+    step(state, k1_ref, ScriptedRng([0.0, 0.0, 0.0, 0.0, 0.0]))
+    edges = state.edges()[1:].tolist()
     assert state.n == 1
     assert state.edge_count == 3
     assert (state.in_deg[1], state.out_deg[1]) == (2, 2)
     assert (state.in_deg[2], state.out_deg[2]) == (1, 1)
-    assert [(e.source, e.target, e.reciprocal) for e in edges] == [
+    assert [(source, target, bool(recip)) for _, source, target, recip in edges] == [
         (2, 1, False), (1, 2, True)]
     state.check_invariants()
 
@@ -91,21 +95,20 @@ def test_never_reciprocate_edge_count():
 
 
 def test_run_deterministic_same_seed(k2_ref):
-    a = run(k2_ref, SimConfig(n_steps=500, seed=42, emit_edges=True))
-    b = run(k2_ref, SimConfig(n_steps=500, seed=42, emit_edges=True))
-    assert a.edges == b.edges
+    a = run(k2_ref, SimConfig(n_steps=500, seed=42))
+    b = run(k2_ref, SimConfig(n_steps=500, seed=42))
+    assert np.array_equal(a.state.edges(), b.state.edges())
     assert a.state.in_deg == b.state.in_deg
     assert a.state.node_group == b.state.node_group
 
 
 def test_run_matches_step_reference(k2_ref):
     n = 400
-    result = run(k2_ref, SimConfig(n_steps=n, seed=9, emit_edges=True))
+    result = run(k2_ref, SimConfig(n_steps=n, seed=9))
     rng = np.random.default_rng(9)
     state = init_graph(k2_ref, rng)
-    edges = [result.edges[0]]  # step-0 self-loop record
     for _ in range(n):
-        step(state, k2_ref, rng, edges=edges)
+        step(state, k2_ref, rng)
     assert state.in_deg == result.state.in_deg
     assert state.out_deg == result.state.out_deg
     assert state.node_group == result.state.node_group
@@ -113,7 +116,7 @@ def test_run_matches_step_reference(k2_ref):
     assert state.reciprocal_count == result.state.reciprocal_count
     assert state.group_in_edges == result.state.group_in_edges
     assert state.group_out_edges == result.state.group_out_edges
-    assert edges == result.edges
+    assert np.array_equal(state.edges(), result.state.edges())
 
 
 def test_invariants_random_params_and_seeds():
@@ -136,23 +139,23 @@ def test_invariants_after_every_step(k2_ref):
         state.check_invariants()
 
 
-def test_endpoint_sampling_distribution_chi_square(k1_ref):
-    # frozen 10-node state; compare 1e6 draws with the exact offset law
-    result = run(k1_ref, SimConfig(n_steps=9, seed=3))
-    st = result.state
-    E, V, delta = st.edge_count, st.n_nodes, k1_ref.delta
+def test_step_law_chi_square_against_enumeration(k2_ref):
+    # init_graph + step Monte Carlo against the exact graph law, which
+    # enumerate_graph_law derives independently of the pool sampler
     rng = np.random.default_rng(1234)
-    n_draws = 1_000_000
-    u = rng.random((n_draws, 2))
-    counts = np.zeros(V + 1, dtype=np.int64)
-    pool = st.in_pool
-    for i in range(n_draws):
-        counts[sample_endpoint(pool, V, E, delta, u[i, 0], u[i, 1])] += 1
-    expected = np.array([
-        n_draws * (st.in_deg[v] + delta) / (E + delta * V) for v in range(1, V + 1)
-    ])
-    stat, p_value = chisquare(counts[1:], expected)
-    assert p_value > 1e-3
+    replicates = 20_000
+    for n in (1, 2, 3):
+        observed = Counter()
+        for _ in range(replicates):
+            state = init_graph(k2_ref, rng)
+            for _ in range(n):
+                step(state, k2_ref, rng)
+            cells = zip(state.node_group[1:], state.in_deg[1:], state.out_deg[1:])
+            observed[(state.edge_count, tuple(sorted(cells)))] += 1
+        _, _, p_value, _, impossible = _chi_square_against(
+            enumerate_graph_law(k2_ref, n), observed, replicates)
+        assert not impossible
+        assert p_value > 1e-3
 
 
 def _recip_trajectory(params, seed, n):
@@ -268,3 +271,31 @@ def test_step_does_not_mutate_on_copy(k1_ref):
     clone = copy.deepcopy(state)
     step(clone, k1_ref, np.random.default_rng(1))
     assert state.__dict__ == before
+
+
+# sha256 of the simulate artifacts for the config below, recorded from the
+# reference implementation that kept one EdgeRecord per edge and a separate
+# step() path. The run crosses the 65536-step uniform block boundary with a
+# snapshot on each side of it.
+PARENT_DIGESTS = {
+    "edges.csv": "f5056c44344ea20bc38e60b9205e467e19b7e265ce062fb8c05e15efa4314cd1",
+    "degrees.csv": "42b52c5dc2721fb310399305eaef8cdd15c3008ad4e661173a6214f0114d2cac",
+    "trajectory.csv": "3a20b0d92e69fd3d895c95313357527ad505d472b23dad2b1304791cfc8c26a4",
+}
+
+
+def test_artifacts_match_parent_digests(tmp_path):
+    out = tmp_path / "out"
+    body = {
+        "model": {"alpha": 0.5, "delta": 1.0, "pi": [0.5, 0.5],
+                  "rho": [[0.9, 0.9], [0.45, 0.45]]},
+        "sim": {"n_steps": 70000, "seed": 55, "snapshots": [1, 65536, 65537, 70000],
+                "emit_edges": True},
+        "output": {"directory": str(out)},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(body))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PARENT_DIGESTS}
+    assert digests == PARENT_DIGESTS
