@@ -58,10 +58,9 @@ from .branching import (
     simulate_mbi_batch,
 )
 from .embedding import (
-    EmbeddingChainState,
     EnumerationTooLarge,
     EquivalenceReport,
-    embedding_chain,
+    embedding_chains,
     enumerate_graph_law,
     verify_equivalence,
 )

@@ -117,8 +117,9 @@ def load_config(path) -> dict:
     if not _is_int(n) or n not in (1, 2, 3):
         raise ParseError(f"verify.n must be 1, 2 or 3, got {n!r}")
     rule = cfg["diagnose"]["hill_k_rule"]
-    if rule != "sqrt" and not isinstance(rule, int):
-        raise ParseError("diagnose.hill_k_rule must be 'sqrt' or an integer k")
+    if rule != "sqrt" and not (_is_int(rule) and rule >= 1):
+        raise ParseError(f"diagnose.hill_k_rule must be 'sqrt' or an integer k >= 1, "
+                         f"got {rule!r}")
     return cfg
 
 
@@ -215,7 +216,8 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
             ],
         },
     }
-    rio.write_json(out_dir / "analyze.json", rio.jsonable(report))
+    if "json" in cfg["output"]["formats"]:
+        rio.write_json(out_dir / "analyze.json", rio.jsonable(report))
 
 
 def cmd_simulate(cfg, out_dir: Path) -> None:
@@ -260,7 +262,7 @@ def cmd_embed(cfg, out_dir: Path, workers: int) -> None:
     est = estimate_pkl(params, sol, replicates=emb["replicates"],
                        kmax=emb["kmax"], lmax=emb["lmax"], seed=emb["seed"],
                        event_budget=emb["event_budget"], workers=workers)
-    rio.write_pmf(out_dir, est)
+    rio.write_pmf(out_dir, est, formats=cfg["output"]["formats"])
 
 
 def cmd_diagnose(cfg, out_dir: Path) -> None:
@@ -276,8 +278,10 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     spectra = all_spectra(params)
     opts = PeelOptions(radius_quantile=cfg["diagnose"]["radius_quantile"],
                        distance_quantile=cfg["diagnose"]["distance_quantile"])
+    rule = cfg["diagnose"]["hill_k_rule"]
     report = tail_report(dataset, params, sol, spectra, options=opts,
-                         bins=cfg["diagnose"]["bins"])
+                         bins=cfg["diagnose"]["bins"],
+                         hill_k=None if rule == "sqrt" else rule)
 
     if "csv" in cfg["output"]["formats"]:
         for name, rep in (("in", report.hill_in), ("out", report.hill_out)):
@@ -366,7 +370,8 @@ def cmd_verify(cfg, out_dir: Path) -> None:
         "total": total,
         "runs": runs,
     }
-    rio.write_json(out_dir / "verify.json", rio.jsonable(payload))
+    if "json" in cfg["output"]["formats"]:
+        rio.write_json(out_dir / "verify.json", rio.jsonable(payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON run config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed of the invoked workflow")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker cap for replicate fan-out")
         p.add_argument("--out", default=None, help="override output directory")
         if name == "simulate":
             p.add_argument("--n-steps", dest="n_steps", type=int, default=None)
@@ -395,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--replicates", type=int, default=None)
         if name == "embed":
             p.add_argument("--kmax", type=int, default=None)
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                           help="worker cap for replicate fan-out")
         if name == "diagnose":
             p.add_argument("--input", default=None, help="degree snapshot CSV")
     return parser

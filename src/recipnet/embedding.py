@@ -4,14 +4,19 @@ The degree sequence of the growing graph is equal in law to a family of
 linked branching-with-immigration processes observed at its jump times:
 process k mirrors node k's (in, out) pair, and at every jump a new
 process starts whose initialization depends on how the jumping process
-moved. Selecting the jumping process works exactly like preferential
-attachment: each process with label m and state (n1, n2) carries
-alpha-weight n1 + delta and gamma-weight n2 + delta, realized here with
-the same O(1) unit-pool trick the graph simulator uses.
+moved. ``embedding_chains`` builds that family directly from the
+branching construction, never from the graph's endpoint pools. A live
+process with label m and state (n1, n2) carries two exponential clocks,
+type I at rate alpha * (n1 + delta) and type II at rate
+gamma * (n2 + delta), which sum to the ``simulate_mbi`` total rate
+alpha * n1 + gamma * n2 + delta. The first clock to ring makes the jump:
+a child with label r ~ pi is born, and a reciprocation coin with
+probability rho[m][r] (type I) or rho[r][m] (type II) decides whether
+parent and child both gain the other particle type.
 
-Per jump the chain consumes one exponential (waiting time) and five
-uniforms (side, pool-vs-uniform mixture, index, new label, reciprocation
-coin). ``verify_equivalence`` compares chain Monte Carlo against exact
+All replicates run in lockstep as (replicates, n + 1) arrays: one jump
+draws a (replicates, 2j) block of exponentials and takes the argmin.
+``verify_equivalence`` compares chain Monte Carlo against exact
 enumeration of the graph law on the observable
 
     (edge count, sorted multiset of (group, in-degree, out-degree)),
@@ -30,136 +35,86 @@ from scipy.special import chdtrc
 from .params import ModelParams
 
 MAX_ENUM_STEPS = 3
-DEFAULT_CHAIN_CAP = 10_000
+CHUNK = 4096                # replicates per lockstep block in verify_equivalence
 
 
 class EnumerationTooLarge(ValueError):
     """Exact expansion of the graph law is only supported for n <= 3."""
 
 
-@dataclass
-class EmbeddingChainState:
-    """State of the linked chain after some number of jumps.
+def embedding_chains(params: ModelParams, n: int, replicates: int,
+                     rng: np.random.Generator):
+    """Run ``replicates`` independent linked chains for ``n`` jumps in lockstep.
 
-    Lists are indexed by process (= node) creation order, 0-based.
-    ``in_units[i]`` is a process index owning one type-I particle; pools
-    have one entry per particle so uniform entries are count-biased.
+    Returns ``(labels, n1, n2)``, int64 arrays of shape
+    ``(replicates, n + 1)`` with processes in creation order. Process 0
+    starts at (1, 1), the initial self-loop; the total type-I (and
+    type-II) count is the graph's edge count.
     """
-
-    labels: list[int]
-    n1: list[int]
-    n2: list[int]
-    birth_times: list[float]
-    R: list[int]
-    T: list[float]
-    in_units: list[int]
-    out_units: list[int]
-
-    @property
-    def jumps(self) -> int:
-        return len(self.R)
-
-    def check_identity(self):
-        """Total particle counts of both types equal #processes + sum(R)."""
-        expect = len(self.labels) + sum(self.R)
-        assert sum(self.n1) == expect, "type-I total drifted"
-        assert sum(self.n2) == expect, "type-II total drifted"
-        assert len(self.in_units) == expect and len(self.out_units) == expect
-
-    def observable(self):
-        """(edge count, sorted multiset of (group, in, out))."""
-        e = len(self.labels) + sum(self.R)
-        cells = sorted(zip(self.labels, self.n1, self.n2))
-        return e, tuple(cells)
-
-
-def embedding_chain(params: ModelParams, n_steps: int, rng: np.random.Generator,
-                    cap: int = DEFAULT_CHAIN_CAP) -> EmbeddingChainState:
-    """Run the linked chain for ``n_steps`` jumps.
-
-    The chain is a verification harness; ``cap`` guards against
-    accidentally huge runs (selection pools grow linearly).
-    """
-    if n_steps > cap:
-        raise ValueError(f"n_steps={n_steps} exceeds harness cap {cap}")
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
-    rho = params.rho.tolist()
     cum_pi = np.cumsum(params.pi)
-    K_last = params.K - 1
+    rows = np.arange(replicates)
 
-    u0 = rng.random()
-    l1 = min(int(np.searchsorted(cum_pi, u0, side="right")), K_last)
-    state = EmbeddingChainState(
-        labels=[l1], n1=[1], n2=[1], birth_times=[0.0],
-        R=[], T=[0.0], in_units=[0], out_units=[0],
-    )
-    labels, n1, n2 = state.labels, state.n1, state.n2
-    in_units, out_units = state.in_units, state.out_units
+    def draw_labels():
+        return np.minimum(np.searchsorted(cum_pi, rng.random(replicates), side="right"),
+                          params.K - 1)
 
-    for _ in range(n_steps):
-        p_count = len(labels)
-        s1 = len(in_units)                      # = p_count + sum(R)
-        total_rate = (1.0 + delta) * p_count + (s1 - p_count)
-        t_new = state.T[-1] + rng.standard_exponential() / total_rate
-        u = rng.random(5)
+    labels = np.zeros((replicates, n + 1), dtype=np.int64)
+    n1 = np.zeros((replicates, n + 1), dtype=np.int64)
+    n2 = np.zeros((replicates, n + 1), dtype=np.int64)
+    labels[:, 0] = draw_labels()
+    n1[:, 0] = n2[:, 0] = 1
+    for j in range(1, n + 1):
+        # clocks are memoryless, so every jump races fresh exponentials; the
+        # first of the 2j clocks picks the jumping process and its type
+        rates = np.concatenate((alpha * (n1[:, :j] + delta), gamma * (n2[:, :j] + delta)),
+                               axis=1)
+        winner = np.argmin(rng.standard_exponential((replicates, 2 * j)) / rates, axis=1)
+        type2 = winner >= j
+        k = winner - j * type2
+        m = labels[rows, k]
+        r = draw_labels()
+        rho = np.where(type2, params.rho[r, m], params.rho[m, r])
+        rec = rng.random(replicates) < rho
+        n1[rows, k] += ~type2 | rec
+        n2[rows, k] += type2 | rec
+        labels[:, j] = r
+        n1[:, j] = type2 | rec
+        n2[:, j] = ~type2 | rec
+    return labels, n1, n2
 
-        alpha_mass = alpha * (s1 + delta * p_count)
-        gamma_mass = gamma * (len(out_units) + delta * p_count)
-        new = p_count
-        if u[0] * (alpha_mass + gamma_mass) < alpha_mass:
-            # alpha side: jumping process gains an in-unit
-            if u[1] * (s1 + delta * p_count) < s1:
-                k = in_units[int(u[2] * s1)]
-            else:
-                k = int(u[2] * p_count)
-            m = labels[k]
-            r = min(int(np.searchsorted(cum_pi, u[3], side="right")), K_last)
-            n1[k] += 1
-            in_units.append(k)
-            if u[4] < rho[m][r]:
-                n2[k] += 1
-                out_units.append(k)
-                state.R.append(1)
-                labels.append(r)
-                n1.append(1)
-                n2.append(1)
-                in_units.append(new)
-                out_units.append(new)
-            else:
-                state.R.append(0)
-                labels.append(r)
-                n1.append(0)
-                n2.append(1)
-                out_units.append(new)
-        else:
-            # gamma side: jumping process gains an out-unit
-            s2 = len(out_units)
-            if u[1] * (s2 + delta * p_count) < s2:
-                k = out_units[int(u[2] * s2)]
-            else:
-                k = int(u[2] * p_count)
-            m = labels[k]
-            r = min(int(np.searchsorted(cum_pi, u[3], side="right")), K_last)
-            n2[k] += 1
-            out_units.append(k)
-            if u[4] < rho[r][m]:
-                n1[k] += 1
-                in_units.append(k)
-                state.R.append(1)
-                labels.append(r)
-                n1.append(1)
-                n2.append(1)
-                in_units.append(new)
-                out_units.append(new)
-            else:
-                state.R.append(0)
-                labels.append(r)
-                n1.append(1)
-                n2.append(0)
-                in_units.append(new)
-        state.birth_times.append(t_new)
-        state.T.append(t_new)
-    return state
+
+def _code_width(K: int, n: int) -> int:
+    """B = n + 2 bounds every degree after n jumps; keys must fit in int64."""
+    B = n + 2
+    if (K * B * B) ** (n + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"observable keys for K={K}, n={n} do not fit in int64")
+    return B
+
+
+def _tally(labels, n1, n2, K: int) -> Counter:
+    """Counter of observables over the rows of ``embedding_chains`` output.
+
+    Each process is coded as (g*B + in)*B + out with B = n + 2; the
+    sorted codes of a row are the digits of one int64 key in base K*B*B,
+    so ``np.unique`` tallies whole rows and only distinct keys are decoded.
+    """
+    B = _code_width(K, labels.shape[1] - 1)
+    base = K * B * B
+    codes = np.sort((labels * B + n1) * B + n2, axis=1)
+    keys = codes @ (base ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64))
+    observed: Counter = Counter()
+    for key, count in zip(*np.unique(keys, return_counts=True)):
+        cells = []
+        key = int(key)
+        for _ in range(codes.shape[1]):
+            key, code = divmod(key, base)
+            code, out = divmod(code, B)
+            g, din = divmod(code, B)
+            cells.append((g, din, out))
+        cells.reverse()
+        observed[(sum(c[1] for c in cells), tuple(cells))] += int(count)
+    return observed
 
 
 def enumerate_graph_law(params: ModelParams, n: int) -> dict:
@@ -269,18 +224,20 @@ def verify_equivalence(params: ModelParams, n: int, replicates: int,
                        seed: int = 0) -> EquivalenceReport:
     """Exact graph law vs chain Monte Carlo on the degree observable.
 
-    Runs ``replicates`` independent chains for n jumps (n <= 3), tallies
+    Runs ``replicates`` independent chains for n jumps (n <= 3) from one
+    ``default_rng(seed)`` stream, ``CHUNK`` replicates at a time, tallies
     the observable, and chi-square-tests the frequencies against the
     enumerated distribution.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    _code_width(params.K, n)
     exact = enumerate_graph_law(params, n)
     rng = np.random.default_rng(seed)
     observed: Counter = Counter()
-    for _ in range(replicates):
-        chain = embedding_chain(params, n, rng)
-        observed[chain.observable()] += 1
+    for start in range(0, replicates, CHUNK):
+        size = min(CHUNK, replicates - start)
+        observed.update(_tally(*embedding_chains(params, n, size, rng), params.K))
 
     stat, df, p_value, n_merged, impossible = _chi_square_against(exact, observed, replicates)
     keys = set(exact) | set(observed)

@@ -75,10 +75,12 @@ def write_trajectory(path, traj: Trajectory) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf") -> dict:
+def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf",
+              formats=("csv", "json")) -> dict:
     """Write the mixed grid, one grid per group, and a JSON metadata file.
 
-    Returns the metadata dict (also written to ``<stem>.json``).
+    The grids are written with ``"csv"`` in ``formats`` and the metadata
+    file with ``"json"``. Returns the metadata dict either way.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -90,13 +92,13 @@ def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf") -> dict:
                 for l in range(grid.shape[1]):
                     fh.write(f"{k},{l},{float(grid[k, l])!r}\n")
 
-    mixed_file = directory / f"{stem}.csv"
-    dump_grid(mixed_file, est.grid)
-    group_files = {}
-    for m in range(est.group_counts.shape[0]):
-        gf = directory / f"{stem}_group_{m + 1}.csv"
-        dump_grid(gf, est.group_grid(m))
-        group_files[str(m + 1)] = gf.name
+    mixed_file = f"{stem}.csv"
+    group_files = {str(m + 1): f"{stem}_group_{m + 1}.csv"
+                   for m in range(est.group_counts.shape[0])}
+    if "csv" in formats:
+        dump_grid(directory / mixed_file, est.grid)
+        for m, name in enumerate(group_files.values()):
+            dump_grid(directory / name, est.group_grid(m))
 
     meta = {
         "schema": "recipnet/pmf/v1",
@@ -106,10 +108,11 @@ def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf") -> dict:
         "overflow_mass": est.overflow_mass,
         "kmax": est.kmax,
         "lmax": est.lmax,
-        "mixed_file": mixed_file.name,
+        "mixed_file": mixed_file,
         "group_files": group_files,
     }
-    write_json(directory / f"{stem}.json", meta)
+    if "json" in formats:
+        write_json(directory / f"{stem}.json", meta)
     return meta
 
 

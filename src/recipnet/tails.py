@@ -314,11 +314,13 @@ def default_hill_k(n: int) -> int:
 def tail_report(dataset: DegreeDataset, params: ModelParams,
                 sol: EquilibriumSolution, spectra: list[GroupSpectral],
                 options: PeelOptions = PeelOptions(),
-                bins: int = 50) -> TailReport:
+                bins: int = 50, hill_k: int | None = None) -> TailReport:
     """Marginal Hill estimates, angular histogram and the ray peel.
 
     Zero degrees are excluded from the marginal Hill inputs but kept for
     the angular histogram (theta = 0 or 1 are genuine axis points).
+    ``hill_k`` fixes the number of order statistics; None uses
+    ``default_hill_k``. Either is capped at the positive count minus one.
     """
     order = order_groups(spectra, tie_tol=options.tie_tol)
     spectra_sorted = [spectra[i] for i in order.order]
@@ -328,7 +330,8 @@ def tail_report(dataset: DegreeDataset, params: ModelParams,
     skips = {}
     for name, vals in (("in", dataset.x), ("out", dataset.y)):
         pos = int((vals > 0).sum())
-        k = min(default_hill_k(dataset.n), max(pos - 1, 1))
+        k = default_hill_k(dataset.n) if hill_k is None else hill_k
+        k = min(k, max(pos - 1, 1))
         try:
             reports[name] = hill_estimator(vals, k=k, sweep=True)
         except (InsufficientData, NonPositiveValues, DegenerateTail) as exc:

@@ -24,7 +24,7 @@ from recipnet import (
     build_jstar,
     compare_pmf,
     degree_histogram,
-    embedding_chain,
+    embedding_chains,
     estimate_pkl,
     fixed_point_map,
     group_rates,
@@ -153,7 +153,8 @@ def test_accept_03_embedding_equivalence(k2_ref):
 
     rho0 = group_rates(k2_ref).rho0
     rng = np.random.default_rng(424242)
-    hits = sum(embedding_chain(k2_ref, 1, rng).R[0] for _ in range(chain_samples))
+    _, n1, _ = embedding_chains(k2_ref, 1, chain_samples, rng)
+    hits = int((n1.sum(axis=1) - 2).sum())
     r1 = hits / chain_samples
     se = math.sqrt(rho0 * (1 - rho0) / chain_samples)
     r1_ok = abs(r1 - rho0) <= 3 * se

@@ -117,8 +117,11 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("simulate", "sim", {"emit_edges": "no"}),
     ("verify", "verify", {"n": 5}),
     ("verify", "verify", {"n": 0}),
+    ("analyze", "diagnose", {"hill_k_rule": 0}),
+    ("analyze", "diagnose", {"hill_k_rule": True}),
 ], ids=["n_steps-str", "seed-bool", "max_edges-float", "snapshots-str-entry",
-        "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0"])
+        "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0",
+        "hill_k_rule-0", "hill_k_rule-bool"])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, value):
     out = tmp_path / "out"
     code = main([command, "--config", _k1_config(tmp_path, out, extra={section: value})])
@@ -170,6 +173,27 @@ def test_simulate_then_diagnose(tmp_path):
     assert report["hrv"] is not None
     assert (diag_out / "hill_sweep_in.csv").exists()
     assert (diag_out / "angular_hist.csv").exists()
+
+
+def test_diagnose_uses_configured_hill_k(tmp_path):
+    sim_out = tmp_path / "sim"
+    cfg = {
+        "model": {"alpha": 0.5, "delta": 1.0, "pi": [0.5, 0.5],
+                  "rho": [[0.9, 0.9], [0.45, 0.45]]},
+        "sim": {"n_steps": 20_000, "seed": 2},
+        "diagnose": {"hill_k_rule": 37},
+        "output": {"directory": str(sim_out)},
+    }
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg, "s.json")]) == 0
+
+    diag_out = tmp_path / "diag"
+    cfg["output"] = {"directory": str(diag_out)}
+    code = main(["diagnose", "--config", _write_config(tmp_path, cfg, "d.json"),
+                 "--input", str(sim_out / "degrees.csv")])
+    assert code == 0
+    report = json.loads((diag_out / "report.json").read_text())
+    assert report["hill_in"]["k"] == 37
+    assert report["hill_out"]["k"] == 37
 
 
 def test_diagnose_missing_input_is_config_error(tmp_path, capsys):
@@ -224,3 +248,33 @@ def test_simulate_n_steps_override(tmp_path):
     assert summary["n_steps"] == 500
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["sim"]["n_steps"] == 500
+
+
+def test_threads_flag_only_on_embed(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", _k1_config(tmp_path, out), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, formats, written, skipped", [
+    ("embed", ["json"], ["pmf.json"], ["pmf.csv", "pmf_group_1.csv"]),
+    ("embed", ["csv"], ["pmf.csv", "pmf_group_1.csv"], ["pmf.json"]),
+    ("analyze", ["csv"], [], ["analyze.json"]),
+    ("verify", ["csv"], [], ["verify.json"]),
+], ids=["embed-json", "embed-csv", "analyze-csv", "verify-csv"])
+def test_output_formats_gate_artifacts(tmp_path, command, formats, written, skipped):
+    out = tmp_path / "out"
+    cfgpath = _k1_config(tmp_path, out, extra={
+        "embed": {"replicates": 2000, "kmax": 6, "lmax": 6, "seed": 1},
+        "verify": {"n": 1, "replicates": 2000},
+        "output": {"directory": str(out), "formats": formats},
+    })
+    code = main([command, "--config", cfgpath])
+    assert code == 0
+    assert (out / "config.json").exists()
+    for name in written:
+        assert (out / name).exists()
+    for name in skipped:
+        assert not (out / name).exists()

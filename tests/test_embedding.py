@@ -1,25 +1,25 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from recipnet import (
     EnumerationTooLarge,
-    embedding_chain,
+    embedding_chains,
     enumerate_graph_law,
     group_rates,
     validate_params,
     verify_equivalence,
 )
-from recipnet.embedding import _chi_square_against
-from collections import Counter
+from recipnet.embedding import _chi_square_against, _tally
 from conftest import random_params
 
 
 def test_chain_before_any_jump(k2_ref):
-    chain = embedding_chain(k2_ref, 0, np.random.default_rng(0))
-    assert chain.labels != [] and len(chain.labels) == 1
-    assert chain.n1 == [1] and chain.n2 == [1]
-    assert chain.R == []
-    chain.check_identity()
+    labels, n1, n2 = embedding_chains(k2_ref, 0, 5, np.random.default_rng(0))
+    assert labels.shape == n1.shape == n2.shape == (5, 1)
+    assert np.all((labels >= 0) & (labels < k2_ref.K))
+    assert np.all(n1 == 1) and np.all(n2 == 1)
 
 
 def test_chain_identity_after_every_jump():
@@ -28,20 +28,30 @@ def test_chain_identity_after_every_jump():
         p = random_params(rng_master)
         rng = np.random.default_rng(int(rng_master.integers(0, 2**32)))
         for n in range(1, 25):
-            chain = embedding_chain(p, n, rng)
-            chain.check_identity()
-            assert len(chain.labels) == n + 1
-            assert len(chain.R) == n
-            # edge-count analogue: processes + reciprocations
-            e, cells = chain.observable()
-            assert e == (n + 1) + sum(chain.R)
-            assert len(cells) == n + 1
+            labels, n1, n2 = embedding_chains(p, n, 8, rng)
+            assert labels.shape == n1.shape == n2.shape == (8, n + 1)
+            # both particle totals equal #processes + #reciprocations,
+            # and each jump reciprocates at most once
+            e = n1.sum(axis=1)
+            assert np.array_equal(e, n2.sum(axis=1))
+            assert np.all((e >= n + 1) & (e <= 2 * n + 1))
+            assert np.all(n1 + n2 >= 1)
+            if n > 3:
+                continue
+            # edge-count analogue: the tallied observable has n+1 cells and
+            # matches the observable read row by row
+            observed = _tally(labels, n1, n2, p.K)
+            reference = Counter(
+                (int(b.sum()), tuple(sorted(zip(a.tolist(), b.tolist(), c.tolist()))))
+                for a, b, c in zip(labels, n1, n2))
+            assert observed == reference
+            assert all(len(cells) == n + 1 for _, cells in observed)
 
 
-def test_chain_cap():
-    p = validate_params(alpha=0.5, delta=1.0, pi=[1.0], rho=[[0.5]])
-    with pytest.raises(ValueError):
-        embedding_chain(p, 20, np.random.default_rng(0), cap=10)
+def test_tally_rejects_keys_beyond_int64(k2_ref):
+    chains = embedding_chains(k2_ref, 12, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="int64"):
+        _tally(*chains, k2_ref.K)
 
 
 def test_first_reciprocation_probability(k1_ref):
@@ -49,7 +59,8 @@ def test_first_reciprocation_probability(k1_ref):
     rho0 = group_rates(k1_ref).rho0
     rng = np.random.default_rng(77)
     n_runs = 100_000
-    hits = sum(embedding_chain(k1_ref, 1, rng).R[0] for _ in range(n_runs))
+    _, n1, _ = embedding_chains(k1_ref, 1, n_runs, rng)
+    hits = int((n1.sum(axis=1) - 2).sum())
     se = np.sqrt(rho0 * (1 - rho0) / n_runs)
     assert abs(hits / n_runs - rho0) <= 3.0 * se
 
@@ -107,8 +118,21 @@ def test_impossible_support_detection(k1_ref):
     p0 = validate_params(alpha=0.5, delta=1.0, pi=[1.0], rho=[[0.0]])
     exact = enumerate_graph_law(p0, 1)
     p1 = validate_params(alpha=0.5, delta=1.0, pi=[1.0], rho=[[1.0]])
-    rng = np.random.default_rng(0)
-    observed = Counter(embedding_chain(p1, 1, rng).observable() for _ in range(200))
+    observed = _tally(*embedding_chains(p1, 1, 200, np.random.default_rng(0)), p1.K)
     stat, df, p_value, merged, impossible = _chi_square_against(exact, observed, 200)
     assert impossible
     assert p_value == 0.0
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda p: validate_params(alpha=p.alpha, delta=2.0, pi=p.pi, rho=p.rho),
+    lambda p: validate_params(alpha=p.alpha, delta=p.delta, pi=p.pi, rho=p.rho.T),
+], ids=["delta-1-to-2", "rho-transposed"])
+def test_checker_rejects_perturbed_law(k2_ref, perturb):
+    # chains of the k2 model scored against the law of a different model
+    replicates = 100_000
+    observed = _tally(*embedding_chains(k2_ref, 2, replicates, np.random.default_rng(5)),
+                      k2_ref.K)
+    exact = enumerate_graph_law(perturb(k2_ref), 2)
+    _, _, p_value, _, _ = _chi_square_against(exact, observed, replicates)
+    assert p_value < 1e-3
