@@ -50,11 +50,8 @@ from .branching import (
     EventBudgetExceeded,
     JointPmfEstimate,
     LimitPairSampler,
-    MbiState,
     estimate_pkl,
-    sample_limit_pair,
     sample_limit_pairs,
-    simulate_mbi,
     simulate_mbi_batch,
 )
 from .embedding import (

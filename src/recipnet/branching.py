@@ -1,27 +1,25 @@
 """Two-type Markov branching with immigration and the degree-limit sampler.
 
 A group-m process tracks a pair (n1, n2) mimicking the in/out-degrees of
-one group-m node. Events arrive by competing exponential clocks with
-total rate alpha*n1 + gamma*n2 + delta:
+one group-m node. It carries two exponential clocks, the same two that
+``embedding.embedding_chains`` races for every process of its chain:
 
-* type-I event (weight alpha*n1): n1 += 1, and with probability
+* type I, rate alpha * (n1 + delta): n1 += 1, and with probability
   rho_row[m] also n2 += 1 (the node reciprocates an incoming edge);
-* type-II event (weight gamma*n2): n2 += 1, and with probability
-  rho_col[m] also n1 += 1;
-* immigration (weight delta): increment (1,0), (0,1) or (1,1) with
-  probabilities alpha*(1-rho_row[m]), gamma*(1-rho_col[m]) and
-  alpha*rho_row[m] + gamma*rho_col[m].
+* type II, rate gamma * (n2 + delta): n2 += 1, and with probability
+  rho_col[m] also n1 += 1.
+
+Their sum is alpha * n1 + gamma * n2 + delta; the delta terms are the
+immigration of the paper's branching process with immigration.
 
 Evaluating a process with the equilibrium-matched random initialization
 at an independent Exp(c*) time T* yields a draw from the limiting joint
 in/out-degree distribution; ``estimate_pkl`` Monte-Carlos that mixture
 over the group label.
 
-Two engines are provided: ``simulate_mbi`` is the sequential reference
-(three variates per event: waiting time, event selector, outcome coin),
-and ``simulate_mbi_batch`` advances many trajectories in lockstep with
-vectorized draws. They realize the same law from different draw orders;
-the test suite cross-checks them distributionally.
+``simulate_mbi_batch`` is the one engine: it advances trajectories of
+any mix of labels in lockstep, three variates per event (waiting time,
+clock selector, reciprocation coin).
 """
 
 from __future__ import annotations
@@ -31,148 +29,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import GroupRates, ModelParams, group_rates
+from .params import GroupRates, ModelParams, draw_groups, group_rates
 from .equilibrium import EquilibriumSolution
 
 DEFAULT_EVENT_BUDGET = 10_000_000
 CHUNK = 1 << 16
 
-INIT_SUPPORT = ((0, 1), (1, 0), (1, 1))
-
 
 class EventBudgetExceeded(RuntimeError):
-    """Trajectory needed more events than the configured cap.
+    """Every replicate hit the event budget, so no estimate can be normalized.
 
-    Carries the partial state; samples hitting the cap are reported as
-    failed rather than resampled, to avoid biasing the estimate.
+    Replicates hitting the cap are reported as failed rather than
+    resampled, to avoid biasing the estimate. The counts are kept on the
+    error as ``failed`` and ``replicates``.
     """
 
-    def __init__(self, state: "MbiState"):
-        super().__init__(f"event budget exhausted at t={state.t:.4g}, state={state}")
-        self.state = state
+    def __init__(self, failed: int, replicates: int):
+        super().__init__(failed, replicates)
+        self.failed = failed
+        self.replicates = replicates
+
+    def __str__(self) -> str:
+        return (f"all replicates hit the event budget ({self.failed} failed of "
+                f"{self.replicates}); there is no estimate to normalize")
 
 
-@dataclass
-class MbiState:
-    n1: int
-    n2: int
-    t: float
-    events: int
-    immigrations: int
-
-
-def simulate_mbi(m: int, init: tuple, t_end: float, params: ModelParams,
-                 rates: GroupRates, rng: np.random.Generator,
-                 event_budget: int = DEFAULT_EVENT_BUDGET) -> MbiState:
-    """Run one group-m trajectory from ``init`` until time ``t_end``.
-
-    Sequential reference engine. Raises EventBudgetExceeded if more than
-    ``event_budget`` events occur before ``t_end``.
-    """
-    alpha, gamma, delta = params.alpha, params.gamma, params.delta
-    rr = float(rates.rho_row[m])
-    rc = float(rates.rho_col[m])
-    p_imm1 = alpha * (1.0 - rr)
-    p_imm2 = p_imm1 + gamma * (1.0 - rc)
-
-    n1, n2 = int(init[0]), int(init[1])
-    t = 0.0
-    events = 0
-    immigrations = 0
-    while True:
-        rate = alpha * n1 + gamma * n2 + delta
-        if rate <= 0.0:
-            # absorbing: nothing can ever fire (only possible with delta=0)
-            t = t_end
-            break
-        t_next = t + rng.standard_exponential() / rate
-        if t_next > t_end:
-            t = t_end
-            break
-        t = t_next
-        if events >= event_budget:
-            raise EventBudgetExceeded(MbiState(n1, n2, t, events, immigrations))
-        u = rng.random() * rate
-        c = rng.random()
-        if u < alpha * n1:
-            n1 += 1
-            if c < rr:
-                n2 += 1
-        elif u < alpha * n1 + gamma * n2:
-            n2 += 1
-            if c < rc:
-                n1 += 1
-        else:
-            immigrations += 1
-            if c < p_imm1:
-                n1 += 1
-            elif c < p_imm2:
-                n2 += 1
-            else:
-                n1 += 1
-                n2 += 1
-        events += 1
-    return MbiState(n1, n2, t, events, immigrations)
-
-
-def simulate_mbi_batch(m: int, inits: np.ndarray, t_ends: np.ndarray,
+def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray,
                        params: ModelParams, rates: GroupRates,
                        rng: np.random.Generator,
                        event_budget: int = DEFAULT_EVENT_BUDGET):
-    """Advance R independent group-m trajectories in lockstep.
+    """Advance R independent trajectories in lockstep until their ``t_ends``.
 
-    ``inits`` has shape (R, 2); ``t_ends`` shape (R,). Returns
-    (n1, n2, events, failed): final counts, event totals, and a mask of
-    trajectories that hit the event budget (their counts are partial).
+    Row i has group ``labels[i]`` and starts at ``inits[i]``; ``inits`` has
+    shape (R, 2). Returns (n1, n2, events, failed): final counts, event
+    totals, and a mask of trajectories that hit the event budget (their
+    counts are partial).
     """
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
-    rr = float(rates.rho_row[m])
-    rc = float(rates.rho_col[m])
-    p_imm1 = alpha * (1.0 - rr)
-    p_imm2 = p_imm1 + gamma * (1.0 - rc)
-
     inits = np.asarray(inits)
-    t_ends = np.asarray(t_ends, dtype=float)
-    n1 = inits[:, 0].astype(np.int64).copy()
-    n2 = inits[:, 1].astype(np.int64).copy()
-    t = np.zeros(len(n1))
+    n1 = inits[:, 0].astype(np.int64)
+    n2 = inits[:, 1].astype(np.int64)
     events = np.zeros(len(n1), dtype=np.int64)
     failed = np.zeros(len(n1), dtype=bool)
-    active = np.arange(len(n1))
 
-    while active.size:
-        a1 = n1[active]
-        a2 = n2[active]
-        rate = alpha * a1 + gamma * a2 + delta
-        live = rate > 0.0               # absorbing rows only when delta = 0
-        active = active[live]
-        if not active.size:
-            break
-        t_new = t[active] + rng.standard_exponential(active.size) / rate[live]
-        t[active] = t_new
-        keep = t_new <= t_ends[active]
-        active = active[keep]
-        if not active.size:
-            break
-        over = events[active] >= event_budget
-        if over.any():
-            failed[active[over]] = True
-            active = active[~over]
-            if not active.size:
-                break
-        a1 = n1[active]
-        a2 = n2[active]
-        rate = alpha * a1 + gamma * a2 + delta
-        u = rng.random(active.size) * rate
-        c = rng.random(active.size)
-        is1 = u < alpha * a1
-        is2 = (~is1) & (u < alpha * a1 + gamma * a2)
-        imm = ~(is1 | is2)
-        inc1 = is1 | (is2 & (c < rc)) | (imm & ((c < p_imm1) | (c >= p_imm2)))
-        inc2 = is2 | (is1 & (c < rr)) | (imm & (c >= p_imm1))
-        n1[active] += inc1
-        n2[active] += inc2
-        events[active] += 1
+    # the running rows, compacted whenever some of them stop; every running
+    # row makes one event per iteration, so each has made ``it`` events
+    idx = np.arange(len(n1))
+    a1 = n1.astype(float)
+    a2 = n2.astype(float)
+    left = np.array(t_ends, dtype=float)
+    rr = rates.rho_row[labels]
+    rc = rates.rho_col[labels]
+    it = 0
+    while idx.size:
+        w1 = alpha * (a1 + delta)
+        rate = w1 + gamma * (a2 + delta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a rate-0 row (delta = 0 at state (0, 0)) is absorbing: its wait is inf
+            left -= rng.standard_exponential(idx.size) / rate
+        go = left >= 0.0
+        if it >= event_budget:
+            failed[idx[go]] = True
+            go[:] = False
+        if not go.all():
+            stop = np.flatnonzero(~go)
+            done = idx[stop]
+            n1[done] = a1[stop]
+            n2[done] = a2[stop]
+            events[done] = it
+            keep = np.flatnonzero(go)
+            idx, a1, a2, left, rr, rc, w1, rate = (
+                x.take(keep) for x in (idx, a1, a2, left, rr, rc, w1, rate))
+        is1 = rng.random(idx.size) * rate < w1
+        c = rng.random(idx.size)
+        rec = (is1 & (c < rr)) | (~is1 & (c < rc))
+        a1 += is1 | rec
+        a2 += ~is1 | rec
+        it += 1
     return n1, n2, events, failed
 
 
@@ -186,12 +119,11 @@ class LimitPairSampler:
     """
 
     c_star: float
-    init_probs: np.ndarray   # (K, 3), rows over INIT_SUPPORT
-    pi: np.ndarray
+    init_probs: np.ndarray   # (K, 3), rows over (0,1), (1,0), (1,1)
 
     @classmethod
-    def from_solution(cls, params: ModelParams, sol: EquilibriumSolution,
-                      rates: GroupRates | None = None) -> "LimitPairSampler":
+    def from_solution(cls, params: ModelParams,
+                      sol: EquilibriumSolution) -> "LimitPairSampler":
         alpha, gamma, delta = params.alpha, params.gamma, params.delta
         pi, rho = params.pi, params.rho
         px = (sol.x + delta * pi) / (sol.x.sum() + delta)
@@ -205,29 +137,13 @@ class LimitPairSampler:
         if np.any(init_probs < 0.0) or np.any(np.abs(init_probs.sum(axis=1) - 1.0) > 1e-12):
             raise AssertionError("initialization distribution rows must be pmfs")
         init_probs.setflags(write=False)
-        return cls(c_star=sol.c_star, init_probs=init_probs, pi=params.pi)
+        return cls(c_star=sol.c_star, init_probs=init_probs)
 
-    def draw_init(self, m: int, u: float) -> tuple:
-        p01, p10, _ = self.init_probs[m]
-        if u < p01:
-            return INIT_SUPPORT[0]
-        if u < p01 + p10:
-            return INIT_SUPPORT[1]
-        return INIT_SUPPORT[2]
-
-
-def sample_limit_pair(m: int, sampler: LimitPairSampler, params: ModelParams,
-                      rates: GroupRates, rng: np.random.Generator,
-                      event_budget: int = DEFAULT_EVENT_BUDGET) -> tuple:
-    """One draw of the limiting (in, out) pair for group m.
-
-    Draw order: T* (one exponential), initialization (one uniform), then
-    the trajectory.
-    """
-    t_star = rng.standard_exponential() / sampler.c_star
-    init = sampler.draw_init(m, rng.random())
-    state = simulate_mbi(m, init, t_star, params, rates, rng, event_budget)
-    return state.n1, state.n2
+    def draw_inits(self, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(R, 2) initial states for the given labels, one uniform each."""
+        p01 = self.init_probs[labels, 0]
+        p10 = self.init_probs[labels, 1]
+        return np.stack([u >= p01, (u < p01) | (u >= p01 + p10)], axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -251,15 +167,18 @@ class JointPmfEstimate:
     def successes(self) -> int:
         return self.replicates - self.failed
 
+    def _normalizer(self) -> int:
+        if self.successes == 0:
+            raise EventBudgetExceeded(self.failed, self.replicates)
+        return self.successes
+
     @property
     def grid(self) -> np.ndarray:
-        if self.successes == 0:
-            raise EventBudgetExceeded(MbiState(0, 0, 0.0, 0, 0))
-        return self.group_counts.sum(axis=0) / self.successes
+        return self.group_counts.sum(axis=0) / self._normalizer()
 
     @property
     def overflow_mass(self) -> float:
-        return float(self.group_overflow_counts.sum()) / self.successes
+        return float(self.group_overflow_counts.sum()) / self._normalizer()
 
     @property
     def failed_fraction(self) -> float:
@@ -267,36 +186,19 @@ class JointPmfEstimate:
 
     def group_grid(self, m: int) -> np.ndarray:
         """Group-m contribution to the mixed pmf (mass ~ pi[m])."""
-        return self.group_counts[m] / self.successes
+        return self.group_counts[m] / self._normalizer()
 
 
 def _sample_chunk(args):
     """Raw limit pairs for one replicate chunk; top-level so pools can pickle it."""
     (params, rates, sampler, j, size, seed, event_budget) = args
-    K = params.K
-    cum_pi = np.cumsum(params.pi)
     rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-    labels = np.minimum(np.searchsorted(cum_pi, rng.random(size), side="right"), K - 1)
-    u_init = rng.random(size)
+    labels = draw_groups(np.cumsum(params.pi), rng.random(size))
+    inits = sampler.draw_inits(labels, rng.random(size))
     t_star = rng.standard_exponential(size) / sampler.c_star
-    out1 = np.empty(size, dtype=np.int64)
-    out2 = np.empty(size, dtype=np.int64)
-    failed = np.zeros(size, dtype=bool)
-    for m in range(K):
-        idx = np.nonzero(labels == m)[0]
-        if idx.size == 0:
-            continue
-        p01, p10, _ = sampler.init_probs[m]
-        u = u_init[idx]
-        i1 = np.where(u < p01, 0, 1)
-        i2 = np.where((u >= p01) & (u < p01 + p10), 0, 1)
-        inits = np.stack([i1, i2], axis=1)
-        n1, n2, _, fail = simulate_mbi_batch(
-            m, inits, t_star[idx], params, rates, rng, event_budget)
-        out1[idx] = n1
-        out2[idx] = n2
-        failed[idx] = fail
-    return labels, out1, out2, failed
+    n1, n2, _, failed = simulate_mbi_batch(labels, inits, t_star, params, rates, rng,
+                                           event_budget)
+    return labels, n1, n2, failed
 
 
 def _chunk_jobs(params, rates, sampler, replicates, seed, event_budget, chunk_size):
@@ -321,7 +223,7 @@ def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     rates = group_rates(params)
-    sampler = LimitPairSampler.from_solution(params, sol, rates)
+    sampler = LimitPairSampler.from_solution(params, sol)
     jobs = _chunk_jobs(params, rates, sampler, replicates, seed, event_budget,
                        chunk_size)
     parts = [_sample_chunk(job) for job in jobs]
@@ -338,7 +240,7 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     generator seeded with SeedSequence([seed, j]), so the result is
     independent of scheduling and identical for any worker count. Within
     a chunk the label, initialization and T* vectors are drawn first, then
-    groups are advanced in label order with the lockstep engine.
+    all groups are advanced together by the lockstep engine.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -346,7 +248,7 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)
     rates = group_rates(params)
-    sampler = LimitPairSampler.from_solution(params, sol, rates)
+    sampler = LimitPairSampler.from_solution(params, sol)
     jobs = _chunk_jobs(params, rates, sampler, replicates, seed, event_budget,
                        chunk_size)
     if workers > 1 and len(jobs) > 1:

@@ -70,6 +70,58 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_at_least(lo: int):
+    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+
+
+_SEED = _int_at_least(0)
+_QUANTILE = (lambda v: _is_number(v) and 0.0 < v < 1.0), "a number in (0, 1)"
+
+# (section, key) -> (check, what the value must be); every config value has one
+RULES = {
+    ("solver", "tol"): ((lambda v: _is_number(v) and v > 0.0), "a number > 0"),
+    ("solver", "max_iter"): _int_at_least(1),
+    ("sim", "n_steps"): _int_at_least(1),
+    ("sim", "seed"): _SEED,
+    ("sim", "snapshots"): ((lambda v: isinstance(v, list) and all(map(_is_int, v))),
+                           "a list of integers"),
+    ("sim", "emit_edges"): ((lambda v: isinstance(v, bool)), "true or false"),
+    ("sim", "max_edges"): _int_at_least(1),
+    ("embed", "replicates"): _int_at_least(1),
+    ("embed", "kmax"): _int_at_least(0),
+    ("embed", "lmax"): _int_at_least(0),
+    ("embed", "event_budget"): _int_at_least(1),
+    ("embed", "seed"): _SEED,
+    ("diagnose", "hill_k_rule"): ((lambda v: v == "sqrt" or (_is_int(v) and v >= 1)),
+                                  "'sqrt' or an integer k >= 1"),
+    ("diagnose", "radius_quantile"): _QUANTILE,
+    ("diagnose", "distance_quantile"): _QUANTILE,
+    ("diagnose", "bins"): _int_at_least(1),
+    ("diagnose", "input"): ((lambda v: v is None or isinstance(v, str)),
+                            "a path string or null"),
+    ("verify", "n"): ((lambda v: _is_int(v) and v in (1, 2, 3)), "1, 2 or 3"),
+    ("verify", "replicates"): _int_at_least(1),
+    ("verify", "repetitions"): _int_at_least(1),
+    ("verify", "seed"): _SEED,
+    ("output", "directory"): ((lambda v: isinstance(v, str)), "a path string"),
+    ("output", "formats"): ((lambda v: isinstance(v, list)
+                             and all(f in ("csv", "json") for f in v)),
+                            "a list within ['csv', 'json']"),
+}
+
+
+def _check_values(cfg: dict) -> None:
+    """Raise ParseError naming the first config value that breaks its rule."""
+    for (section, key), (ok, what) in RULES.items():
+        value = cfg[section][key]
+        if not ok(value):
+            raise ParseError(f"{section}.{key} must be {what}, got {value!r}")
+
+
 def load_config(path) -> dict:
     """Strict parse of the run config; fills defaults for absent sections."""
     try:
@@ -101,25 +153,7 @@ def load_config(path) -> dict:
         merged.update(given)
         cfg[section] = merged
 
-    formats = cfg["output"]["formats"]
-    if not set(formats) <= {"csv", "json"}:
-        raise ParseError(f"output.formats must be within ['csv','json'], got {formats}")
-    sim = cfg["sim"]
-    for key in ("n_steps", "seed", "max_edges"):
-        if not _is_int(sim[key]):
-            raise ParseError(f"sim.{key} must be an integer, got {sim[key]!r}")
-    snaps = sim["snapshots"]
-    if not isinstance(snaps, list) or not all(_is_int(s) for s in snaps):
-        raise ParseError(f"sim.snapshots must be a list of integers, got {snaps!r}")
-    if not isinstance(sim["emit_edges"], bool):
-        raise ParseError(f"sim.emit_edges must be true or false, got {sim['emit_edges']!r}")
-    n = cfg["verify"]["n"]
-    if not _is_int(n) or n not in (1, 2, 3):
-        raise ParseError(f"verify.n must be 1, 2 or 3, got {n!r}")
-    rule = cfg["diagnose"]["hill_k_rule"]
-    if rule != "sqrt" and not (_is_int(rule) and rule >= 1):
-        raise ParseError(f"diagnose.hill_k_rule must be 'sqrt' or an integer k >= 1, "
-                         f"got {rule!r}")
+    _check_values(cfg)
     return cfg
 
 
@@ -141,6 +175,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["embed"]["lmax"] = args.kmax
     if getattr(args, "input", None) is not None:
         cfg["diagnose"]["input"] = args.input
+    _check_values(cfg)
     return cfg
 
 
@@ -348,14 +383,14 @@ def cmd_verify(cfg, out_dir: Path) -> None:
     passes = 0
     total = 0
     for n in range(1, ver["n"] + 1):
-        for rep in range(int(ver["repetitions"])):
-            report = verify_equivalence(params, n=n, replicates=int(ver["replicates"]),
-                                        seed=int(ver["seed"]) + rep)
+        for rep in range(ver["repetitions"]):
+            report = verify_equivalence(params, n=n, replicates=ver["replicates"],
+                                        seed=ver["seed"] + rep)
             ok = report.p_value > P_THRESHOLD and not report.impossible_support
             passes += ok
             total += 1
             runs.append({
-                "n": report.n, "seed": int(ver["seed"]) + rep,
+                "n": report.n, "seed": ver["seed"] + rep,
                 "replicates": report.replicates,
                 "statistic": report.statistic, "df": report.df,
                 "p_value": report.p_value, "max_abs_dev": report.max_abs_dev,
@@ -374,8 +409,15 @@ def cmd_verify(cfg, out_dir: Path) -> None:
         rio.write_json(out_dir / "verify.json", rio.jsonable(payload))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as ParseError instead of usage text and exit."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recipnet",
         description="Reciprocal preferential attachment: simulation and analysis",
     )
@@ -406,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args)
         out_dir = Path(cfg["output"]["directory"])

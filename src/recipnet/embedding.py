@@ -8,7 +8,8 @@ moved. ``embedding_chains`` builds that family directly from the
 branching construction, never from the graph's endpoint pools. A live
 process with label m and state (n1, n2) carries two exponential clocks,
 type I at rate alpha * (n1 + delta) and type II at rate
-gamma * (n2 + delta), which sum to the ``simulate_mbi`` total rate
+gamma * (n2 + delta), the clocks of the single-process engine
+``branching.simulate_mbi_batch``; they sum to the total rate
 alpha * n1 + gamma * n2 + delta. The first clock to ring makes the jump:
 a child with label r ~ pi is born, and a reciprocation coin with
 probability rho[m][r] (type I) or rho[r][m] (type II) decides whether
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .params import ModelParams
+from .params import ModelParams, draw_groups
 
 MAX_ENUM_STEPS = 3
 CHUNK = 4096                # replicates per lockstep block in verify_equivalence
@@ -55,14 +56,10 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
     cum_pi = np.cumsum(params.pi)
     rows = np.arange(replicates)
 
-    def draw_labels():
-        return np.minimum(np.searchsorted(cum_pi, rng.random(replicates), side="right"),
-                          params.K - 1)
-
     labels = np.zeros((replicates, n + 1), dtype=np.int64)
     n1 = np.zeros((replicates, n + 1), dtype=np.int64)
     n2 = np.zeros((replicates, n + 1), dtype=np.int64)
-    labels[:, 0] = draw_labels()
+    labels[:, 0] = draw_groups(cum_pi, rng.random(replicates))
     n1[:, 0] = n2[:, 0] = 1
     for j in range(1, n + 1):
         # clocks are memoryless, so every jump races fresh exponentials; the
@@ -73,7 +70,7 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
         type2 = winner >= j
         k = winner - j * type2
         m = labels[rows, k]
-        r = draw_labels()
+        r = draw_groups(cum_pi, rng.random(replicates))
         rho = np.where(type2, params.rho[r, m], params.rho[m, r])
         rec = rng.random(replicates) < rho
         n1[rows, k] += ~type2 | rec

@@ -110,6 +110,15 @@ def validate_params(alpha, delta, pi, rho, k=None) -> ModelParams:
     return ModelParams(alpha=alpha, gamma=1.0 - alpha, delta=delta, K=K, pi=pi, rho=rho)
 
 
+def draw_groups(cum_pi: np.ndarray, u):
+    """Inverse-CDF draw of a group from pi for each uniform in ``u``.
+
+    ``cum_pi`` is ``np.cumsum(pi)``; the clamp keeps a uniform above a
+    cumulative sum that ends just below 1 in the last group.
+    """
+    return np.minimum(np.searchsorted(cum_pi, u, side="right"), len(cum_pi) - 1)
+
+
 def group_rates(params: ModelParams) -> GroupRates:
     """Reciprocation rates rho_row, rho_col and their common mixture rho0.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, draw_groups
 
 BLOCK = 1 << 16
 
@@ -138,15 +138,10 @@ class GraphState:
         assert gn == self.group_node_counts
 
 
-def _draw_group(cum_pi: np.ndarray, u: float) -> int:
-    g = int(np.searchsorted(cum_pi, u, side="right"))
-    return min(g, len(cum_pi) - 1)
-
-
 def init_graph(params: ModelParams, rng: np.random.Generator) -> GraphState:
     """Root graph: node 1 with a self-loop and a group drawn from pi."""
     state = GraphState(params.K)
-    g = _draw_group(np.cumsum(params.pi), rng.random())
+    g = int(draw_groups(np.cumsum(params.pi), rng.random()))
     state.node_group.append(g)
     state.in_deg.append(1)
     state.out_deg.append(1)
@@ -170,8 +165,7 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
     """
     alpha, delta = params.alpha, params.delta
     rho = params.rho.tolist()
-    grp = np.minimum(np.searchsorted(np.cumsum(params.pi), u[:, 3], side="right"),
-                     params.K - 1)
+    grp = draw_groups(np.cumsum(params.pi), u[:, 3])
 
     in_pool = state.in_pool
     out_pool = state.out_pool

@@ -1,19 +1,23 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from recipnet import (
     EventBudgetExceeded,
+    JointPmfEstimate,
     LimitPairSampler,
     estimate_pkl,
     group_rates,
-    sample_limit_pair,
-    simulate_mbi,
+    sample_limit_pairs,
     simulate_mbi_batch,
     solve_equilibrium,
     validate_params,
 )
+from recipnet import io as rio
+from recipnet.embedding import _chi_square_against
 from recipnet.params import ModelParams
 
 
@@ -25,11 +29,60 @@ def _raw_params(alpha, delta, pi, rho):
                        K=len(pi), pi=pi, rho=rho)
 
 
+def _run(params, m, inits, t_ends, seed, **kwargs):
+    """simulate_mbi_batch with every row in group m."""
+    inits = np.asarray(inits, dtype=np.int64).reshape(-1, 2)
+    return simulate_mbi_batch(np.full(len(inits), m), inits,
+                              np.broadcast_to(np.asarray(t_ends, dtype=float), len(inits)),
+                              params, group_rates(params), np.random.default_rng(seed),
+                              **kwargs)
+
+
+def _generator(params, m, gmax):
+    """Generator of the group-m process on {0..gmax}^2 plus one absorbing
+    overflow state (the last index); state (i, j) has index i*(gmax+1) + j.
+
+    Written in the immigration-split form, not as two clocks: particles fire
+    at alpha*n1 (type I) and gamma*n2 (type II), and immigrants arrive at
+    rate delta with increments (1,0), (0,1), (1,1) in proportions
+    alpha*(1-rr), gamma*(1-rc), alpha*rr + gamma*rc.
+    """
+    rates = group_rates(params)
+    a, g, d = params.alpha, params.gamma, params.delta
+    rr, rc = float(rates.rho_row[m]), float(rates.rho_col[m])
+    size = (gmax + 1) ** 2
+    Q = np.zeros((size + 1, size + 1))
+    for i in range(gmax + 1):
+        for j in range(gmax + 1):
+            s = i * (gmax + 1) + j
+            for di, dj, rate in (
+                (1, 0, a * i * (1 - rr) + d * a * (1 - rr)),
+                (0, 1, g * j * (1 - rc) + d * g * (1 - rc)),
+                (1, 1, a * i * rr + g * j * rc + d * (a * rr + g * rc)),
+            ):
+                inside = i + di <= gmax and j + dj <= gmax
+                Q[s, (i + di) * (gmax + 1) + j + dj if inside else size] += rate
+                Q[s, s] -= rate
+    return Q
+
+
+def _grid_counts(n1, n2, gmax):
+    """Counts over the generator's states: the grid cells, then overflow."""
+    inside = (n1 <= gmax) & (n2 <= gmax)
+    codes = np.where(inside, n1 * (gmax + 1) + n2, (gmax + 1) ** 2)
+    return np.bincount(codes, minlength=(gmax + 1) ** 2 + 1)
+
+
+def _chi_square_p(counts, law):
+    exact = {s: float(p) for s, p in enumerate(law) if p > 0.0}
+    observed = Counter({s: int(c) for s, c in enumerate(counts) if c})
+    return _chi_square_against(exact, observed, int(counts.sum()))[2]
+
+
 def test_t_end_zero_returns_init(k1_ref):
-    rates = group_rates(k1_ref)
-    st = simulate_mbi(0, (2, 3), 0.0, k1_ref, rates, np.random.default_rng(0))
-    assert (st.n1, st.n2) == (2, 3)
-    assert st.events == 0
+    n1, n2, events, failed = _run(k1_ref, 0, [(2, 3), (0, 1)], 0.0, seed=0)
+    assert n1.tolist() == [2, 0] and n2.tolist() == [3, 1]
+    assert not events.any() and not failed.any()
 
 
 def test_yule_mean_growth():
@@ -37,63 +90,71 @@ def test_yule_mean_growth():
     # alpha, so E[n1(t)] = exp(alpha t)
     alpha, t = 0.5, 3.0
     p = _raw_params(alpha, 0.0, [1.0], [[0.0]])
-    rates = group_rates(p)
-    rng = np.random.default_rng(2024)
     n_runs = 100_000
-    total = 0
-    for _ in range(n_runs):
-        st = simulate_mbi(0, (1, 0), t, p, rates, rng)
-        total += st.n1
-    mean = total / n_runs
+    n1, n2, _, failed = _run(p, 0, np.tile((1, 0), (n_runs, 1)), t, seed=2024)
+    assert not failed.any() and not n2.any()
     expect = math.exp(alpha * t)
     # geometric law: var = (1-p)/p^2 with p = exp(-alpha t)
     pgeo = math.exp(-alpha * t)
     se = math.sqrt((1.0 - pgeo) / pgeo**2 / n_runs)
-    assert abs(mean - expect) <= 3.0 * se
+    assert abs(n1.mean() - expect) <= 3.0 * se
 
 
 def test_full_reciprocity_preserves_difference():
     p = _raw_params(0.5, 0.0, [1.0], [[1.0]])
-    rates = group_rates(p)
-    rng = np.random.default_rng(5)
-    for init in ((1, 0), (3, 1), (2, 2)):
-        st = simulate_mbi(0, init, 4.0, p, rates, rng)
-        assert st.n1 - st.n2 == init[0] - init[1]
+    inits = np.array([(1, 0), (3, 1), (2, 2)])
+    n1, n2, events, _ = _run(p, 0, inits, 4.0, seed=5)
+    assert np.array_equal(n1 - n2, inits[:, 0] - inits[:, 1])
+    assert np.array_equal(n1 - inits[:, 0], events)
 
 
-def test_immigration_count_is_poisson():
-    # immigration arrivals are Poisson(delta * t) regardless of splits
-    delta, t = 1.5, 2.0
-    p = validate_params(alpha=0.5, delta=delta, pi=[1.0], rho=[[0.0]])
-    rates = group_rates(p)
-    rng = np.random.default_rng(31)
-    n_runs = 3000
-    counts = np.empty(n_runs)
-    for i in range(n_runs):
-        counts[i] = simulate_mbi(0, (0, 0), t, p, rates, rng).immigrations
-    lam = delta * t
-    se_mean = math.sqrt(lam / n_runs)
-    assert abs(counts.mean() - lam) <= 3.0 * se_mean
-    se_var = lam * math.sqrt(2.0 / (n_runs - 1))
-    assert abs(counts.var(ddof=1) - lam) <= 3.0 * se_var
-
-
-def test_event_budget_exceeded_carries_state(k1_ref):
-    rates = group_rates(k1_ref)
-    with pytest.raises(EventBudgetExceeded) as err:
-        simulate_mbi(0, (1, 1), 50.0, k1_ref, rates,
-                     np.random.default_rng(0), event_budget=10)
-    assert err.value.state.events == 10
+def test_n1_is_negative_binomial_at_zero_reciprocity():
+    # at rho = 0 only the type-I clock moves n1, at rate alpha*(n1 + delta):
+    # from 0 that is a linear birth process with immigration, so
+    # n1(t) ~ NegBin(delta, exp(-alpha t)), mean delta*(e^{at}-1) and
+    # variance delta*e^{at}*(e^{at}-1)
+    alpha, delta, t = 0.5, 1.5, 2.0
+    p = validate_params(alpha=alpha, delta=delta, pi=[1.0], rho=[[0.0]])
+    n_runs = 20_000
+    n1, _, _, failed = _run(p, 0, np.zeros((n_runs, 2)), t, seed=31)
+    assert not failed.any()
+    growth = math.exp(alpha * t)
+    mean = delta * (growth - 1.0)
+    var = delta * growth * (growth - 1.0)
+    assert abs(n1.mean() - mean) <= 3.0 * math.sqrt(var / n_runs)
+    se_var = ((n1 - n1.mean()) ** 2).std(ddof=1) / math.sqrt(n_runs)
+    assert abs(n1.var(ddof=1) - var) <= 3.0 * se_var
 
 
 def test_batch_budget_marks_failed(k1_ref):
-    rates = group_rates(k1_ref)
-    rng = np.random.default_rng(0)
-    inits = np.ones((50, 2), dtype=np.int64)
-    n1, n2, events, failed = simulate_mbi_batch(
-        0, inits, np.full(50, 50.0), k1_ref, rates, rng, event_budget=5)
+    n1, n2, events, failed = _run(k1_ref, 0, np.ones((50, 2)), 50.0, seed=0,
+                                  event_budget=5)
     assert failed.all()
-    assert np.all(events <= 5)
+    assert np.all(events == 5)
+    assert np.all(n1 + n2 >= 2 + 5)
+
+
+def test_event_budget_exceeded_carries_state():
+    est = JointPmfEstimate(group_counts=np.zeros((2, 3, 3), dtype=np.int64),
+                           group_overflow_counts=np.zeros(2, dtype=np.int64),
+                           replicates=40, failed=40, kmax=2, lmax=2)
+    assert est.failed_fraction == 1.0
+    for read in (lambda: est.grid, lambda: est.overflow_mass,
+                 lambda: est.group_grid(1)):
+        with pytest.raises(EventBudgetExceeded) as err:
+            read()
+        assert (err.value.failed, err.value.replicates) == (40, 40)
+        assert "40 failed of 40" in str(err.value)
+
+
+def test_all_failed_estimate_raises_named_error(tmp_path):
+    est = JointPmfEstimate(group_counts=np.zeros((1, 3, 3), dtype=np.int64),
+                           group_overflow_counts=np.zeros(1, dtype=np.int64),
+                           replicates=40, failed=40, kmax=2, lmax=2)
+    for formats in (["csv"], ["json"]):
+        with pytest.raises(EventBudgetExceeded, match="40 failed of 40"):
+            rio.write_pmf(tmp_path, est, formats=formats)
+    assert not list(tmp_path.iterdir())
 
 
 def _exact_mbi_mean(params, rates, m, init, t_end):
@@ -115,43 +176,42 @@ def _exact_mbi_mean(params, rates, m, init, t_end):
     return sol.y[:, -1]
 
 
-def test_engines_match_exact_mean_and_each_other(k2_ref):
-    # the two engines implement one law; check both against the exact mean
-    # ODE and against each other on the joint pmf
+def test_engine_matches_exact_mean_and_transition_law(k2_ref):
+    # the engine against the exact mean ODE and, on the joint pmf, against
+    # expm(Q t) of the truncated generator
     rates = group_rates(k2_ref)
     t_end, reps, grid_max = 0.8, 50_000, 14
     exact = _exact_mbi_mean(k2_ref, rates, 0, (1, 1), t_end)
 
-    rng = np.random.default_rng(100)
-    seq = np.zeros((grid_max + 1, grid_max + 1))
-    over_seq = 0
-    seq_n1 = np.empty(reps)
-    seq_n2 = np.empty(reps)
-    for i in range(reps):
-        st = simulate_mbi(0, (1, 1), t_end, k2_ref, rates, rng)
-        seq_n1[i], seq_n2[i] = st.n1, st.n2
-        if st.n1 <= grid_max and st.n2 <= grid_max:
-            seq[st.n1, st.n2] += 1
-        else:
-            over_seq += 1
-
-    rng = np.random.default_rng(200)
-    inits = np.ones((reps, 2), dtype=np.int64)
-    n1, n2, _, failed = simulate_mbi_batch(
-        0, inits, np.full(reps, t_end), k2_ref, rates, rng)
+    n1, n2, _, failed = _run(k2_ref, 0, np.ones((reps, 2)), t_end, seed=200)
     assert not failed.any()
-
-    for sample, target in ((seq_n1, exact[0]), (seq_n2, exact[1]),
-                           (n1, exact[0]), (n2, exact[1])):
+    for sample, target in ((n1, exact[0]), (n2, exact[1])):
         se = sample.std(ddof=1) / np.sqrt(reps)
         assert abs(sample.mean() - target) <= 4.0 * se
 
-    bat = np.zeros_like(seq)
-    inside = (n1 <= grid_max) & (n2 <= grid_max)
-    np.add.at(bat, (n1[inside], n2[inside]), 1)
-    over_bat = int((~inside).sum())
-    tv = 0.5 * np.abs(seq / reps - bat / reps).sum() + 0.5 * abs(over_seq - over_bat) / reps
-    assert tv <= 0.03
+    law = expm(_generator(k2_ref, 0, grid_max) * t_end)[grid_max + 2]   # from (1, 1)
+    assert law.sum() == pytest.approx(1.0, abs=1e-9)
+    assert _chi_square_p(_grid_counts(n1, n2, grid_max), law) > 1e-3
+
+
+def test_estimate_pkl_matches_exact_resolvent(k2_ref):
+    # at T* ~ Exp(c*) the group-m law is c* p0 (c* I - Q)^{-1}, with p0 the
+    # initialization law; truncating Q at gmax is exact on the grid because
+    # counts never decrease
+    gmax = 20
+    sol = solve_equilibrium(k2_ref)
+    est = estimate_pkl(k2_ref, sol, replicates=400_000, kmax=gmax, lmax=gmax, seed=21)
+    assert est.failed == 0
+    init = LimitPairSampler.from_solution(k2_ref, sol).init_probs
+    c = sol.c_star
+    for m in range(k2_ref.K):
+        Q = _generator(k2_ref, m, gmax)
+        p0 = np.zeros(len(Q))
+        p0[[1, gmax + 1, gmax + 2]] = init[m]            # (0,1), (1,0), (1,1)
+        law = c * np.linalg.solve((c * np.eye(len(Q)) - Q).T, p0)
+        assert law.sum() == pytest.approx(1.0, abs=1e-9)
+        counts = np.append(est.group_counts[m].ravel(), est.group_overflow_counts[m])
+        assert _chi_square_p(counts, law) > 1e-3
 
 
 def test_growth_ratio_concentrates_on_slope():
@@ -159,16 +219,13 @@ def test_growth_ratio_concentrates_on_slope():
     # slope a = sqrt(0.165)/0.55
     p = validate_params(alpha=0.5, delta=1.0, pi=[0.5, 0.5],
                         rho=[[0.6, 0.0], [0.5, 0.5]])
-    rates = group_rates(p)
     lam = 0.5 * (1.0 + math.sqrt(4 * 0.25 * 0.30 * 0.55))
     assert lam > math.log(2.0)
     a = (math.sqrt(4 * 0.25 * 0.30 * 0.55)) / (2 * 0.5 * 0.55)
 
-    rng = np.random.default_rng(999)
     n_runs = 1000
-    inits = np.ones((n_runs, 2), dtype=np.int64)
-    n1, n2, _, failed = simulate_mbi_batch(
-        0, inits, np.full(n_runs, 15.0), p, rates, rng, event_budget=10_000_000)
+    n1, n2, _, failed = _run(p, 0, np.ones((n_runs, 2)), 15.0, seed=999,
+                             event_budget=10_000_000)
     assert not failed.any()
     ratio = n2 / n1
     assert np.median(np.abs(ratio - a)) <= 0.05
@@ -177,16 +234,16 @@ def test_growth_ratio_concentrates_on_slope():
 def test_event_increment_bounds(k2_ref):
     # every event adds 1 or 2 to the total count, so the growth is
     # bracketed by the event counter: events <= added <= 2 * events
-    rates = group_rates(k2_ref)
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        init = (int(rng.integers(0, 3)), int(rng.integers(1, 3)))
-        st = simulate_mbi(int(rng.integers(0, 2)), init, float(rng.uniform(0, 2)),
-                          k2_ref, rates, rng)
-        assert st.n1 >= init[0] and st.n2 >= init[1]
-        added = st.n1 + st.n2 - init[0] - init[1]
-        assert st.events <= added <= 2 * st.events or (added == 0 and st.events == 0)
-        assert st.immigrations <= st.events
+    reps = 200
+    inits = np.stack([rng.integers(0, 3, reps), rng.integers(1, 3, reps)], axis=1)
+    n1, n2, events, failed = simulate_mbi_batch(
+        rng.integers(0, 2, reps), inits, rng.uniform(0, 2, reps), k2_ref,
+        group_rates(k2_ref), rng)
+    assert not failed.any()
+    assert np.all(n1 >= inits[:, 0]) and np.all(n2 >= inits[:, 1])
+    added = n1 + n2 - inits.sum(axis=1)
+    assert np.all((events <= added) & (added <= 2 * events))
 
 
 def test_limit_sampler_init_distribution_k1(k1_ref):
@@ -196,19 +253,15 @@ def test_limit_sampler_init_distribution_k1(k1_ref):
     # q_in = q_out = 0.5 at x = y = 1.5, so (0,1) w.p. 0.25, (1,0) w.p.
     # 0.25, (1,1) w.p. 0.5
     assert np.allclose(sampler.init_probs[0], [0.25, 0.25, 0.5], atol=1e-12)
-    assert sampler.draw_init(0, 0.10) == (0, 1)
-    assert sampler.draw_init(0, 0.30) == (1, 0)
-    assert sampler.draw_init(0, 0.90) == (1, 1)
+    inits = sampler.draw_inits(np.zeros(3, dtype=np.int64), np.array([0.10, 0.30, 0.90]))
+    assert inits.tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
 def test_limit_pair_never_zero_zero(k1_ref):
     sol = solve_equilibrium(k1_ref)
-    rates = group_rates(k1_ref)
-    sampler = LimitPairSampler.from_solution(k1_ref, sol, rates)
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        k, l = sample_limit_pair(0, sampler, k1_ref, rates, rng)
-        assert k + l >= 1
+    _, n1, n2, failed = sample_limit_pairs(k1_ref, sol, replicates=20_000, seed=8)
+    assert not failed.any()
+    assert np.all(n1 + n2 >= 1)
 
 
 def test_estimate_pkl_mass_accounting(k1_ref):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from recipnet.cli import main
@@ -119,9 +120,20 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("verify", "verify", {"n": 0}),
     ("analyze", "diagnose", {"hill_k_rule": 0}),
     ("analyze", "diagnose", {"hill_k_rule": True}),
+    ("embed", "embed", {"replicates": "100"}),
+    ("embed", "embed", {"kmax": "3"}),
+    ("embed", "embed", {"kmax": -1}),
+    ("embed", "embed", {"seed": 1.5}),
+    ("analyze", "solver", {"tol": "x"}),
+    ("diagnose", "diagnose", {"bins": "7"}),
+    ("diagnose", "diagnose", {"radius_quantile": 2.0}),
+    ("verify", "verify", {"repetitions": 0}),
+    ("verify", "verify", {"replicates": "5"}),
 ], ids=["n_steps-str", "seed-bool", "max_edges-float", "snapshots-str-entry",
         "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0",
-        "hill_k_rule-0", "hill_k_rule-bool"])
+        "hill_k_rule-0", "hill_k_rule-bool", "embed-replicates-str", "embed-kmax-str",
+        "embed-kmax-negative", "embed-seed-float", "solver-tol-str", "diagnose-bins-str",
+        "radius_quantile-2", "verify-repetitions-0", "verify-replicates-str"])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, value):
     out = tmp_path / "out"
     code = main([command, "--config", _k1_config(tmp_path, out, extra={section: value})])
@@ -252,10 +264,55 @@ def test_simulate_n_steps_override(tmp_path):
 
 def test_threads_flag_only_on_embed(tmp_path):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--config", _k1_config(tmp_path, out), "--threads", "2"])
-    assert exc.value.code == 2
+    assert main(["verify", "--config", _k1_config(tmp_path, out), "--threads", "2"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--bogus"],
+    ["verify", "--threads", "2"],
+    ["embed", "--seed", "x"],
+    ["frobnicate"],
+], ids=["unknown-flag", "threads-on-verify", "seed-not-int", "unknown-command"])
+def test_argparse_error_is_one_parse_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--config", _k1_config(tmp_path, out)] + argv[1:])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("recipnet: ParseError:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["embed", "--config", _k1_config(tmp_path, out), "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("recipnet: ParseError: sim.seed")
+    assert not out.exists()
+
+
+def test_embed_all_replicates_failed_exits_1(tmp_path, capsys, monkeypatch):
+    from recipnet import cli
+    from recipnet.branching import JointPmfEstimate
+
+    def all_failed(params, sol, replicates, kmax, lmax, **_):
+        return JointPmfEstimate(
+            group_counts=np.zeros((params.K, kmax + 1, lmax + 1), dtype=np.int64),
+            group_overflow_counts=np.zeros(params.K, dtype=np.int64),
+            replicates=replicates, failed=replicates, kmax=kmax, lmax=lmax)
+
+    monkeypatch.setattr(cli, "estimate_pkl", all_failed)
+    out = tmp_path / "out"
+    cfgpath = _k1_config(tmp_path, out, extra={
+        "embed": {"replicates": 30, "kmax": 4, "lmax": 4},
+        "output": {"directory": str(out), "formats": ["json"]}})
+    assert main(["embed", "--config", cfgpath]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("recipnet: EventBudgetExceeded:") and "30 failed of 30" in err
+    assert err.count("\n") == 1
+    assert not (out / "pmf.json").exists()
 
 
 @pytest.mark.parametrize("command, formats, written, skipped", [
