@@ -50,9 +50,5 @@ for k in range(4):
 out_dir = Path("out/degree_frequencies")
 out_dir.mkdir(parents=True, exist_ok=True)
 rio.write_pmf(out_dir, est)
-with open(out_dir / "empirical.csv", "w") as fh:
-    fh.write("k,l,probability\n")
-    for k in range(GRID + 1):
-        for l in range(GRID + 1):
-            fh.write(f"{k},{l},{float(sim_grid[k, l])!r}\n")
+rio.write_pmf_grid(out_dir / "empirical.csv", sim_grid)
 print(f"wrote grids under {out_dir}")

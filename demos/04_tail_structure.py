@@ -20,6 +20,7 @@ from recipnet import (
     tail_report,
     validate_params,
 )
+from recipnet import io as rio
 
 params = validate_params(alpha=0.5, delta=1.0, pi=[0.5, 0.5],
                          rho=[[0.9, 0.9], [0.45, 0.45]])
@@ -59,12 +60,7 @@ print(f"  removed (near dominant ray): {hrv.n_removed}, "
 
 out_dir = Path("out/tail_structure")
 out_dir.mkdir(parents=True, exist_ok=True)
-with open(out_dir / "angular_hist.csv", "w") as fh:
-    fh.write("bin_left,bin_right,count\n")
-    for i, c in enumerate(report.angular_counts):
-        fh.write(f"{float(report.angular_bins[i])!r},"
-                 f"{float(report.angular_bins[i + 1])!r},{int(c)}\n")
-with open(out_dir / "hill_sweep_in.csv", "w") as fh:
-    fh.write("k,index_estimate\n")
-    fh.writelines(f"{int(k)},{float(v)!r}\n" for k, v in report.hill_in.k_sweep[:5000])
+rio.write_angular_hist(out_dir / "angular_hist.csv", report.angular_bins,
+                       report.angular_counts)
+rio.write_hill_sweep(out_dir / "hill_sweep_in.csv", report.hill_in.k_sweep[:5000])
 print(f"\nwrote angular histogram and Hill sweep under {out_dir}")

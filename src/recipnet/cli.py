@@ -19,14 +19,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as rio
 from .branching import estimate_pkl
 from .embedding import verify_equivalence
 from .equilibrium import build_jstar, solve_equilibrium
 from .params import ParameterError, group_rates, validate_params
-from .simulate import SimConfig, degree_histogram, run
+from .simulate import SimConfig, run
 from .spectral import all_spectra, order_groups
 from .tails import DegreeDataset, PeelOptions, tail_report
 
@@ -252,7 +250,7 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
         },
     }
     if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "analyze.json", rio.jsonable(report))
+        rio.write_json(out_dir / "analyze.json", report)
 
 
 def cmd_simulate(cfg, out_dir: Path) -> None:
@@ -286,7 +284,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
         "group_node_counts": list(state.group_node_counts),
     }
     if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "summary.json", rio.jsonable(summary))
+        rio.write_json(out_dir / "summary.json", summary)
 
 
 def cmd_embed(cfg, out_dir: Path, workers: int) -> None:
@@ -318,27 +316,20 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
                          bins=cfg["diagnose"]["bins"],
                          hill_k=None if rule == "sqrt" else rule)
 
+    hills = {"in": report.hill_in, "out": report.hill_out}
     if "csv" in cfg["output"]["formats"]:
-        for name, rep in (("in", report.hill_in), ("out", report.hill_out)):
+        for name, rep in hills.items():
             if rep is not None and rep.k_sweep is not None:
-                with open(out_dir / f"hill_sweep_{name}.csv", "w", newline="") as fh:
-                    fh.write("k,index_estimate\n")
-                    fh.writelines(f"{int(k)},{float(v)!r}\n" for k, v in rep.k_sweep)
-        with open(out_dir / "angular_hist.csv", "w", newline="") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for i, c in enumerate(report.angular_counts):
-                fh.write(f"{float(report.angular_bins[i])!r},"
-                         f"{float(report.angular_bins[i + 1])!r},{int(c)}\n")
+                rio.write_hill_sweep(out_dir / f"hill_sweep_{name}.csv", rep.k_sweep)
+        rio.write_angular_hist(out_dir / "angular_hist.csv", report.angular_bins,
+                               report.angular_counts)
 
     payload = {
         "schema": "recipnet/diagnose/v1",
         "n": dataset.n,
-        "hill_in": None if report.hill_in is None else {
-            "k": report.hill_in.k, "index": report.hill_in.index_estimate,
-            "se": report.hill_in.se},
-        "hill_out": None if report.hill_out is None else {
-            "k": report.hill_out.k, "index": report.hill_out.index_estimate,
-            "se": report.hill_out.se},
+        **{f"hill_{name}": None if rep is None else
+           {"k": rep.k, "index": rep.index_estimate, "se": rep.se}
+           for name, rep in hills.items()},
         "marginal_skipped": report.marginal_skip,
         "radius_threshold": report.radius_threshold,
         "predicted_first_index": report.predicted_first_index,
@@ -373,7 +364,7 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
             ],
         }
     if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "report.json", rio.jsonable(payload))
+        rio.write_json(out_dir / "report.json", payload)
 
 
 def cmd_verify(cfg, out_dir: Path) -> None:
@@ -406,7 +397,7 @@ def cmd_verify(cfg, out_dir: Path) -> None:
         "runs": runs,
     }
     if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "verify.json", rio.jsonable(payload))
+        rio.write_json(out_dir / "verify.json", payload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -454,7 +445,7 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, args)
         out_dir = Path(cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        rio.write_json(out_dir / "config.json", rio.jsonable(cfg))
+        rio.write_json(out_dir / "config.json", cfg)
         if args.command == "analyze":
             cmd_analyze(cfg, out_dir)
         elif args.command == "simulate":

@@ -31,7 +31,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .params import ModelParams, draw_groups
 
@@ -193,6 +192,7 @@ class EquivalenceReport:
 def _chi_square_against(exact: dict, observed: Counter, n_samples: int,
                         min_expected: float = 5.0):
     """Pearson chi-square with small-expectation cells pooled."""
+    from scipy.special import chdtrc  # only verify needs scipy; keep it off CLI start-up
     impossible = any(key not in exact for key in observed)
     items = sorted(exact.items(), key=lambda kv: -kv[1])
     kept = []

@@ -1,17 +1,21 @@
-"""File interfaces: edge streams, degree snapshots, trajectories, pmfs.
+"""File interfaces: the one CSV table codec and the artifacts built on it.
 
-All CSVs are plain comma-separated numeric tables with a header row and
-newline-terminated rows; nothing needs quoting. Node ids and the group
-column are 1-based on disk (matching the 1-based node labeling); the
-Python API uses 0-based group indices, so readers and writers shift.
-JSON artifacts are written with a fixed key order and 2-space indent so
-byte-identical reruns stay byte-identical.
+Every CSV goes through ``write_table`` and ``read_table``: a header row,
+then one comma-separated row per entry, nothing quoted. A cell is
+``str()`` of the column's Python value (ints as digits, floats in
+shortest round-trip form, ``inf`` as ``inf``). Readers find columns by
+name in any order; a missing column, a header-only file or a cell that
+does not parse as its dtype is a ValueError naming the file. This module
+alone knows the artifact formats: edges, degrees and trajectory tables,
+pmf grids, Hill sweeps and the angular histogram. Node ids and the group
+column are 1-based on disk, 0-based in the Python API. JSON artifacts
+keep their key order with a 2-space indent, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,86 +23,86 @@ import numpy as np
 from .branching import JointPmfEstimate
 from .simulate import GraphState, Trajectory
 
-EDGE_CHUNK = 1 << 16
+CHUNK = 1 << 16             # rows per write in write_table
+
+
+def write_table(path, header, columns) -> None:
+    """Write ``header``, then row i from element i of each equal-length column.
+
+    Rows go out CHUNK at a time from each column's ``.tolist()``, so a
+    table never holds more than one chunk of Python objects.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), CHUNK):
+            cells = [map(str, col[lo:lo + CHUNK].tolist()) for col in columns]
+            fh.writelines(f"{row}\n" for row in map(",".join, zip(*cells)))
+
+
+def read_table(path, dtypes: dict) -> tuple:
+    """Read the columns named in ``dtypes`` (name -> dtype), one array each."""
+    with open(path, newline="") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        missing = [name for name in dtypes if name not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
+        try:
+            with warnings.catch_warnings():
+                # a body without rows is rejected below, by name
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=list(dtypes.items()),
+                                  usecols=[header.index(name) for name in dtypes])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if rows.size == 0:
+        raise ValueError(f"{path}: no rows below the header")
+    return tuple(rows[name] for name in dtypes)
 
 
 def write_edges(path, edges: np.ndarray) -> None:
-    """Write the (E, 4) array of ``GraphState.edges``, EDGE_CHUNK rows at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write("step,source,target,reciprocal\n")
-        for lo in range(0, len(edges), EDGE_CHUNK):
-            fh.writelines(f"{k},{s},{t},{r}\n"
-                          for k, s, t, r in edges[lo:lo + EDGE_CHUNK].tolist())
+    """Write the (E, 4) array of ``GraphState.edges``."""
+    write_table(path, ("step", "source", "target", "reciprocal"), edges.T)
 
 
 def write_degree_snapshot(path, state: GraphState) -> None:
     ind, outd, grp = state.degrees()
-    with open(path, "w", newline="") as fh:
-        fh.write("node,group,in_deg,out_deg\n")
-        fh.writelines(
-            f"{v + 1},{grp[v] + 1},{ind[v]},{outd[v]}\n" for v in range(len(ind))
-        )
+    write_table(path, ("node", "group", "in_deg", "out_deg"),
+                (np.arange(1, len(ind) + 1), grp + 1, ind, outd))
 
 
 def read_degree_snapshot(path):
-    """Read a degree snapshot; returns (in_deg, out_deg, groups) arrays.
-
-    Groups come back 0-based.
-    """
-    ind, outd, grp = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"node", "group", "in_deg", "out_deg"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"degree snapshot must have columns {sorted(required)}")
-        for row in reader:
-            ind.append(int(row["in_deg"]))
-            outd.append(int(row["out_deg"]))
-            grp.append(int(row["group"]) - 1)
-    if not ind:
-        raise ValueError(f"no rows in degree snapshot {path}")
-    return (np.array(ind, dtype=np.int64), np.array(outd, dtype=np.int64),
-            np.array(grp, dtype=np.int64))
+    """(in_deg, out_deg, groups) arrays of a degree snapshot; groups 0-based."""
+    ind, outd, grp = read_table(path, {"in_deg": np.int64, "out_deg": np.int64,
+                                       "group": np.int64})
+    return ind, outd, grp - 1
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    K = traj.group_in.shape[1]
-    header = "step,total_edges," + ",".join(
-        f"in_{m + 1},out_{m + 1}" for m in range(K))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for i in range(len(traj.steps)):
-            cells = [str(traj.steps[i]), str(traj.total_edges[i])]
-            for m in range(K):
-                cells.append(str(traj.group_in[i, m]))
-                cells.append(str(traj.group_out[i, m]))
-            fh.write(",".join(cells) + "\n")
+    S, K = traj.group_in.shape
+    header = ["step", "total_edges", *(f"{side}_{m + 1}" for m in range(K)
+                                       for side in ("in", "out"))]
+    pairs = np.stack([traj.group_in, traj.group_out], axis=2).reshape(S, 2 * K)
+    write_table(path, header, [traj.steps, traj.total_edges, *pairs.T])
 
 
-def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf",
-              formats=("csv", "json")) -> dict:
-    """Write the mixed grid, one grid per group, and a JSON metadata file.
+def write_pmf_grid(path, grid: np.ndarray) -> None:
+    """Write a dense (k, l) grid as one row per cell, k-major."""
+    k, l = np.divmod(np.arange(grid.size), grid.shape[1])
+    write_table(path, ("k", "l", "probability"), (k, l, grid.ravel()))
 
-    The grids are written with ``"csv"`` in ``formats`` and the metadata
-    file with ``"json"``. Returns the metadata dict either way.
-    """
+
+def write_pmf(directory, est: JointPmfEstimate, formats=("csv", "json")) -> dict:
+    """Write the mixed and per-group grids (``"csv"`` in ``formats``) and the
+    metadata file pmf.json (``"json"``); return the metadata either way."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    def dump_grid(path, grid):
-        with open(path, "w", newline="") as fh:
-            fh.write("k,l,probability\n")
-            for k in range(grid.shape[0]):
-                for l in range(grid.shape[1]):
-                    fh.write(f"{k},{l},{float(grid[k, l])!r}\n")
-
-    mixed_file = f"{stem}.csv"
-    group_files = {str(m + 1): f"{stem}_group_{m + 1}.csv"
+    mixed_file = "pmf.csv"
+    group_files = {str(m + 1): f"pmf_group_{m + 1}.csv"
                    for m in range(est.group_counts.shape[0])}
     if "csv" in formats:
-        dump_grid(directory / mixed_file, est.grid)
+        write_pmf_grid(directory / mixed_file, est.grid)
         for m, name in enumerate(group_files.values()):
-            dump_grid(directory / name, est.group_grid(m))
+            write_pmf_grid(directory / name, est.group_grid(m))
 
     meta = {
         "schema": "recipnet/pmf/v1",
@@ -112,27 +116,36 @@ def write_pmf(directory, est: JointPmfEstimate, stem: str = "pmf",
         "group_files": group_files,
     }
     if "json" in formats:
-        write_json(directory / f"{stem}.json", meta)
+        write_json(directory / "pmf.json", meta)
     return meta
 
 
 def read_pmf_grid(path, kmax: int, lmax: int):
     """Read a pmf CSV back into a dense grid; a cell outside it is a ValueError."""
+    k, l, p = read_table(path, {"k": np.int64, "l": np.int64, "probability": np.float64})
     grid = np.zeros((kmax + 1, lmax + 1))
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            k, l = int(row["k"]), int(row["l"])
-            if not (0 <= k <= kmax and 0 <= l <= lmax):
-                raise ValueError(f"{path}: cell (k={k}, l={l}) is outside the "
-                                 f"{grid.shape} grid for kmax={kmax}, lmax={lmax}")
-            grid[k, l] = float(row["probability"])
+    outside = np.flatnonzero((k < 0) | (k > kmax) | (l < 0) | (l > lmax))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"{path}: cell (k={k[i]}, l={l[i]}) is outside the "
+                         f"{grid.shape} grid for kmax={kmax}, lmax={lmax}")
+    grid[k, l] = p
     return grid
+
+
+def write_hill_sweep(path, sweep: np.ndarray) -> None:
+    """Write the (k, index estimate) rows of ``HillReport.k_sweep``."""
+    write_table(path, ("k", "index_estimate"), (sweep[:, 0].astype(np.int64), sweep[:, 1]))
+
+
+def write_angular_hist(path, bins: np.ndarray, counts: np.ndarray) -> None:
+    """Write histogram bin edges (len(counts) + 1 of them) and counts."""
+    write_table(path, ("bin_left", "bin_right", "count"), (bins[:-1], bins[1:], counts))
 
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(jsonable(payload), fh, indent=2)
         fh.write("\n")
 
 
@@ -142,12 +155,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return jsonable(obj.tolist())
     return obj

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recipnet
 from recipnet.cli import main
 
 
@@ -335,3 +340,12 @@ def test_output_formats_gate_artifacts(tmp_path, command, formats, written, skip
         assert (out / name).exists()
     for name in skipped:
         assert not (out / name).exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, recipnet.cli; print('scipy' in sys.modules)"
+    src = str(Path(recipnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "False"

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from recipnet import SimConfig, estimate_pkl, run, solve_equilibrium
 from recipnet import io as rio
+from recipnet.cli import main
 
 
 def test_degree_snapshot_roundtrip(tmp_path, k2_ref):
@@ -79,9 +82,123 @@ def test_pmf_grid_rejects_cell_outside_shape(tmp_path):
         rio.read_pmf_grid(path, 2, 2)
 
 
+def test_pmf_grid_names_missing_column(tmp_path):
+    path = tmp_path / "pmf.csv"
+    path.write_text("k,l,p\n0,0,1.0\n")
+    with pytest.raises(ValueError, match=r"missing column\(s\) \['probability'\]"):
+        rio.read_pmf_grid(path, 2, 2)
+
+
+READERS = {
+    "degrees": (rio.read_degree_snapshot,
+                "node,group,in_deg,out_deg\n", "1,1,{},0\n"),
+    "pmf": (lambda path: rio.read_pmf_grid(path, 2, 2),
+            "k,l,probability\n", "0,{},0.5\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_reject_header_only_and_non_integer_cell(tmp_path, reader):
+    read, header, row = READERS[reader]
+    for name, text in (("header_only.csv", header), ("fraction.csv", header + row.format("1.5"))):
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the case
+            with pytest.raises(ValueError, match=name):
+                read(path)
+
+
+def test_readers_find_columns_in_any_order(tmp_path):
+    degrees = tmp_path / "degrees.csv"
+    degrees.write_text("out_deg,in_deg,group,node\n4,1,2,1\n0,3,1,2\n")
+    ind, outd, grp = rio.read_degree_snapshot(degrees)
+    assert ind.tolist() == [1, 3] and outd.tolist() == [4, 0] and grp.tolist() == [1, 0]
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("probability,l,k\n0.25,1,0\n0.75,0,2\n")
+    grid = rio.read_pmf_grid(pmf, 2, 1)
+    assert grid.tolist() == [[0.0, 0.25], [0.0, 0.0], [0.75, 0.0]]
+
+
+def test_write_table_cells_are_str_of_python_values(tmp_path):
+    path = tmp_path / "t.csv"
+    floats = np.array([0.1, 1e-300, np.inf, 2.0 / 3.0, 5.0])
+    rio.write_table(path, ("i", "x"), (np.arange(5), floats))
+    rows = [f"{i},{float(x)!r}" for i, x in enumerate(floats)]
+    assert path.read_text() == "i,x\n" + "\n".join(rows) + "\n"
+    assert rows[2] == "2,inf" and rows[4] == "4,5.0"
+
+
 def test_jsonable_handles_numpy():
     payload = {"a": np.int64(3), "b": np.float64(0.5), "c": np.arange(3),
                "d": [np.bool_(True)], "e": {"f": np.float32(1.5)}}
     out = rio.jsonable(payload)
     assert json.dumps(out)  # serializable
     assert out["a"] == 3 and out["d"] == [True]
+
+
+K2_MODEL = {"alpha": 0.5, "delta": 1.0, "pi": [0.5, 0.5],
+            "rho": [[0.9, 0.9], [0.45, 0.45]]}
+
+# sha256 of the table and JSON artifacts written by the per-cell CSV writers
+# that preceded io.write_table; the k2 model at small sizes
+PARENT_TABLE_DIGESTS = {
+    "diagnose": {
+        "summary.json": "f8f1c84b16f832a336039f558be80ae93058f86d3d91cb6f06c7b8946a105f03",
+        "hill_sweep_in.csv": "97f49d3c260ec7559e3dd06c28cba4aa804fd8baf4d4de378d822a694c26a3fc",
+        "hill_sweep_out.csv": "47b8ad40b340fca7e2e97f9f5c6a7763473d30389ceab27133227e091517cf96",
+        "angular_hist.csv": "c159dfefc6a27eb335c7e3784df1e212cefed6f601e34487858e5cb534f29d56",
+        "report.json": "0b49bd0445e52671239480042bb85b7b0991278b6eea366cd809834e1665fae1",
+    },
+    "embed": {
+        "pmf.csv": "6e19a433de3694114f7b640e57033d26b2930a46313bb33945dc76a294ac9750",
+        "pmf_group_1.csv": "76a19945681a62b07c48f00dc09eda1fbb027e553e20c01598778a607ef7bff4",
+        "pmf_group_2.csv": "77fdfde7d1897c4b08ae3fff04e2f8d8c3de379de463ff23d5c5ec53da5d7e02",
+        "pmf.json": "29aa86bfd88d02c2c936784bcb829b5495f0513f36cf32383898dd79d0d97400",
+    },
+    "analyze": {
+        "analyze.json": "bdad9599ccb362dde8c65d2e1d10407c1bdd5f32a1889ae4ccacda2647649e82",
+    },
+    "verify": {
+        "verify.json": "e92fb879946d84412d76744e953ee717be6db211fa596712eb8fa734b34ffdb3",
+    },
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def _run(tmp_path, command, body, *extra):
+    out = tmp_path / command
+    body = dict(body, model=K2_MODEL, output={"directory": str(out)})
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(body))
+    assert main([command, "--config", str(cfg), *extra]) == 0
+    return out
+
+
+def test_diagnose_artifacts_match_parent_digests(tmp_path):
+    sim = _run(tmp_path, "simulate", {"sim": {"n_steps": 20000, "seed": 4}})
+    out = _run(tmp_path, "diagnose", {}, "--input", str(sim / "degrees.csv"))
+    expected = PARENT_TABLE_DIGESTS["diagnose"]
+    digests = _digests(sim, ["summary.json"]) | _digests(out, [
+        "hill_sweep_in.csv", "hill_sweep_out.csv", "angular_hist.csv", "report.json"])
+    assert digests == expected
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_embed_artifacts_match_parent_digests(tmp_path, threads):
+    out = _run(tmp_path, "embed",
+               {"embed": {"replicates": 140000, "kmax": 12, "lmax": 12, "seed": 3}},
+               "--threads", threads)
+    digests = _digests(out, ["pmf.csv", "pmf_group_1.csv", "pmf_group_2.csv", "pmf.json"])
+    assert digests == PARENT_TABLE_DIGESTS["embed"]
+
+
+def test_analyze_and_verify_json_match_parent_digests(tmp_path):
+    analyze = _run(tmp_path, "analyze", {})
+    verify = _run(tmp_path, "verify",
+                  {"verify": {"n": 2, "replicates": 5000, "repetitions": 2, "seed": 9}})
+    assert _digests(analyze, ["analyze.json"]) == PARENT_TABLE_DIGESTS["analyze"]
+    assert _digests(verify, ["verify.json"]) == PARENT_TABLE_DIGESTS["verify"]
