@@ -48,8 +48,9 @@ def read_table(path, dtypes: dict) -> tuple:
             raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
         try:
             with warnings.catch_warnings():
-                # a body without rows is rejected below, by name
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # see below
+                # older numpy parses an int cell such as 1.5 by truncating it, with only a warning
+                warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
                 rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=list(dtypes.items()),
                                   usecols=[header.index(name) for name in dtypes])
         except ValueError as exc:

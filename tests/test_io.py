@@ -1,4 +1,3 @@
-import hashlib
 import json
 import warnings
 
@@ -7,7 +6,7 @@ import pytest
 
 from recipnet import SimConfig, estimate_pkl, run, solve_equilibrium
 from recipnet import io as rio
-from recipnet.cli import main
+from conftest import run_k2, sha256s
 
 
 def test_degree_snapshot_roundtrip(tmp_path, k2_ref):
@@ -103,10 +102,32 @@ def test_readers_reject_header_only_and_non_integer_cell(tmp_path, reader):
     for name, text in (("header_only.csv", header), ("fraction.csv", header + row.format("1.5"))):
         path = tmp_path / name
         path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy warning fails the case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ValueError, match=name):
                 read(path)
+        assert not caught  # no numpy warning leaks out of the reader
+
+
+def test_read_table_rejects_int_cell_that_older_numpy_truncates(tmp_path, monkeypatch):
+    # numpy 1.23 deprecated, without yet refusing, parsing an int cell such as
+    # 1.5 via a float: it warns and returns 1, or chains a ValueError to the
+    # warning when warnings are errors
+    real_loadtxt = np.loadtxt
+
+    def older_loadtxt(fh, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '1.5' to int64") from exc
+        return real_loadtxt(["1,1,1,0"], **kwargs)
+
+    path = tmp_path / "fraction.csv"
+    path.write_text("node,group,in_deg,out_deg\n1,1,1.5,0\n")
+    monkeypatch.setattr(np, "loadtxt", older_loadtxt)
+    with pytest.raises(ValueError, match="fraction.csv"):
+        rio.read_degree_snapshot(path)
 
 
 def test_readers_find_columns_in_any_order(tmp_path):
@@ -137,19 +158,9 @@ def test_jsonable_handles_numpy():
     assert out["a"] == 3 and out["d"] == [True]
 
 
-K2_MODEL = {"alpha": 0.5, "delta": 1.0, "pi": [0.5, 0.5],
-            "rho": [[0.9, 0.9], [0.45, 0.45]]}
-
 # sha256 of the table and JSON artifacts written by the per-cell CSV writers
-# that preceded io.write_table; the k2 model at small sizes
+# that preceded io.write_table; the two-group model at small sizes
 PARENT_TABLE_DIGESTS = {
-    "diagnose": {
-        "summary.json": "f8f1c84b16f832a336039f558be80ae93058f86d3d91cb6f06c7b8946a105f03",
-        "hill_sweep_in.csv": "97f49d3c260ec7559e3dd06c28cba4aa804fd8baf4d4de378d822a694c26a3fc",
-        "hill_sweep_out.csv": "47b8ad40b340fca7e2e97f9f5c6a7763473d30389ceab27133227e091517cf96",
-        "angular_hist.csv": "c159dfefc6a27eb335c7e3784df1e212cefed6f601e34487858e5cb534f29d56",
-        "report.json": "0b49bd0445e52671239480042bb85b7b0991278b6eea366cd809834e1665fae1",
-    },
     "embed": {
         "pmf.csv": "6e19a433de3694114f7b640e57033d26b2930a46313bb33945dc76a294ac9750",
         "pmf_group_1.csv": "76a19945681a62b07c48f00dc09eda1fbb027e553e20c01598778a607ef7bff4",
@@ -165,40 +176,17 @@ PARENT_TABLE_DIGESTS = {
 }
 
 
-def _digests(out, names):
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
-
-
-def _run(tmp_path, command, body, *extra):
-    out = tmp_path / command
-    body = dict(body, model=K2_MODEL, output={"directory": str(out)})
-    cfg = tmp_path / f"{command}.json"
-    cfg.write_text(json.dumps(body))
-    assert main([command, "--config", str(cfg), *extra]) == 0
-    return out
-
-
-def test_diagnose_artifacts_match_parent_digests(tmp_path):
-    sim = _run(tmp_path, "simulate", {"sim": {"n_steps": 20000, "seed": 4}})
-    out = _run(tmp_path, "diagnose", {}, "--input", str(sim / "degrees.csv"))
-    expected = PARENT_TABLE_DIGESTS["diagnose"]
-    digests = _digests(sim, ["summary.json"]) | _digests(out, [
-        "hill_sweep_in.csv", "hill_sweep_out.csv", "angular_hist.csv", "report.json"])
-    assert digests == expected
-
-
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_embed_artifacts_match_parent_digests(tmp_path, threads):
-    out = _run(tmp_path, "embed",
-               {"embed": {"replicates": 140000, "kmax": 12, "lmax": 12, "seed": 3}},
-               "--threads", threads)
-    digests = _digests(out, ["pmf.csv", "pmf_group_1.csv", "pmf_group_2.csv", "pmf.json"])
-    assert digests == PARENT_TABLE_DIGESTS["embed"]
+    out = run_k2(tmp_path, "embed",
+                 {"embed": {"replicates": 140000, "kmax": 12, "lmax": 12, "seed": 3}},
+                 "--threads", threads)
+    assert sha256s(out, PARENT_TABLE_DIGESTS["embed"]) == PARENT_TABLE_DIGESTS["embed"]
 
 
 def test_analyze_and_verify_json_match_parent_digests(tmp_path):
-    analyze = _run(tmp_path, "analyze", {})
-    verify = _run(tmp_path, "verify",
-                  {"verify": {"n": 2, "replicates": 5000, "repetitions": 2, "seed": 9}})
-    assert _digests(analyze, ["analyze.json"]) == PARENT_TABLE_DIGESTS["analyze"]
-    assert _digests(verify, ["verify.json"]) == PARENT_TABLE_DIGESTS["verify"]
+    analyze = run_k2(tmp_path, "analyze", {})
+    verify = run_k2(tmp_path, "verify",
+                    {"verify": {"n": 2, "replicates": 5000, "repetitions": 2, "seed": 9}})
+    assert sha256s(analyze, ["analyze.json"]) == PARENT_TABLE_DIGESTS["analyze"]
+    assert sha256s(verify, ["verify.json"]) == PARENT_TABLE_DIGESTS["verify"]

@@ -1,6 +1,4 @@
 import copy
-import hashlib
-import json
 from collections import Counter
 
 import numpy as np
@@ -16,9 +14,8 @@ from recipnet import (
     step,
     validate_params,
 )
-from recipnet.cli import main
 from recipnet.embedding import _chi_square_against
-from conftest import random_params
+from conftest import random_params, run_k2, sha256s
 
 
 class ScriptedRng:
@@ -276,26 +273,30 @@ def test_step_does_not_mutate_on_copy(k1_ref):
 # sha256 of the simulate artifacts for the config below, recorded from the
 # reference implementation that kept one EdgeRecord per edge and a separate
 # step() path. The run crosses the 65536-step uniform block boundary with a
-# snapshot on each side of it.
+# snapshot on each side of it. summary.json and the diagnose artifacts of its
+# degrees.csv were recorded from the per-cell CSV writers that preceded
+# io.write_table; the table crosses the 65536-row write chunk.
 PARENT_DIGESTS = {
-    "edges.csv": "f5056c44344ea20bc38e60b9205e467e19b7e265ce062fb8c05e15efa4314cd1",
-    "degrees.csv": "42b52c5dc2721fb310399305eaef8cdd15c3008ad4e661173a6214f0114d2cac",
-    "trajectory.csv": "3a20b0d92e69fd3d895c95313357527ad505d472b23dad2b1304791cfc8c26a4",
+    "simulate": {
+        "edges.csv": "f5056c44344ea20bc38e60b9205e467e19b7e265ce062fb8c05e15efa4314cd1",
+        "degrees.csv": "42b52c5dc2721fb310399305eaef8cdd15c3008ad4e661173a6214f0114d2cac",
+        "trajectory.csv": "3a20b0d92e69fd3d895c95313357527ad505d472b23dad2b1304791cfc8c26a4",
+        "summary.json": "481f2a1a993c6d7ee493a54715841faceac4fee1b94f22b94e805d8d56de4ddd",
+    },
+    "diagnose": {
+        "hill_sweep_in.csv": "2fd4f1f485c237879e6151874336618371db41c76a77f3514bfb972afad57f04",
+        "hill_sweep_out.csv": "26d549cef4942ff48efd33a38fdfbff05e463526269890284006c6df70b9b03d",
+        "angular_hist.csv": "9053685bf8e4a2f5a3a45d1642cf957e98bb2ba9bb7667b98016247210efc469",
+        "report.json": "8e8bdd8e62180aaeb377b8876bb848a9af09a644d1230b0064ff21471ee92ab8",
+    },
 }
 
 
 def test_artifacts_match_parent_digests(tmp_path):
-    out = tmp_path / "out"
-    body = {
-        "model": {"alpha": 0.5, "delta": 1.0, "pi": [0.5, 0.5],
-                  "rho": [[0.9, 0.9], [0.45, 0.45]]},
-        "sim": {"n_steps": 70000, "seed": 55, "snapshots": [1, 65536, 65537, 70000],
-                "emit_edges": True},
-        "output": {"directory": str(out)},
-    }
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(body))
-    assert main(["simulate", "--config", str(cfg)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in PARENT_DIGESTS}
+    sim = run_k2(tmp_path, "simulate",
+                 {"sim": {"n_steps": 70000, "seed": 55, "snapshots": [1, 65536, 65537, 70000],
+                          "emit_edges": True}})
+    out = run_k2(tmp_path, "diagnose", {}, "--input", str(sim / "degrees.csv"))
+    digests = {"simulate": sha256s(sim, PARENT_DIGESTS["simulate"]),
+               "diagnose": sha256s(out, PARENT_DIGESTS["diagnose"])}
     assert digests == PARENT_DIGESTS
