@@ -12,7 +12,6 @@ power-law tail indices and ray concentration empirically.
 from .params import (
     BadDimensions,
     BadSimplex,
-    GroupRates,
     ModelParams,
     NonPositiveDelta,
     NonProbability,
@@ -20,26 +19,17 @@ from .params import (
     group_rates,
     validate_params,
 )
-from .spectral import GroupOrder, GroupSpectral, all_spectra, order_groups, spectral
+from .spectral import GroupSpectral, all_spectra, order_groups, spectral
 from .equilibrium import (
-    ContractionReport,
     EquilibriumSolution,
-    HReport,
     NoConvergence,
-    RegularityReport,
     build_jstar,
-    check_regularity,
-    fixed_point_map,
-    h_and_lambda,
-    power_iteration,
     solve_equilibrium,
 )
 from .simulate import (
-    DegreeHistogram,
     GraphState,
     ResourceLimit,
     SimConfig,
-    SimResult,
     Trajectory,
     degree_histogram,
     init_graph,
@@ -49,14 +39,12 @@ from .simulate import (
 from .branching import (
     EventBudgetExceeded,
     JointPmfEstimate,
-    LimitPairSampler,
     estimate_pkl,
     sample_limit_pairs,
     simulate_mbi_batch,
 )
 from .embedding import (
     EnumerationTooLarge,
-    EquivalenceReport,
     embedding_chains,
     enumerate_graph_law,
     verify_equivalence,
@@ -67,12 +55,9 @@ from .tails import (
     DegreeDataset,
     EmptySelection,
     GridMismatch,
-    HillReport,
-    HrvReport,
     InsufficientData,
     NonPositiveValues,
     PeelOptions,
-    TailReport,
     angular_transform,
     compare_pmf,
     hill_estimator,

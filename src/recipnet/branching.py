@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import GroupRates, ModelParams, draw_groups, group_rates
-from .equilibrium import EquilibriumSolution
+from .equilibrium import EquilibriumSolution, attachment_law
 
 DEFAULT_EVENT_BUDGET = 10_000_000
 CHUNK = 1 << 16
@@ -124,10 +124,8 @@ class LimitPairSampler:
     @classmethod
     def from_solution(cls, params: ModelParams,
                       sol: EquilibriumSolution) -> "LimitPairSampler":
-        alpha, gamma, delta = params.alpha, params.gamma, params.delta
-        pi, rho = params.pi, params.rho
-        px = (sol.x + delta * pi) / (sol.x.sum() + delta)
-        py = (sol.y + delta * pi) / (sol.y.sum() + delta)
+        alpha, gamma, rho = params.alpha, params.gamma, params.rho
+        px, py = attachment_law(params, sol.x, sol.y)
         q_in = rho.T @ px    # q_in[r]: reciprocated share of received edges
         q_out = rho @ py     # q_out[r]: reciprocated share of sent edges
         p01 = alpha * (1.0 - q_in)
@@ -201,13 +199,23 @@ def _sample_chunk(args):
     return labels, n1, n2, failed
 
 
-def _chunk_jobs(params, rates, sampler, replicates, seed, event_budget, chunk_size):
-    n_chunks = (replicates + chunk_size - 1) // chunk_size
-    return [
-        (params, rates, sampler, j,
-         min(chunk_size, replicates - j * chunk_size), seed, event_budget)
-        for j in range(n_chunks)
+def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, workers=1):
+    """(labels, n1, n2, failed) per chunk; chunk j draws from SeedSequence([seed, j])."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    rates = group_rates(params)
+    sampler = LimitPairSampler.from_solution(params, sol)
+    jobs = [
+        (params, rates, sampler, j, min(chunk_size, replicates - j * chunk_size),
+         seed, event_budget)
+        for j in range((replicates + chunk_size - 1) // chunk_size)
     ]
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(_sample_chunk, jobs))
+    return [_sample_chunk(job) for job in jobs]
 
 
 def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
@@ -220,13 +228,7 @@ def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
     follow the same chunked streams as ``estimate_pkl``, so the two agree
     replicate for replicate at equal seeds.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    rates = group_rates(params)
-    sampler = LimitPairSampler.from_solution(params, sol)
-    jobs = _chunk_jobs(params, rates, sampler, replicates, seed, event_budget,
-                       chunk_size)
-    parts = [_sample_chunk(job) for job in jobs]
+    parts = _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size)
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
 
 
@@ -242,22 +244,11 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     a chunk the label, initialization and T* vectors are drawn first, then
     all groups are advanced together by the lockstep engine.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)
-    rates = group_rates(params)
-    sampler = LimitPairSampler.from_solution(params, sol)
-    jobs = _chunk_jobs(params, rates, sampler, replicates, seed, event_budget,
-                       chunk_size)
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_sample_chunk, jobs))
-    else:
-        parts = [_sample_chunk(job) for job in jobs]
+    parts = _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size,
+                           workers)
 
     K = params.K
     group_counts = np.zeros((K, kmax + 1, lmax + 1), dtype=np.int64)

@@ -174,6 +174,11 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     if getattr(args, "input", None) is not None:
         cfg["diagnose"]["input"] = args.input
     _check_values(cfg)
+    # checked once n_steps is final, so --n-steps can cover the file's snapshots
+    sim = cfg["sim"]
+    bad = [s for s in sim["snapshots"] if not 1 <= s <= sim["n_steps"]]
+    if bad:
+        raise ParseError(f"sim.snapshots must lie in [1, {sim['n_steps']}], got {bad}")
     return cfg
 
 
@@ -195,7 +200,7 @@ def _spectra_payload(spectra, order):
             "u": None if s.u is None else list(s.u),
             "v": None if s.v is None else list(s.v),
             "a": s.a,
-            "theta": None if s.a is None else s.a / (1.0 + s.a),
+            "theta": s.theta,
         })
     return {"groups": rows, "descending_lambda_order": [int(i) + 1 for i in order.order],
             "non_distinct": order.non_distinct}
@@ -243,8 +248,7 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
             "tail_indices": [sol.c_star / lam for lam in lam_sorted],
             "rays": [
                 {"group": spectra[i].group + 1, "a": spectra[i].a,
-                 "theta": None if spectra[i].a is None
-                 else spectra[i].a / (1.0 + spectra[i].a)}
+                 "theta": spectra[i].theta}
                 for i in order.order if not spectra[i].degenerate
             ],
         },

@@ -12,6 +12,10 @@ iteration, assembles J*, the constant C_delta and the 3x3 comparison
 matrix H whose dominant eigenvalue lambda_H < 1 certifies convergence of
 the expected edge counts, and reports all regularity flags the limit
 theorems assume.
+
+``attachment_law`` is the one statement of the limiting attachment law
+(px, py), through which (x, y) reach the fixed-point map, C_delta and
+the degree-limit sampler's initialization.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import GroupRates, ModelParams, group_rates
-from .spectral import TIE_TOL, GroupSpectral, all_spectra, order_groups
+from .spectral import GroupSpectral, all_spectra, order_groups
 
 LOG2 = math.log(2.0)
 
@@ -129,12 +133,11 @@ def build_jstar(params: ModelParams) -> ContractionReport:
     K, alpha, gamma = params.K, params.alpha, params.gamma
     pi, rho = params.pi, params.rho
     ones = np.ones(K)
-    rho_row = rho @ pi
-    rho_col = rho.T @ pi
+    rates = group_rates(params)
 
     j11 = alpha * (np.eye(K) + pi[:, None] * rho.T)
-    j12 = gamma * np.outer(rho_col, ones)
-    j21 = alpha * np.outer(rho_row, ones)
+    j12 = gamma * np.outer(rates.rho_col, ones)
+    j21 = alpha * np.outer(rates.rho_row, ones)
     j22 = gamma * (np.eye(K) + pi[:, None] * rho)
     jstar = np.block([[j11, j12], [j21, j22]])
     jstar.setflags(write=False)
@@ -151,34 +154,37 @@ def build_jstar(params: ModelParams) -> ContractionReport:
     )
 
 
+def attachment_law(params: ModelParams, x: np.ndarray, y: np.ndarray):
+    """Limiting attachment law px = (x + delta*pi)/(sum(x) + delta), py likewise from y."""
+    delta, pi = params.delta, params.pi
+    return ((x + delta * pi) / (x.sum() + delta),
+            (y + delta * pi) / (y.sum() + delta))
+
+
 def fixed_point_map(params: ModelParams, x: np.ndarray, y: np.ndarray):
     """One application of the edge-fraction fixed-point map.
 
-    Exposed publicly so tests can check the contraction inequality and
-    substitute solutions back into the defining system.
+    ``solve_equilibrium`` iterates it; tests use it to check the contraction
+    inequality and to substitute solutions back into the defining system.
     """
-    alpha, gamma, delta = params.alpha, params.gamma, params.delta
+    alpha, gamma = params.alpha, params.gamma
     pi, rho = params.pi, params.rho
-    rho_row = rho @ pi
-    rho_col = rho.T @ pi
+    rates = group_rates(params)
 
-    px = (x + delta * pi) / (x.sum() + delta)
-    py = (y + delta * pi) / (y.sum() + delta)
-    new_x = alpha * px + gamma * rho_col * py + gamma * pi + alpha * pi * (rho.T @ px)
-    new_y = gamma * py + alpha * rho_row * px + alpha * pi + gamma * pi * (rho @ py)
+    px, py = attachment_law(params, x, y)
+    new_x = alpha * px + gamma * rates.rho_col * py + gamma * pi + alpha * pi * (rho.T @ px)
+    new_y = gamma * py + alpha * rates.rho_row * px + alpha * pi + gamma * pi * (rho @ py)
     return new_x, new_y
 
 
-def power_iteration(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000,
-                    start: np.ndarray | None = None):
+def power_iteration(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000):
     """Dominant eigenvalue of a small nonnegative matrix.
 
     Starts from the all-ones vector, normalizes in the sup norm and stops
     once the eigenvalue estimate is stable to relative tolerance ``tol``.
     Returns (lambda, vector, iterations, converged).
     """
-    v = np.ones(M.shape[0]) if start is None else np.asarray(start, dtype=float)
-    v = v / np.abs(v).max()
+    v = np.ones(M.shape[0])
     lam = 0.0
     converged = False
     its = 0
@@ -197,21 +203,13 @@ def power_iteration(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000,
     return lam, v, its, converged
 
 
-def h_and_lambda(params: ModelParams, x, y=None) -> HReport:
-    """C_delta and the comparison matrix H evaluated at a solution.
-
-    Accepts either the (x, y) vectors or an EquilibriumSolution in place
-    of ``x``.
-    """
-    if y is None:
-        x, y = x.x, x.y
+def h_and_lambda(params: ModelParams, x: np.ndarray, y: np.ndarray) -> HReport:
+    """C_delta and the comparison matrix H evaluated at edge fractions (x, y)."""
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
-    pi, rho = params.pi, params.rho
-    rho_row = rho @ pi
-    rho_col = rho.T @ pi
+    rates = group_rates(params)
+    rho_row, rho_col = rates.rho_row, rates.rho_col
 
-    px = (x + delta * pi) / (x.sum() + delta)
-    py = (y + delta * pi) / (y.sum() + delta)
+    px, py = attachment_law(params, x, y)
     c_delta = float(alpha * (rho_row @ px) + gamma * (rho_col @ py))
 
     vr = float(rho_row.max())
@@ -232,19 +230,18 @@ def h_and_lambda(params: ModelParams, x, y=None) -> HReport:
 
 def _regularity(params: ModelParams, rates: GroupRates,
                 contraction: ContractionReport, lambda_h: float,
-                spectra: list[GroupSpectral], tie_tol: float = TIE_TOL) -> RegularityReport:
+                spectra: list[GroupSpectral]) -> RegularityReport:
     lams = sorted((s.lam for s in spectra), reverse=True)
     lam1 = lams[0]
     lam2 = lams[1] if len(lams) > 1 else None
 
     alpha_gamma_positive = params.alpha > 0.0 and params.gamma > 0.0
-    delta_condition = params.delta > contraction.norm1 - 1.0
     max_row = float(rates.rho_row.max())
     max_col = float(rates.rho_col.max())
     lambda_h_lt_1 = lambda_h < 1.0
     mrv = lam1 >= LOG2
     hrv = lam2 is not None and lam2 > lam1 / 2.0 and lam2 >= LOG2
-    distinct = not order_groups(spectra, tie_tol=tie_tol).non_distinct
+    distinct = not order_groups(spectra).non_distinct
 
     margins = {
         "delta": params.delta - contraction.delta_min,
@@ -256,11 +253,11 @@ def _regularity(params: ModelParams, rates: GroupRates,
         margins["hrv_moment"] = lam2 - LOG2
         margins["distinct"] = float(min(abs(a - b) for a, b in zip(lams, lams[1:])))
 
-    star = (alpha_gamma_positive and delta_condition and max_row > 0.0
+    star = (alpha_gamma_positive and contraction.satisfied and max_row > 0.0
             and max_col > 0.0 and lambda_h_lt_1)
     return RegularityReport(
         alpha_gamma_positive=alpha_gamma_positive,
-        delta_condition=delta_condition,
+        delta_condition=contraction.satisfied,
         max_row_rate_positive=max_row > 0.0,
         max_col_rate_positive=max_col > 0.0,
         lambda_h_lt_1=lambda_h_lt_1,
@@ -270,12 +267,6 @@ def _regularity(params: ModelParams, rates: GroupRates,
         star=star,
         margins=margins,
     )
-
-
-def check_regularity(params: ModelParams, sol: "EquilibriumSolution",
-                     spectra: list[GroupSpectral]) -> RegularityReport:
-    """Recompute the regularity report for an existing solution."""
-    return _regularity(params, group_rates(params), sol.contraction, sol.lambda_h, spectra)
 
 
 def solve_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL,

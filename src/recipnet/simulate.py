@@ -281,21 +281,12 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
             snap_rows.append((end, state.edge_count, list(state.group_in_edges),
                               list(state.group_out_edges)))
 
-    if snap_rows:
-        traj = Trajectory(
-            steps=np.array([s[0] for s in snap_rows], dtype=np.int64),
-            total_edges=np.array([s[1] for s in snap_rows], dtype=np.int64),
-            group_in=np.array([s[2] for s in snap_rows], dtype=np.int64),
-            group_out=np.array([s[3] for s in snap_rows], dtype=np.int64),
-        )
-    else:
-        K = params.K
-        traj = Trajectory(
-            steps=np.empty(0, dtype=np.int64),
-            total_edges=np.empty(0, dtype=np.int64),
-            group_in=np.empty((0, K), dtype=np.int64),
-            group_out=np.empty((0, K), dtype=np.int64),
-        )
+    traj = Trajectory(
+        steps=np.array([s[0] for s in snap_rows], dtype=np.int64),
+        total_edges=np.array([s[1] for s in snap_rows], dtype=np.int64),
+        group_in=np.array([s[2] for s in snap_rows], dtype=np.int64).reshape(-1, params.K),
+        group_out=np.array([s[3] for s in snap_rows], dtype=np.int64).reshape(-1, params.K),
+    )
     return SimResult(state=state, trajectory=traj)
 
 
@@ -311,16 +302,12 @@ class DegreeHistogram:
 
     def to_pmf(self, kmax: int, lmax: int):
         """Empirical pmf on the grid {0..kmax} x {0..lmax} plus overflow mass."""
-        return _pairs_to_pmf(self.pairs, self.counts, self.n_nodes, kmax, lmax)
-
-
-def _pairs_to_pmf(pairs, counts, total, kmax, lmax):
-    grid = np.zeros((kmax + 1, lmax + 1))
-    inside = (pairs[:, 0] <= kmax) & (pairs[:, 1] <= lmax)
-    np.add.at(grid, (pairs[inside, 0], pairs[inside, 1]), counts[inside])
-    grid /= total
-    overflow = float(counts[~inside].sum()) / total
-    return grid, overflow
+        pairs, counts = self.pairs, self.counts
+        grid = np.zeros((kmax + 1, lmax + 1))
+        inside = (pairs[:, 0] <= kmax) & (pairs[:, 1] <= lmax)
+        np.add.at(grid, (pairs[inside, 0], pairs[inside, 1]), counts[inside])
+        grid /= self.n_nodes
+        return grid, float(counts[~inside].sum()) / self.n_nodes
 
 
 def degree_histogram(state: GraphState) -> DegreeHistogram:

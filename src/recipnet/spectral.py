@@ -47,19 +47,23 @@ class GroupSpectral:
     a: float | None
     degenerate: bool
 
+    @property
+    def theta(self) -> float | None:
+        """Angle a/(1 + a) of the ray on the L1 sphere, theta = out/(in + out)."""
+        return None if self.a is None else self.a / (1.0 + self.a)
+
 
 @dataclass(frozen=True)
 class GroupOrder:
     """Permutation sorting groups by descending lambda.
 
     ``order[j]`` is the 0-based group index with the (j+1)-th largest
-    eigenvalue. ``non_distinct`` flags eigenvalue ties closer than
-    ``tie_tol`` (the ray-separation results assume strict ordering).
+    eigenvalue. ``non_distinct`` flags eigenvalue ties closer than the
+    tolerance of ``order_groups`` (ray separation assumes strict ordering).
     """
 
     order: np.ndarray
     non_distinct: bool
-    tie_tol: float
 
 
 def spectral(params: ModelParams, rates: GroupRates, m: int) -> GroupSpectral:
@@ -116,4 +120,4 @@ def order_groups(spectra: list[GroupSpectral], tie_tol: float = TIE_TOL) -> Grou
     sorted_lams = lams[order]
     non_distinct = bool(np.any(np.abs(np.diff(sorted_lams)) < tie_tol)) if len(spectra) > 1 else False
     order.setflags(write=False)
-    return GroupOrder(order=order, non_distinct=non_distinct, tie_tol=tie_tol)
+    return GroupOrder(order=order, non_distinct=non_distinct)

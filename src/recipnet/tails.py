@@ -164,15 +164,17 @@ class RayEstimate:
 class HrvReport:
     a1_used: float
     removal_rule: str
-    first_index: float
-    second_index: float
-    first_ray_estimate: float
-    second_ray_estimate: float
     predicted: tuple           # (c*/lam_(1), a(1), c*/lam_(2), a(2))
     n_removed: int
     n_peeled: int
     degraded: tuple = ()
     rays: tuple = ()           # RayEstimate per detected regime
+
+    # the first two rays' Hill indices and median angles
+    first_index = property(lambda self: self.rays[0].index_estimate)
+    second_index = property(lambda self: self.rays[1].index_estimate)
+    first_ray_estimate = property(lambda self: self.rays[0].theta_median)
+    second_ray_estimate = property(lambda self: self.rays[1].theta_median)
 
 
 def _eligible_rays(spectra_sorted: list[GroupSpectral], max_rays: int | None):
@@ -234,7 +236,7 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
         index_estimate=first_hill.index_estimate,
         index_predicted=c_star / lam1,
         theta_median=theta1,
-        theta_predicted=a1 / (1.0 + a1),
+        theta_predicted=spectra_sorted[0].theta,
         n_selected=k1,
     )]
 
@@ -256,31 +258,25 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
         kj = int(selj.sum())
         hill_j = hill_estimator(dist, k=min(kj, int((dist > 0).sum()) - 1))
         theta_j = float(np.median(y[selj] / rad[selj]))
-        aj = spec_j.a
         rays.append(RayEstimate(
             rank=j + 1, group=int(spec_j.group),
             index_estimate=hill_j.index_estimate,
             index_predicted=c_star / spec_j.lam,
             theta_median=theta_j,
-            theta_predicted=aj / (1.0 + aj),
+            theta_predicted=spec_j.theta,
             n_selected=kj,
         ))
         if j == 1:
             n_removed = int((~selj).sum())
             n_peeled = kj
         if j + 1 < n_rays:
-            dist = np.minimum(dist, ray_distance(np.stack([x, y], axis=1), aj))
+            dist = np.minimum(dist, ray_distance(np.stack([x, y], axis=1), spec_j.a))
 
-    a2 = spectra_sorted[1].a
     return HrvReport(
         a1_used=a1,
         removal_rule=(f"rank pairs by d'(x,y)=|y-a(1)x|; keep the upper "
                       f"{1.0 - options.distance_quantile:.4%} as the hidden regime"),
-        first_index=rays[0].index_estimate,
-        second_index=rays[1].index_estimate,
-        first_ray_estimate=rays[0].theta_median,
-        second_ray_estimate=rays[1].theta_median,
-        predicted=(c_star / lam1, a1, c_star / lam2, a2),
+        predicted=(c_star / lam1, a1, c_star / lam2, spectra_sorted[1].a),
         n_removed=n_removed,
         n_peeled=n_peeled,
         degraded=tuple(degraded),
@@ -347,11 +343,11 @@ def tail_report(dataset: DegreeDataset, params: ModelParams,
     skip_reason = None
     try:
         hrv = hrv_peel(dataset, spectra, sol, options)
-    except (ConditionsUnmet, EmptySelection, DegenerateTail) as exc:
+    except (ConditionsUnmet, EmptySelection, DegenerateTail, InsufficientData) as exc:
         skip_reason = str(exc)
 
     predicted_rays = tuple(
-        (int(s.group), s.lam, s.a, s.a / (1.0 + s.a))
+        (int(s.group), s.lam, s.a, s.theta)
         for s in spectra_sorted if not s.degenerate
     )
     return TailReport(

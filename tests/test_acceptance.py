@@ -26,7 +26,6 @@ from recipnet import (
     degree_histogram,
     embedding_chains,
     estimate_pkl,
-    fixed_point_map,
     group_rates,
     hill_estimator,
     hrv_peel,
@@ -42,6 +41,7 @@ from recipnet import (
     verify_equivalence,
 )
 from recipnet import io as rio
+from recipnet.equilibrium import attachment_law, fixed_point_map
 from recipnet.tails import DegreeDataset, PeelOptions, default_hill_k
 from conftest import random_params
 
@@ -138,6 +138,21 @@ def test_accept_02_group_edge_fractions(k2_ref, k2_sol, k2_sims):
     _verdict(2, ok, f"per-group edge fractions, worst relative error "
                     f"{worst:.4f} (<= 0.02); solver residual {resid:.2e}")
     assert worst <= 0.02
+
+
+def test_attachment_law_matches_graph(k2_ref, k2_sol, k2_sims):
+    # the chance that a preferential draw picks a group-m node in the graph is
+    # (in-edges of m + delta * nodes of m)/(|E| + delta * |V|), and likewise on
+    # the out side; attachment_law is its limit at the solved (x, y)
+    delta = k2_ref.delta
+    px, py = attachment_law(k2_ref, k2_sol.x, k2_sol.y)
+    for law, side in ((px, "group_in_edges"), (py, "group_out_edges")):
+        graph = np.mean([
+            (np.array(getattr(r.state, side)) + delta * np.array(r.state.group_node_counts))
+            / (r.state.edge_count + delta * r.state.n_nodes)
+            for r in k2_sims], axis=0)
+        rel = np.abs(graph - law) / law
+        assert rel.max() <= 0.02, (side, graph, law)
 
 
 def test_accept_03_embedding_equivalence(k2_ref):

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from recipnet import (
     EventBudgetExceeded,
     JointPmfEstimate,
-    LimitPairSampler,
     estimate_pkl,
     group_rates,
     sample_limit_pairs,
@@ -17,6 +16,7 @@ from recipnet import (
     validate_params,
 )
 from recipnet import io as rio
+from recipnet.branching import LimitPairSampler
 from recipnet.embedding import _chi_square_against
 from recipnet.params import ModelParams
 

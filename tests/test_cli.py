@@ -10,6 +10,8 @@ import pytest
 import recipnet
 from recipnet.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
 
 def _write_config(tmp_path, body, name="config.json"):
     path = tmp_path / name
@@ -227,6 +229,20 @@ def test_diagnose_unreadable_input_is_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_diagnose_sparse_degrees_skips_hrv(tmp_path):
+    # one node with a positive degree: the peel's stage-1 Hill estimate has no
+    # order statistic to use, so it is skipped like the marginal Hill estimates
+    degrees = tmp_path / "degrees.csv"
+    degrees.write_text("node,group,in_deg,out_deg\n1,1,0,0\n2,2,0,0\n3,1,3,1\n")
+    out = tmp_path / "out"
+    code = main(["diagnose", "--config", str(CONFIGS / "k2.json"), "--out", str(out),
+                 "--input", str(degrees)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["hrv"] is None
+    assert report["hrv_skip_reason"] == "need k >= 1 and k+1 <= n, got k=0, n=3"
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "out"
     cfgpath = _k1_config(tmp_path, out, extra={
@@ -265,6 +281,25 @@ def test_simulate_n_steps_override(tmp_path):
     assert summary["n_steps"] == 500
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["sim"]["n_steps"] == 500
+
+
+def test_snapshot_past_n_steps_exits_2(tmp_path, capsys):
+    # k2.json snapshots at step 1e6; the override leaves 5e4 steps
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(CONFIGS / "k2.json"), "--out", str(out),
+                 "--n-steps", "50000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("recipnet: ParseError: sim.snapshots")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_n_steps_override_can_cover_snapshots(tmp_path):
+    out = tmp_path / "out"
+    cfgpath = _k1_config(tmp_path, out, extra={"sim": {"n_steps": 100, "snapshots": [500]}})
+    assert main(["simulate", "--config", cfgpath, "--n-steps", "500"]) == 0
+    assert (out / "trajectory.csv").read_text().splitlines()[1].startswith("500,")
 
 
 def test_threads_flag_only_on_embed(tmp_path):

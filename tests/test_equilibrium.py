@@ -6,14 +6,11 @@ from recipnet import (
     NoConvergence,
     all_spectra,
     build_jstar,
-    check_regularity,
-    fixed_point_map,
     group_rates,
-    h_and_lambda,
-    power_iteration,
     solve_equilibrium,
     validate_params,
 )
+from recipnet.equilibrium import _regularity, fixed_point_map, h_and_lambda, power_iteration
 from recipnet.params import ModelParams
 from conftest import random_params
 
@@ -217,13 +214,6 @@ def test_power_iteration_utility():
     assert conv and abs(lam - 3.0) < 1e-9
 
 
-def test_h_and_lambda_accepts_solution_object(k1_ref):
-    sol = solve_equilibrium(k1_ref)
-    rep = h_and_lambda(k1_ref, sol)
-    assert rep.c_delta == pytest.approx(0.5, abs=1e-12)
-    assert rep.lambda_h == pytest.approx(0.75, abs=1e-9)
-
-
 def test_regularity_k1_reference(k1_ref):
     sol = solve_equilibrium(k1_ref)
     reg = sol.regular
@@ -244,7 +234,8 @@ def test_regularity_k2_reference(k2_ref):
     assert abs(lam1 - 0.8897114) < 1e-6 and abs(lam2 - 0.7755676) < 1e-6
     assert lam2 > lam1 / 2 and lam2 >= np.log(2)
     # report recomputation is consistent
-    reg2 = check_regularity(k2_ref, sol, spectra)
+    reg2 = _regularity(k2_ref, group_rates(k2_ref), sol.contraction, sol.lambda_h,
+                       spectra)
     assert reg2 == reg
 
 
@@ -259,7 +250,7 @@ def test_regularity_alpha_one_flag():
         damped=False, rho_star=0.5, c_star=2.5, c_delta=0.5,
         H=np.eye(3), lambda_h=0.5, h_positive=True,
         contraction=contraction, regular=None)
-    reg = check_regularity(p, sol, spectra)
+    reg = _regularity(p, group_rates(p), sol.contraction, sol.lambda_h, spectra)
     assert not reg.alpha_gamma_positive
     assert not reg.star
 
