@@ -281,11 +281,11 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
         "edges": state.edge_count,
         "reciprocal_edges": state.reciprocal_count,
         "edges_per_step": state.edge_count / n,
-        "group_in_edges": list(state.group_in_edges),
-        "group_out_edges": list(state.group_out_edges),
-        "group_in_per_step": [c / n for c in state.group_in_edges],
-        "group_out_per_step": [c / n for c in state.group_out_edges],
-        "group_node_counts": list(state.group_node_counts),
+        "group_in_edges": state.group_in_edges.tolist(),
+        "group_out_edges": state.group_out_edges.tolist(),
+        "group_in_per_step": [c / n for c in state.group_in_edges.tolist()],
+        "group_out_per_step": [c / n for c in state.group_out_edges.tolist()],
+        "group_node_counts": state.group_node_counts.tolist(),
     }
     if "json" in cfg["output"]["formats"]:
         rio.write_json(out_dir / "summary.json", summary)

@@ -29,14 +29,21 @@ CHUNK = 1 << 16             # rows per write in write_table
 def write_table(path, header, columns) -> None:
     """Write ``header``, then row i from element i of each equal-length column.
 
-    Rows go out CHUNK at a time from each column's ``.tolist()``, so a
-    table never holds more than one chunk of Python objects.
+    Rows go out CHUNK at a time: the columns' ``.tolist()`` values are
+    interleaved row by row into one list and formatted with one ``%s``
+    template, so each cell is ``str()`` of its Python value and a table
+    never holds more than one chunk of Python objects.
     """
+    n, width = len(columns[0]), len(columns)
+    row = ",".join(["%s"] * width) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), CHUNK):
-            cells = [map(str, col[lo:lo + CHUNK].tolist()) for col in columns]
-            fh.writelines(f"{row}\n" for row in map(",".join, zip(*cells)))
+        for lo in range(0, n, CHUNK):
+            rows = min(CHUNK, n - lo)
+            cells = [None] * (rows * width)
+            for j, col in enumerate(columns):
+                cells[j::width] = col[lo:lo + rows].tolist()
+            fh.write(row * rows % tuple(cells))
 
 
 def read_table(path, dtypes: dict) -> tuple:

@@ -25,6 +25,18 @@ the streams are identical.
 The pools double as the edge list: edge i runs from ``out_pool[i]`` to
 ``in_pool[i]``, and ``GraphState.edges`` derives the edge table from them.
 
+The state lives in numpy arrays: int32 pools and degrees, int8 groups
+(int32 beyond 127 groups) and int64 per-group counters; step and edge
+counts stay Python ints. ``run`` preallocates the arrays for all of its
+steps (2n+1 edges, n+2 node slots) and ``step`` doubles them when full.
+A degree is at most the edge count, so ``run`` refuses, with
+ResourceLimit and before allocating, any n with 2n+1 > 2**31 - 1.
+
+``_advance`` is the statement of the transition. On blocks of
+COMPILED_MIN_ROWS or more rows it hands the work to ``_kernel.c``, its
+compiled line-for-line mirror, whenever that builds (see ``_kernel``),
+and otherwise runs its own loop; the state is the same either way.
+
 Node ids are 1-based (node 1 is the root); group indices are 0-based.
 """
 
@@ -34,9 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .params import ModelParams, draw_groups
 
 BLOCK = 1 << 16
+INT32_MAX = 2**31 - 1
+# below this many rows, setting up the foreign call costs more than the Python loop
+COMPILED_MIN_ROWS = 16
 
 
 class ResourceLimit(RuntimeError):
@@ -66,37 +82,59 @@ class Trajectory:
 
 
 class GraphState:
-    """Mutable state of the growing graph.
+    """Mutable state of the growing graph, held in numpy arrays.
 
-    Degree and group lists are 1-based (index 0 is a dummy) to match node
-    ids. Pools hold one node id per unit of in-/out-degree.
+    Node arrays are 1-based (index 0 is a dummy) to match node ids, and
+    pools hold one node id per unit of in-/out-degree. The buffers have
+    room for ``steps`` more steps and double when ``step`` needs more;
+    the attributes below are read-only views of their filled part.
+    Scalars stay Python ints.
     """
 
-    def __init__(self, K: int):
+    def __init__(self, K: int, steps: int = 0):
         self.K = K
         self.n = 0
-        self.node_group = [-1]          # node id -> 0-based group
-        self.in_deg = [0]
-        self.out_deg = [0]
-        self.in_pool: list[int] = []
-        self.out_pool: list[int] = []
+        self.n_nodes = 0
         self.edge_count = 0
-        self.group_in_edges = [0] * K
-        self.group_out_edges = [0] * K
-        self.group_node_counts = [0] * K
         self.reciprocal_count = 0
+        self.group_in_edges = np.zeros(K, dtype=np.int64)
+        self.group_out_edges = np.zeros(K, dtype=np.int64)
+        self.group_node_counts = np.zeros(K, dtype=np.int64)
+        self._groups = np.zeros(steps + 2, dtype=np.int8 if K <= 127 else np.int32)
+        self._groups[0] = -1
+        self._in_deg = np.zeros(steps + 2, dtype=np.int32)
+        self._out_deg = np.zeros(steps + 2, dtype=np.int32)
+        self._in_pool = np.zeros(2 * steps + 1, dtype=np.int32)
+        self._out_pool = np.zeros(2 * steps + 1, dtype=np.int32)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_group) - 1
+    def _view(self, buf, stop):
+        view = buf[:stop]
+        view.flags.writeable = False
+        return view
+
+    node_group = property(lambda self: self._view(self._groups, self.n_nodes + 1))
+    in_deg = property(lambda self: self._view(self._in_deg, self.n_nodes + 1))
+    out_deg = property(lambda self: self._view(self._out_deg, self.n_nodes + 1))
+    in_pool = property(lambda self: self._view(self._in_pool, self.edge_count))
+    out_pool = property(lambda self: self._view(self._out_pool, self.edge_count))
+
+    def reserve(self, steps: int) -> None:
+        """Make room for ``steps`` more steps, doubling the buffers as needed."""
+        nodes, edges = self.n_nodes + steps + 1, self.edge_count + 2 * steps
+        if nodes <= len(self._in_deg) and edges <= len(self._in_pool):
+            return
+        if edges > INT32_MAX:
+            raise ResourceLimit(f"{edges} edges would overflow the int32 node arrays")
+        for name, need in (("_groups", nodes), ("_in_deg", nodes), ("_out_deg", nodes),
+                           ("_in_pool", edges), ("_out_pool", edges)):
+            buf = getattr(self, name)
+            grown = np.zeros(min(max(need, 2 * len(buf)), INT32_MAX), dtype=buf.dtype)
+            grown[:len(buf)] = buf
+            setattr(self, name, grown)
 
     def degrees(self):
-        """(in_deg, out_deg, group) as arrays indexed by node order."""
-        return (
-            np.array(self.in_deg[1:], dtype=np.int64),
-            np.array(self.out_deg[1:], dtype=np.int64),
-            np.array(self.node_group[1:], dtype=np.int64),
-        )
+        """(in_deg, out_deg, group) views indexed by node order."""
+        return self.in_deg[1:], self.out_deg[1:], self.node_group[1:]
 
     def edges(self) -> np.ndarray:
         """(E, 4) int64 rows of (step, source, target, reciprocal) in creation order.
@@ -105,7 +143,7 @@ class GraphState:
         edge's step is its larger endpoint minus one; a reciprocal edge
         directly follows its trigger and shares its step.
         """
-        out = np.empty((len(self.in_pool), 4), dtype=np.int64)
+        out = np.empty((self.edge_count, 4), dtype=np.int64)
         out[:, 1] = self.out_pool
         out[:, 2] = self.in_pool
         np.maximum(out[:, 1], out[:, 2], out=out[:, 0])
@@ -116,38 +154,34 @@ class GraphState:
 
     def check_invariants(self):
         """Raise AssertionError on any violated conservation law."""
+        ind, outd, grp = (a.astype(np.int64) for a in self.degrees())
         assert self.n_nodes == self.n + 1, "node count must be n + 1"
-        assert sum(self.in_deg) == self.edge_count, "in-degree sum != |E|"
-        assert sum(self.out_deg) == self.edge_count, "out-degree sum != |E|"
-        assert len(self.in_pool) == self.edge_count, "in_pool length != |E|"
-        assert len(self.out_pool) == self.edge_count, "out_pool length != |E|"
-        assert sum(self.group_in_edges) == self.edge_count
-        assert sum(self.group_out_edges) == self.edge_count
-        assert sum(self.group_node_counts) == self.n + 1
+        assert ind.sum() == self.edge_count, "in-degree sum != |E|"
+        assert outd.sum() == self.edge_count, "out-degree sum != |E|"
+        assert np.array_equal(np.bincount(self.in_pool, minlength=self.n_nodes + 1)[1:], ind)
+        assert np.array_equal(np.bincount(self.out_pool, minlength=self.n_nodes + 1)[1:], outd)
+        assert self.group_in_edges.sum() == self.edge_count
+        assert self.group_out_edges.sum() == self.edge_count
+        assert self.group_node_counts.sum() == self.n + 1
         assert self.edge_count == (self.n + 1) + self.reciprocal_count
-        gin = [0] * self.K
-        gout = [0] * self.K
-        gn = [0] * self.K
-        for v in range(1, self.n_nodes + 1):
-            g = self.node_group[v]
-            gin[g] += self.in_deg[v]
-            gout[g] += self.out_deg[v]
-            gn[g] += 1
-        assert gin == self.group_in_edges, "per-group in-edge counters drifted"
-        assert gout == self.group_out_edges, "per-group out-edge counters drifted"
-        assert gn == self.group_node_counts
+        for g in range(self.K):
+            mine = grp == g
+            assert ind[mine].sum() == self.group_in_edges[g], "per-group in-edge counters drifted"
+            assert outd[mine].sum() == self.group_out_edges[g], "per-group out-edge counters drifted"
+            assert mine.sum() == self.group_node_counts[g]
 
 
-def init_graph(params: ModelParams, rng: np.random.Generator) -> GraphState:
-    """Root graph: node 1 with a self-loop and a group drawn from pi."""
-    state = GraphState(params.K)
+def init_graph(params: ModelParams, rng: np.random.Generator, steps: int = 16) -> GraphState:
+    """Root graph: node 1 with a self-loop and a group drawn from pi.
+
+    ``steps`` preallocates the state for that many steps; more still fit.
+    """
+    state = GraphState(params.K, steps)
     g = int(draw_groups(np.cumsum(params.pi), rng.random()))
-    state.node_group.append(g)
-    state.in_deg.append(1)
-    state.out_deg.append(1)
-    state.in_pool.append(1)
-    state.out_pool.append(1)
-    state.edge_count = 1
+    state._groups[1] = g
+    state._in_deg[1] = state._out_deg[1] = 1
+    state._in_pool[0] = state._out_pool[0] = 1
+    state.n_nodes = state.edge_count = 1
     state.group_in_edges[g] = 1
     state.group_out_edges[g] = 1
     state.group_node_counts[g] = 1
@@ -162,26 +196,31 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
     endpoint is a uniform pool entry (degree-proportional), otherwise a
     uniform node id; the mixture equals (D_v + delta)/(|E| + delta*|V|).
     Mutates ``state`` in place.
+
+    The loop below is the statement of the rule. ``_kernel.c`` repeats it
+    line for line and runs instead on blocks of COMPILED_MIN_ROWS or more
+    rows whenever it builds; the two produce the same state from the same
+    block.
     """
+    state.reserve(len(u))
+    cum_pi = np.cumsum(params.pi)
+    kernel = _kernel.load() if len(u) >= COMPILED_MIN_ROWS else None
+    if kernel is not None:
+        _advance_compiled(kernel, state, params, u, cum_pi)
+        return
+
     alpha, delta = params.alpha, params.delta
     rho = params.rho.tolist()
-    grp = draw_groups(np.cumsum(params.pi), u[:, 3])
+    grp = draw_groups(cum_pi, u[:, 3])
+    # memoryviews index and assign Python ints into the arrays
+    in_pool, out_pool = memoryview(state._in_pool), memoryview(state._out_pool)
+    in_deg, out_deg = memoryview(state._in_deg), memoryview(state._out_deg)
+    node_group = memoryview(state._groups)
+    g_in = memoryview(state.group_in_edges)
+    g_out = memoryview(state.group_out_edges)
+    g_nodes = memoryview(state.group_node_counts)
 
-    in_pool = state.in_pool
-    out_pool = state.out_pool
-    in_deg = state.in_deg
-    out_deg = state.out_deg
-    node_group = state.node_group
-    g_in = state.group_in_edges
-    g_out = state.group_out_edges
-    g_nodes = state.group_node_counts
-    ipa, opa = in_pool.append, out_pool.append
-    ida, oda = in_deg.append, out_deg.append
-    nga = node_group.append
-
-    E = state.edge_count
-    V = state.n_nodes
-    rc = state.reciprocal_count
+    E, V, rc = state.edge_count, state.n_nodes, state.reciprocal_count
     for row, r in zip(u.tolist(), grp.tolist()):
         w = V + 1
         if row[0] < alpha:
@@ -192,23 +231,21 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
                 v = int(row[2] * V) + 1
             m = node_group[v]
             in_deg[v] += 1
-            ipa(v)
-            opa(w)
+            in_pool[E], out_pool[E] = v, w
             g_in[m] += 1
             g_out[r] += 1
             E += 1
             if row[4] < rho[m][r]:
                 out_deg[v] += 1
-                ipa(w)
-                opa(v)
+                in_pool[E], out_pool[E] = w, v
                 g_in[r] += 1
                 g_out[m] += 1
                 E += 1
                 rc += 1
-                ida(1)
+                in_deg[w] = 1
             else:
-                ida(0)
-            oda(1)
+                in_deg[w] = 0
+            out_deg[w] = 1
         else:
             # new node w receives (v, w); v by out-degree preference
             if row[1] * (E + delta * V) < E:
@@ -217,30 +254,52 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
                 v = int(row[2] * V) + 1
             m = node_group[v]
             out_deg[v] += 1
-            ipa(w)
-            opa(v)
+            in_pool[E], out_pool[E] = w, v
             g_in[r] += 1
             g_out[m] += 1
             E += 1
             if row[4] < rho[r][m]:
                 in_deg[v] += 1
-                ipa(v)
-                opa(w)
+                in_pool[E], out_pool[E] = v, w
                 g_in[m] += 1
                 g_out[r] += 1
                 E += 1
                 rc += 1
-                oda(1)
+                out_deg[w] = 1
             else:
-                oda(0)
-            ida(1)
-        nga(r)
+                out_deg[w] = 0
+            in_deg[w] = 1
+        node_group[w] = r
         g_nodes[r] += 1
         V += 1
 
     state.n += len(u)
-    state.edge_count = E
-    state.reciprocal_count = rc
+    state.edge_count, state.n_nodes, state.reciprocal_count = E, V, rc
+
+
+def _advance_compiled(kernel, state: GraphState, params: ModelParams, u: np.ndarray,
+                      cum_pi: np.ndarray) -> None:
+    """``_advance`` through ``rn_advance``; ``state`` has room for the block."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    rho = np.ascontiguousarray(params.rho, dtype=np.float64)
+    # the kernel indexes memory with these: shapes must match K, uniforms lie in [0, 1)
+    if (u.shape[1:] != (5,) or rho.shape != (params.K, params.K)
+            or cum_pi.shape != (params.K,) or not (u.min() >= 0.0 and u.max() < 1.0)):
+        raise ValueError(f"bad kernel input: uniforms {u.shape} in "
+                         f"[{u.min()}, {u.max()}], K={params.K}, rho {rho.shape}")
+    counts = np.array([state.edge_count, state.n_nodes, state.reciprocal_count],
+                      dtype=np.int64)
+    kernel(_addr(u), len(u), params.alpha, params.delta, _addr(cum_pi), _addr(rho),
+           params.K, _addr(state._in_pool), _addr(state._out_pool),
+           _addr(state._in_deg), _addr(state._out_deg), _addr(state._groups),
+           state._groups.itemsize > 1, _addr(state.group_in_edges),
+           _addr(state.group_out_edges), _addr(state.group_node_counts), _addr(counts))
+    state.n += len(u)
+    state.edge_count, state.n_nodes, state.reciprocal_count = counts.tolist()
+
+
+def _addr(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
 
 
 def step(state: GraphState, params: ModelParams, rng: np.random.Generator) -> GraphState:
@@ -262,24 +321,32 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
     each snapshot step, and the stream matches repeated ``step`` calls.
     Snapshot steps record (|E(k)|, per-group edge counts) after step k.
     """
-    if 2 * config.n_steps + 1 > config.max_edges:
+    edges = 2 * config.n_steps + 1
+    if edges > config.max_edges:
         raise ResourceLimit(
-            f"n_steps={config.n_steps} implies up to {2 * config.n_steps + 1} edges, "
+            f"n_steps={config.n_steps} implies up to {edges} edges, "
             f"over budget {config.max_edges}"
         )
+    if edges > INT32_MAX:
+        raise ResourceLimit(
+            f"n_steps={config.n_steps} implies up to {edges} edges; node ids, pool "
+            f"entries and degrees are int32, so at most {INT32_MAX} edges fit")
     snaps = sorted(set(int(s) for s in config.snapshot_steps))
     if snaps and (snaps[0] < 1 or snaps[-1] > config.n_steps):
         raise ValueError("snapshot steps must lie in [1, n_steps]")
 
     rng = np.random.default_rng(config.seed)
-    state = init_graph(params, rng)
+    state = init_graph(params, rng, config.n_steps)
+    block = np.empty((min(BLOCK, config.n_steps), 5))
     snap_rows = []
     for i, end in enumerate(snaps + [config.n_steps]):
         while state.n < end:
-            _advance(state, params, rng.random((min(BLOCK, end - state.n), 5)))
+            u = block[:min(BLOCK, end - state.n)]
+            rng.random(out=u)
+            _advance(state, params, u)
         if i < len(snaps):
-            snap_rows.append((end, state.edge_count, list(state.group_in_edges),
-                              list(state.group_out_edges)))
+            snap_rows.append((end, state.edge_count, state.group_in_edges.copy(),
+                              state.group_out_edges.copy()))
 
     traj = Trajectory(
         steps=np.array([s[0] for s in snap_rows], dtype=np.int64),
@@ -313,6 +380,7 @@ class DegreeHistogram:
 def degree_histogram(state: GraphState) -> DegreeHistogram:
     """Tally joint in/out-degree counts N_{k,l} and per-group versions."""
     ind, outd, grp = state.degrees()
+    ind, outd = ind.astype(np.int64), outd.astype(np.int64)   # the key needs int64
     key = ind * (outd.max() + 1) + outd
 
     def tally(mask):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .equilibrium import LOG2, EquilibriumSolution
 from .params import ModelParams
-from .spectral import GroupSpectral, order_groups
+from .spectral import TIE_TOL, GroupSpectral, order_groups
 
 
 class InsufficientData(ValueError):
@@ -144,7 +144,6 @@ class PeelOptions:
     radius_quantile: float = 0.999
     distance_quantile: float = 0.999
     max_rays: int | None = None     # None: as many as the per-ray conditions allow
-    tie_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,14 +199,14 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
     failed statistical hypotheses (the per-ray growth conditions) only
     degrade the report.
     """
-    order = order_groups(spectra, tie_tol=options.tie_tol)
+    order = order_groups(spectra)
     spectra_sorted = [spectra[i] for i in order.order]
     usable = [s for s in spectra_sorted if not s.degenerate]
     if len(usable) < 2:
         raise ConditionsUnmet(
             f"need >= 2 non-degenerate groups for a second regime, have {len(usable)}")
     usable_lams = [s.lam for s in usable]
-    if min(abs(a - b) for a, b in zip(usable_lams, usable_lams[1:])) < options.tie_tol:
+    if min(abs(a - b) for a, b in zip(usable_lams, usable_lams[1:])) < TIE_TOL:
         raise ConditionsUnmet("eigenvalues are not distinct; rays are not separated")
 
     degraded = []
@@ -318,7 +317,7 @@ def tail_report(dataset: DegreeDataset, params: ModelParams,
     ``hill_k`` fixes the number of order statistics; None uses
     ``default_hill_k``. Either is capped at the positive count minus one.
     """
-    order = order_groups(spectra, tie_tol=options.tie_tol)
+    order = order_groups(spectra)
     spectra_sorted = [spectra[i] for i in order.order]
     lam1 = spectra_sorted[0].lam
 

@@ -149,6 +149,28 @@ def test_write_table_cells_are_str_of_python_values(tmp_path):
     assert path.read_text() == "i,x\n" + "\n".join(rows) + "\n"
     assert rows[2] == "2,inf" and rows[4] == "4,5.0"
 
+    # edge values: negative and extreme ints, signed zero, nan, -inf, the
+    # smallest subnormal, a float with a long shortest repr, and bools
+    i64 = np.iinfo(np.int64)
+    ints = np.array([-1, -12345, i64.min, i64.max, 0, 0, 7], dtype=np.int64)
+    edge = np.array([-0.0, np.nan, -np.inf, 5e-324, 0.1 + 0.2, 1.0, -2.5])
+    flags = np.array([True, False, True, False, True, False, True])
+    rio.write_table(path, ("i", "x", "b"), (ints, edge, flags))
+    lines = path.read_text().splitlines()
+    assert lines == ["i,x,b", *(",".join(map(str, row)) for row in
+                                zip(ints.tolist(), edge.tolist(), flags.tolist()))]
+    assert lines[1:5] == ["-1,-0.0,True", "-12345,nan,False",
+                          f"{i64.min},-inf,True", f"{i64.max},5e-324,False"]
+    assert lines[5] == "0,0.30000000000000004,True"
+
+    # a table one row longer than a write chunk
+    n = rio.CHUNK + 1
+    ints = np.arange(n, dtype=np.int64) - n // 2
+    rio.write_table(path, ("i", "x"), (ints, ints / 7.0))
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1
+    assert lines[1:] == [f"{i},{i / 7.0!s}" for i in ints.tolist()]
+
 
 def test_jsonable_handles_numpy():
     payload = {"a": np.int64(3), "b": np.float64(0.5), "c": np.arange(3),
