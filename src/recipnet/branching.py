@@ -199,8 +199,26 @@ def _sample_chunk(args):
     return labels, n1, n2, failed
 
 
-def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, workers=1):
-    """(labels, n1, n2, failed) per chunk; chunk j draws from SeedSequence([seed, j])."""
+def _tally_chunk(args):
+    """One chunk's count vector: the (K, kmax+1, lmax+1) grid cells flat,
+    then the overflow count of each group, then the failed count."""
+    job, kmax, lmax = args
+    labels, n1, n2, failed = _sample_chunk(job)
+    K = job[0].K
+    cells = K * (kmax + 1) * (lmax + 1)
+    code = np.where((n1 <= kmax) & (n2 <= lmax),
+                    (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
+    code[failed] = cells + K
+    return np.bincount(code, minlength=cells + K + 1)
+
+
+def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, workers=1,
+                   grid=None):
+    """Yield each chunk's result in chunk order; chunk j draws from SeedSequence([seed, j]).
+
+    A result is the chunk's raw (labels, n1, n2, failed), or with
+    ``grid=(kmax, lmax)`` its ``_tally_chunk`` counts, made where it was drawn.
+    """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     rates = group_rates(params)
@@ -210,12 +228,16 @@ def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, work
          seed, event_budget)
         for j in range((replicates + chunk_size - 1) // chunk_size)
     ]
+    fn = _sample_chunk
+    if grid is not None:
+        fn, jobs = _tally_chunk, [(job, *grid) for job in jobs]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(_sample_chunk, jobs))
-    return [_sample_chunk(job) for job in jobs]
+            yield from pool.map(fn, jobs)
+    else:
+        yield from map(fn, jobs)
 
 
 def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
@@ -228,7 +250,7 @@ def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
     follow the same chunked streams as ``estimate_pkl``, so the two agree
     replicate for replicate at equal seeds.
     """
-    parts = _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size)
+    parts = list(_sample_chunks(params, sol, replicates, seed, event_budget, chunk_size))
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
 
 
@@ -242,27 +264,20 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     generator seeded with SeedSequence([seed, j]), so the result is
     independent of scheduling and identical for any worker count. Within
     a chunk the label, initialization and T* vectors are drawn first, then
-    all groups are advanced together by the lockstep engine.
+    all groups are advanced together by the lockstep engine. Each chunk is
+    tallied in its worker into K*(kmax+1)*(lmax+1) + K + 1 counts (grid
+    cells, overflow per group, failed), and the parent adds these vectors,
+    so its memory does not grow with ``replicates``.
     """
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)
-    parts = _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size,
-                           workers)
-
+    counts = sum(_sample_chunks(params, sol, replicates, seed, event_budget, chunk_size,
+                                workers, grid=(kmax, lmax)))
     K = params.K
-    group_counts = np.zeros((K, kmax + 1, lmax + 1), dtype=np.int64)
-    group_over = np.zeros(K, dtype=np.int64)
-    failed_total = 0
-    for labels, n1, n2, failed in parts:
-        ok = ~failed
-        inside = ok & (n1 <= kmax) & (n2 <= lmax)
-        for m in range(K):
-            sel = inside & (labels == m)
-            np.add.at(group_counts[m], (n1[sel], n2[sel]), 1)
-            group_over[m] += int((ok & ~inside & (labels == m)).sum())
-        failed_total += int(failed.sum())
+    cells = K * (kmax + 1) * (lmax + 1)
     return JointPmfEstimate(
-        group_counts=group_counts, group_overflow_counts=group_over,
-        replicates=replicates, failed=failed_total, kmax=kmax, lmax=lmax,
+        group_counts=counts[:cells].reshape(K, kmax + 1, lmax + 1),
+        group_overflow_counts=counts[cells:cells + K],
+        replicates=replicates, failed=int(counts[cells + K]), kmax=kmax, lmax=lmax,
     )

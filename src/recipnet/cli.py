@@ -173,6 +173,8 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["embed"]["lmax"] = args.kmax
     if getattr(args, "input", None) is not None:
         cfg["diagnose"]["input"] = args.input
+    if getattr(args, "threads", 1) < 1:
+        raise ParseError(f"--threads must be an integer >= 1, got {args.threads}")
     _check_values(cfg)
     # checked once n_steps is final, so --n-steps can cover the file's snapshots
     sim = cfg["sim"]
@@ -271,7 +273,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
         if len(result.trajectory.steps):
             rio.write_trajectory(out_dir / "trajectory.csv", result.trajectory)
         if sim["emit_edges"]:
-            rio.write_edges(out_dir / "edges.csv", state.edges())
+            rio.write_edges(out_dir / "edges.csv", state)
     n = state.n
     summary = {
         "schema": "recipnet/simulate/v1",
@@ -455,7 +457,7 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(cfg, out_dir)
         elif args.command == "embed":
-            cmd_embed(cfg, out_dir, workers=max(1, args.threads))
+            cmd_embed(cfg, out_dir, workers=args.threads)
         elif args.command == "diagnose":
             cmd_diagnose(cfg, out_dir)
         elif args.command == "verify":

@@ -1,6 +1,7 @@
 """File interfaces: the one CSV table codec and the artifacts built on it.
 
-Every CSV goes through ``write_table`` and ``read_table``: a header row,
+Every CSV goes through ``write_table`` (or ``_write_chunks``, which it
+wraps, for a table built chunk by chunk) and ``read_table``: a header row,
 then one comma-separated row per entry, nothing quoted. A cell is
 ``str()`` of the column's Python value (ints as digits, floats in
 shortest round-trip form, ``inf`` as ``inf``). Readers find columns by
@@ -27,23 +28,31 @@ CHUNK = 1 << 16             # rows per write in write_table
 
 
 def write_table(path, header, columns) -> None:
-    """Write ``header``, then row i from element i of each equal-length column.
+    """Write ``header``, then row i from element i of each equal-length column."""
+    n = len(columns[0])
+    _write_chunks(path, header, ([col[lo:lo + CHUNK] for col in columns]
+                                for lo in range(0, n, CHUNK)))
 
-    Rows go out CHUNK at a time: the columns' ``.tolist()`` values are
-    interleaved row by row into one list and formatted with one ``%s``
-    template, so each cell is ``str()`` of its Python value and a table
-    never holds more than one chunk of Python objects.
+
+def _write_chunks(path, header, chunks) -> None:
+    """Write ``header``, then the rows of each chunk, a list of equal-length columns.
+
+    Each chunk's ``.tolist()`` values are interleaved row by row into one
+    list and formatted with one ``%s`` template, so each cell is ``str()``
+    of its Python value and a table never holds more than one chunk of
+    Python objects.
     """
-    n, width = len(columns[0]), len(columns)
+    width = len(header)
     row = ",".join(["%s"] * width) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, CHUNK):
-            rows = min(CHUNK, n - lo)
+        for columns in chunks:
+            rows = len(columns[0])
             cells = [None] * (rows * width)
             for j, col in enumerate(columns):
-                cells[j::width] = col[lo:lo + rows].tolist()
+                cells[j::width] = col.tolist()
             fh.write(row * rows % tuple(cells))
+            del cells   # free this chunk's objects before the next chunk is built
 
 
 def read_table(path, dtypes: dict) -> tuple:
@@ -67,9 +76,10 @@ def read_table(path, dtypes: dict) -> tuple:
     return tuple(rows[name] for name in dtypes)
 
 
-def write_edges(path, edges: np.ndarray) -> None:
-    """Write the (E, 4) array of ``GraphState.edges``."""
-    write_table(path, ("step", "source", "target", "reciprocal"), edges.T)
+def write_edges(path, state: GraphState) -> None:
+    """Write ``state.edges()``, building CHUNK rows of it at a time."""
+    _write_chunks(path, ("step", "source", "target", "reciprocal"),
+                 (state.edges(lo, lo + CHUNK).T for lo in range(0, len(state), CHUNK)))
 
 
 def write_degree_snapshot(path, state: GraphState) -> None:

@@ -136,19 +136,27 @@ class GraphState:
         """(in_deg, out_deg, group) views indexed by node order."""
         return self.in_deg[1:], self.out_deg[1:], self.node_group[1:]
 
-    def edges(self) -> np.ndarray:
-        """(E, 4) int64 rows of (step, source, target, reciprocal) in creation order.
+    def __len__(self) -> int:
+        """The edge count: ``len(state) == len(state.edges())``."""
+        return self.edge_count
+
+    def edges(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Int64 rows lo..hi-1 (all rows by default) of (step, source, target,
+        reciprocal), in creation order.
 
         Edge i is (out_pool[i], in_pool[i]). Step k creates node k + 1, so an
         edge's step is its larger endpoint minus one; a reciprocal edge
-        directly follows its trigger and shares its step.
+        directly follows its trigger and shares its step, so the flag of row
+        lo comes from row lo - 1.
         """
-        out = np.empty((self.edge_count, 4), dtype=np.int64)
-        out[:, 1] = self.out_pool
-        out[:, 2] = self.in_pool
+        hi = self.edge_count if hi is None else min(hi, self.edge_count)
+        out = np.empty((hi - lo, 4), dtype=np.int64)
+        out[:, 1] = self.out_pool[lo:hi]
+        out[:, 2] = self.in_pool[lo:hi]
         np.maximum(out[:, 1], out[:, 2], out=out[:, 0])
         out[:, 0] -= 1
-        out[:1, 3] = 0
+        prev = max(self.out_pool[lo - 1], self.in_pool[lo - 1]) - 1 if lo else -1
+        out[:1, 3] = out[:1, 0] == prev
         out[1:, 3] = out[1:, 0] == out[:-1, 0]
         return out
 

@@ -358,7 +358,7 @@ def test_accept_08e_determinism_byte_equality(tmp_path, k2_ref):
         result = run(k2_ref, SimConfig(n_steps=2000, seed=55))
         edge_path = tmp_path / f"edges_{rep}.csv"
         deg_path = tmp_path / f"degrees_{rep}.csv"
-        rio.write_edges(edge_path, result.state.edges())
+        rio.write_edges(edge_path, result.state)
         rio.write_degree_snapshot(deg_path, result.state)
         digests.append((edge_path.read_bytes(), deg_path.read_bytes()))
     ok = digests[0] == digests[1]

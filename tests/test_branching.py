@@ -288,6 +288,31 @@ def test_estimate_pkl_deterministic_and_worker_invariant(k2_ref):
     assert np.array_equal(a.group_counts, c.group_counts)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_pkl_is_a_tally_of_sample_limit_pairs(k2_ref, workers):
+    # kmax != lmax catches a swapped axis; the small budget makes some
+    # replicates fail and others overflow on each axis
+    sol = solve_equilibrium(k2_ref)
+    kmax, lmax = 6, 9
+    draw = dict(replicates=5000, seed=13, event_budget=12, chunk_size=2048)
+    labels, n1, n2, failed = sample_limit_pairs(k2_ref, sol, **draw)
+    counts = np.zeros((k2_ref.K, kmax + 1, lmax + 1), dtype=np.int64)
+    over = np.zeros(k2_ref.K, dtype=np.int64)
+    for m, k, l, f in zip(labels.tolist(), n1.tolist(), n2.tolist(), failed.tolist()):
+        if f:
+            continue
+        if k <= kmax and l <= lmax:
+            counts[m, k, l] += 1
+        else:
+            over[m] += 1
+    assert failed.any() and (n1[~failed] > kmax).any() and (n2[~failed] > lmax).any()
+
+    est = estimate_pkl(k2_ref, sol, kmax=kmax, lmax=lmax, workers=workers, **draw)
+    assert np.array_equal(est.group_counts, counts)
+    assert np.array_equal(est.group_overflow_counts, over)
+    assert est.failed == int(failed.sum())
+
+
 def test_estimate_pkl_failed_accounting(k1_ref):
     sol = solve_equilibrium(k1_ref)
     est = estimate_pkl(k1_ref, sol, replicates=5000, kmax=6, lmax=6, seed=3,

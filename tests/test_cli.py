@@ -313,7 +313,10 @@ def test_threads_flag_only_on_embed(tmp_path):
     ["verify", "--threads", "2"],
     ["embed", "--seed", "x"],
     ["frobnicate"],
-], ids=["unknown-flag", "threads-on-verify", "seed-not-int", "unknown-command"])
+    ["embed", "--threads", "0"],
+    ["embed", "--threads", "-5"],
+], ids=["unknown-flag", "threads-on-verify", "seed-not-int", "unknown-command",
+        "threads-zero", "threads-negative"])
 def test_argparse_error_is_one_parse_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
     code = main(argv[:1] + ["--config", _k1_config(tmp_path, out)] + argv[1:])

@@ -38,7 +38,7 @@ def test_edges_csv_format(tmp_path, k1_ref):
     result = run(k1_ref, SimConfig(n_steps=5, seed=2))
     edges = result.state.edges()
     path = tmp_path / "edges.csv"
-    rio.write_edges(path, edges)
+    rio.write_edges(path, result.state)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,source,target,reciprocal"
     assert lines[1] == "0,1,1,0"

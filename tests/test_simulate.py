@@ -99,6 +99,16 @@ def test_run_deterministic_same_seed(k2_ref):
     assert np.array_equal(a.state.node_group, b.state.node_group)
 
 
+def test_edge_row_ranges_match_the_full_table(k2_ref):
+    state = run(k2_ref, SimConfig(n_steps=300, seed=42)).state
+    full = state.edges()
+    assert full[1:, 3].any() and not full[1:, 3].all()
+    for lo in range(len(full)):
+        for hi in (lo + 1, lo + 7, len(full) + 5):
+            assert np.array_equal(state.edges(lo, hi), full[lo:hi]), (lo, hi)
+    assert len(state) == len(full) == state.edge_count
+
+
 def test_run_matches_step_reference(k2_ref):
     n = 400
     result = run(k2_ref, SimConfig(n_steps=n, seed=9))
