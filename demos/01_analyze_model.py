@@ -50,10 +50,8 @@ print(f"  c* = 1 + rho* + delta = {sol.c_star:.6f}")
 print(f"  lambda_H = {sol.lambda_h:.6f} (< 1 required)")
 
 spectra = all_spectra(params, rates)
-order = order_groups(spectra)
 print("\nGroup spectral structure (sorted by lambda):")
-for rank, idx in enumerate(order.order, start=1):
-    s = spectra[idx]
+for rank, s in enumerate(order_groups(spectra).ranked, start=1):
     print(f"  #{rank} group {s.group + 1}: lambda = {s.lam:.6f}, "
           f"lambda' = {s.lam_prime:.6f}, ray slope a = {s.a:.6f} "
           f"(theta = {s.a / (1 + s.a):.4f})")

@@ -40,7 +40,7 @@ data = DegreeDataset(x=np.concatenate(xs).astype(float),
                      groups=np.concatenate(gs))
 print(f"pooled {len(seeds)} runs of {n} steps: {data.n} nodes")
 
-report = tail_report(data, params, sol, spectra)
+report = tail_report(data, sol, spectra)
 print(f"\nmarginal Hill estimates (k = floor(sqrt(n))):")
 print(f"  in-degree:  {report.hill_in.index_estimate:.4f} "
       f"(se {report.hill_in.se:.4f})")

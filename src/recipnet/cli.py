@@ -5,6 +5,9 @@ for absent optional sections), write machine-readable artifacts into the
 output directory, and echo the effective config next to them so any run
 can be reproduced bit-exactly from its own artifact directory.
 
+``SCHEMA`` states each config key once, with its default and its check,
+and ``FLAGS`` each flag once, with its subcommands and the keys it sets.
+
 Exit codes: 0 success, 1 runtime failure, 2 config or validation error.
 Failures print a single machine-parsable line to stderr of the form
 ``recipnet: <ErrorName>: <message>``.
@@ -17,6 +20,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io as rio
@@ -43,18 +47,6 @@ class UnknownKey(ConfigError):
     """Config contains a key outside the schema."""
 
 
-DEFAULTS = {
-    "solver": {"tol": 1e-12, "max_iter": 10_000},
-    "sim": {"n_steps": 100_000, "seed": 0, "snapshots": [], "emit_edges": False,
-            "max_edges": 100_000_000},
-    "embed": {"replicates": 100_000, "kmax": 30, "lmax": 30,
-              "event_budget": 10_000_000, "seed": 0},
-    "diagnose": {"hill_k_rule": "sqrt", "radius_quantile": 0.999,
-                 "distance_quantile": 0.999, "bins": 50, "input": None},
-    "verify": {"n": 2, "replicates": 100_000, "repetitions": 1, "seed": 0},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
-}
-
 MODEL_KEYS = {"alpha", "delta", "pi", "rho", "k"}
 
 
@@ -72,49 +64,79 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _int_at_least(lo: int):
-    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+def _int_at_least(default: int, lo: int):
+    return default, (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
 
 
-_SEED = _int_at_least(0)
-_QUANTILE = (lambda v: _is_number(v) and 0.0 < v < 1.0), "a number in (0, 1)"
+_SEED = _int_at_least(0, 0)
+_QUANTILE = 0.999, (lambda v: _is_number(v) and 0.0 < v < 1.0), "a number in (0, 1)"
 
-# (section, key) -> (check, what the value must be); every config value has one
-RULES = {
-    ("solver", "tol"): ((lambda v: _is_number(v) and v > 0.0), "a number > 0"),
-    ("solver", "max_iter"): _int_at_least(1),
-    ("sim", "n_steps"): _int_at_least(1),
+# (section, key) -> (default, check, what the value must be): the whole
+# schema of every section but "model", in the key order of config.json
+SCHEMA = {
+    ("solver", "tol"): (1e-12, (lambda v: _is_number(v) and v > 0.0), "a number > 0"),
+    ("solver", "max_iter"): _int_at_least(10_000, 1),
+    ("sim", "n_steps"): _int_at_least(100_000, 1),
     ("sim", "seed"): _SEED,
-    ("sim", "snapshots"): ((lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    ("sim", "snapshots"): ([], (lambda v: isinstance(v, list) and all(map(_is_int, v))),
                            "a list of integers"),
-    ("sim", "emit_edges"): ((lambda v: isinstance(v, bool)), "true or false"),
-    ("sim", "max_edges"): _int_at_least(1),
-    ("embed", "replicates"): _int_at_least(1),
-    ("embed", "kmax"): _int_at_least(0),
-    ("embed", "lmax"): _int_at_least(0),
-    ("embed", "event_budget"): _int_at_least(1),
+    ("sim", "emit_edges"): (False, (lambda v: isinstance(v, bool)), "true or false"),
+    ("sim", "max_edges"): _int_at_least(100_000_000, 1),
+    ("embed", "replicates"): _int_at_least(100_000, 1),
+    ("embed", "kmax"): _int_at_least(30, 0),
+    ("embed", "lmax"): _int_at_least(30, 0),
+    ("embed", "event_budget"): _int_at_least(10_000_000, 1),
     ("embed", "seed"): _SEED,
-    ("diagnose", "hill_k_rule"): ((lambda v: v == "sqrt" or (_is_int(v) and v >= 1)),
+    ("diagnose", "hill_k_rule"): ("sqrt", (lambda v: v == "sqrt" or (_is_int(v) and v >= 1)),
                                   "'sqrt' or an integer k >= 1"),
     ("diagnose", "radius_quantile"): _QUANTILE,
     ("diagnose", "distance_quantile"): _QUANTILE,
-    ("diagnose", "bins"): _int_at_least(1),
-    ("diagnose", "input"): ((lambda v: v is None or isinstance(v, str)),
+    ("diagnose", "bins"): _int_at_least(50, 1),
+    ("diagnose", "input"): (None, (lambda v: v is None or isinstance(v, str)),
                             "a path string or null"),
-    ("verify", "n"): ((lambda v: _is_int(v) and v in (1, 2, 3)), "1, 2 or 3"),
-    ("verify", "replicates"): _int_at_least(1),
-    ("verify", "repetitions"): _int_at_least(1),
+    ("verify", "n"): (2, (lambda v: _is_int(v) and v in (1, 2, 3)), "1, 2 or 3"),
+    ("verify", "replicates"): _int_at_least(100_000, 1),
+    ("verify", "repetitions"): _int_at_least(1, 1),
     ("verify", "seed"): _SEED,
-    ("output", "directory"): ((lambda v: isinstance(v, str)), "a path string"),
-    ("output", "formats"): ((lambda v: isinstance(v, list)
-                             and all(f in ("csv", "json") for f in v)),
+    ("output", "directory"): ("out", (lambda v: isinstance(v, str)), "a path string"),
+    ("output", "formats"): (["csv", "json"], (lambda v: isinstance(v, list)
+                                              and all(f in ("csv", "json") for f in v)),
                             "a list within ['csv', 'json']"),
+}
+
+# section -> {key: default}, filled in for absent keys
+DEFAULTS = {section: {key: default for (sec, key), (default, _, _) in SCHEMA.items()
+                      if sec == section}
+            for section, _ in SCHEMA}
+
+COMMANDS = {
+    "analyze": "solve the equilibrium and report spectra/regularity",
+    "simulate": "grow a graph and write degree/trajectory/edge tables",
+    "embed": "Monte-Carlo the limiting joint degree pmf",
+    "diagnose": "tail diagnostics for a degree CSV",
+    "verify": "exact-vs-chain equivalence check",
+}
+
+# flag -> (subcommands that take it, config keys it sets, argparse options)
+FLAGS = {
+    "--config": (tuple(COMMANDS), (), {"required": True, "help": "path to JSON run config"}),
+    "--seed": (tuple(COMMANDS), (("sim", "seed"), ("embed", "seed"), ("verify", "seed")),
+               {"type": int, "help": "override the seed of the invoked workflow"}),
+    "--out": (tuple(COMMANDS), (("output", "directory"),),
+              {"help": "override output directory"}),
+    "--n-steps": (("simulate",), (("sim", "n_steps"),), {"type": int}),
+    "--replicates": (("embed", "verify"), (("embed", "replicates"), ("verify", "replicates")),
+                     {"type": int}),
+    "--kmax": (("embed",), (("embed", "kmax"), ("embed", "lmax")), {"type": int}),
+    "--threads": (("embed",), (), {"type": int, "default": os.cpu_count() or 1,
+                                   "help": "worker cap for replicate fan-out"}),
+    "--input": (("diagnose",), (("diagnose", "input"),), {"help": "degree snapshot CSV"}),
 }
 
 
 def _check_values(cfg: dict) -> None:
     """Raise ParseError naming the first config value that breaks its rule."""
-    for (section, key), (ok, what) in RULES.items():
+    for (section, key), (_, ok, what) in SCHEMA.items():
         value = cfg[section][key]
         if not ok(value):
             raise ParseError(f"{section}.{key} must be {what}, got {value!r}")
@@ -138,8 +160,9 @@ def load_config(path) -> dict:
     if not isinstance(raw["model"], dict):
         raise ParseError("'model' must be an object")
     _check_keys("model", raw["model"], MODEL_KEYS)
-    for name in {"alpha", "delta", "pi", "rho"} - set(raw["model"]):
-        raise ParseError(f"model section is missing '{name}'")
+    for name in ("alpha", "delta", "pi", "rho"):   # the first missing, in a fixed order
+        if name not in raw["model"]:
+            raise ParseError(f"model section is missing '{name}'")
 
     cfg = {"model": dict(raw["model"])}
     for section, defaults in DEFAULTS.items():
@@ -147,9 +170,7 @@ def load_config(path) -> dict:
         if not isinstance(given, dict):
             raise ParseError(f"'{section}' must be an object")
         _check_keys(section, given, defaults)
-        merged = dict(defaults)
-        merged.update(given)
-        cfg[section] = merged
+        cfg[section] = {**defaults, **given}
 
     _check_values(cfg)
     return cfg
@@ -157,22 +178,11 @@ def load_config(path) -> dict:
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(cfg)
-    if args.out is not None:
-        cfg["output"]["directory"] = args.out
-    if args.seed is not None:
-        cfg["sim"]["seed"] = args.seed
-        cfg["embed"]["seed"] = args.seed
-        cfg["verify"]["seed"] = args.seed
-    if getattr(args, "n_steps", None) is not None:
-        cfg["sim"]["n_steps"] = args.n_steps
-    if getattr(args, "replicates", None) is not None:
-        cfg["embed"]["replicates"] = args.replicates
-        cfg["verify"]["replicates"] = args.replicates
-    if getattr(args, "kmax", None) is not None:
-        cfg["embed"]["kmax"] = args.kmax
-        cfg["embed"]["lmax"] = args.kmax
-    if getattr(args, "input", None) is not None:
-        cfg["diagnose"]["input"] = args.input
+    for flag, (_, keys, _) in FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)   # argparse's dest
+        if value is not None:
+            for section, key in keys:
+                cfg[section][key] = value
     if getattr(args, "threads", 1) < 1:
         raise ParseError(f"--threads must be an integer >= 1, got {args.threads}")
     _check_values(cfg)
@@ -185,9 +195,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 
 
 def _model(cfg):
-    m = cfg["model"]
-    return validate_params(alpha=m["alpha"], delta=m["delta"], pi=m["pi"],
-                           rho=m["rho"], k=m.get("k"))
+    return validate_params(**cfg["model"])
 
 
 def _spectra_payload(spectra, order):
@@ -216,7 +224,6 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
                             max_iter=cfg["solver"]["max_iter"])
     spectra = all_spectra(params, rates)
     order = order_groups(spectra)
-    lam_sorted = [spectra[i].lam for i in order.order]
     report = {
         "schema": "recipnet/analyze/v1",
         "model": {"alpha": params.alpha, "gamma": params.gamma,
@@ -247,12 +254,9 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
             "margins": sol.regular.margins,
         },
         "predicted": {
-            "tail_indices": [sol.c_star / lam for lam in lam_sorted],
-            "rays": [
-                {"group": spectra[i].group + 1, "a": spectra[i].a,
-                 "theta": spectra[i].theta}
-                for i in order.order if not spectra[i].degenerate
-            ],
+            "tail_indices": [sol.c_star / s.lam for s in order.ranked],
+            "rays": [{"group": s.group + 1, "a": s.a, "theta": s.theta}
+                     for s in order.ranked if not s.degenerate],
         },
     }
     if "json" in cfg["output"]["formats"]:
@@ -318,7 +322,7 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     opts = PeelOptions(radius_quantile=cfg["diagnose"]["radius_quantile"],
                        distance_quantile=cfg["diagnose"]["distance_quantile"])
     rule = cfg["diagnose"]["hill_k_rule"]
-    report = tail_report(dataset, params, sol, spectra, options=opts,
+    report = tail_report(dataset, sol, spectra, options=opts,
                          bins=cfg["diagnose"]["bins"],
                          hill_k=None if rule == "sqrt" else rule)
 
@@ -359,15 +363,7 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
             "n_removed": h.n_removed,
             "n_peeled": h.n_peeled,
             "degraded": list(h.degraded),
-            "rays": [
-                {"rank": r.rank, "group": r.group + 1,
-                 "index_estimate": r.index_estimate,
-                 "index_predicted": r.index_predicted,
-                 "theta_median": r.theta_median,
-                 "theta_predicted": r.theta_predicted,
-                 "n_selected": r.n_selected}
-                for r in h.rays
-            ],
+            "rays": [{**asdict(r), "group": r.group + 1} for r in h.rays],
         }
     if "json" in cfg["output"]["formats"]:
         rio.write_json(out_dir / "report.json", payload)
@@ -419,28 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reciprocal preferential attachment: simulation and analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("analyze", "solve the equilibrium and report spectra/regularity"),
-        ("simulate", "grow a graph and write degree/trajectory/edge tables"),
-        ("embed", "Monte-Carlo the limiting joint degree pmf"),
-        ("diagnose", "tail diagnostics for a degree CSV"),
-        ("verify", "exact-vs-chain equivalence check"),
-    ):
+    for name, helptext in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="path to JSON run config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed of the invoked workflow")
-        p.add_argument("--out", default=None, help="override output directory")
-        if name == "simulate":
-            p.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-        if name in ("embed", "verify"):
-            p.add_argument("--replicates", type=int, default=None)
-        if name == "embed":
-            p.add_argument("--kmax", type=int, default=None)
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                           help="worker cap for replicate fan-out")
-        if name == "diagnose":
-            p.add_argument("--input", default=None, help="degree snapshot CSV")
+        for flag, (commands, _, options) in FLAGS.items():
+            if name in commands:
+                p.add_argument(flag, **options)
     return parser
 
 

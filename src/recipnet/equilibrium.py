@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import GroupRates, ModelParams, group_rates
-from .spectral import GroupSpectral, all_spectra, order_groups
-
-LOG2 = math.log(2.0)
+from .spectral import GroupSpectral, all_spectra, order_groups, regime_slack
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -231,26 +229,26 @@ def h_and_lambda(params: ModelParams, x: np.ndarray, y: np.ndarray) -> HReport:
 def _regularity(params: ModelParams, rates: GroupRates,
                 contraction: ContractionReport, lambda_h: float,
                 spectra: list[GroupSpectral]) -> RegularityReport:
-    lams = sorted((s.lam for s in spectra), reverse=True)
-    lam1 = lams[0]
-    lam2 = lams[1] if len(lams) > 1 else None
+    order = order_groups(spectra)
+    lams = [s.lam for s in order.ranked]
+    first = regime_slack(lams[0])
 
     alpha_gamma_positive = params.alpha > 0.0 and params.gamma > 0.0
     max_row = float(rates.rho_row.max())
     max_col = float(rates.rho_col.max())
     lambda_h_lt_1 = lambda_h < 1.0
-    mrv = lam1 >= LOG2
-    hrv = lam2 is not None and lam2 > lam1 / 2.0 and lam2 >= LOG2
-    distinct = not order_groups(spectra).non_distinct
+    hrv = False
 
     margins = {
         "delta": params.delta - contraction.delta_min,
         "lambda_h": 1.0 - lambda_h,
-        "mrv": lam1 - LOG2,
+        "mrv": first.moment,
     }
-    if lam2 is not None:
-        margins["hrv_gap"] = lam2 - lam1 / 2.0
-        margins["hrv_moment"] = lam2 - LOG2
+    if len(lams) > 1:
+        second = regime_slack(lams[1], lams[0])
+        hrv = second.ok
+        margins["hrv_gap"] = second.gap
+        margins["hrv_moment"] = second.moment
         margins["distinct"] = float(min(abs(a - b) for a, b in zip(lams, lams[1:])))
 
     star = (alpha_gamma_positive and contraction.satisfied and max_row > 0.0
@@ -261,9 +259,9 @@ def _regularity(params: ModelParams, rates: GroupRates,
         max_row_rate_positive=max_row > 0.0,
         max_col_rate_positive=max_col > 0.0,
         lambda_h_lt_1=lambda_h_lt_1,
-        mrv_condition=mrv,
+        mrv_condition=first.moment_ok,
         hrv_condition=hrv,
-        distinct_eigenvalues=distinct,
+        distinct_eigenvalues=not order.non_distinct,
         star=star,
         margins=margins,
     )

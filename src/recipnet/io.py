@@ -92,6 +92,9 @@ def read_degree_snapshot(path):
     """(in_deg, out_deg, groups) arrays of a degree snapshot; groups 0-based."""
     ind, outd, grp = read_table(path, {"in_deg": np.int64, "out_deg": np.int64,
                                        "group": np.int64})
+    for name, column, lo in (("in_deg", ind, 0), ("out_deg", outd, 0), ("group", grp, 1)):
+        if column.min() < lo:
+            raise ValueError(f"{path}: {name} must be >= {lo}, got {column.min()}")
     return ind, outd, grp - 1
 
 

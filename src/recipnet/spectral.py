@@ -13,6 +13,8 @@ group-m nodes.
 
 Conventions: v(m) is the left eigenvector (v^T A = lambda v^T) and u(m)
 the right one (A u = lambda u), normalized so u.1 = 1 then u.v = 1.
+``order_groups`` is the one ranking of the groups by lambda and
+``regime_slack`` the one statement of the regime conditions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .params import GroupRates, ModelParams, group_rates
 
 TIE_TOL = 1e-9
+LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -55,15 +58,40 @@ class GroupSpectral:
 
 @dataclass(frozen=True)
 class GroupOrder:
-    """Permutation sorting groups by descending lambda.
-
-    ``order[j]`` is the 0-based group index with the (j+1)-th largest
-    eigenvalue. ``non_distinct`` flags eigenvalue ties closer than the
-    tolerance of ``order_groups`` (ray separation assumes strict ordering).
+    """Groups by descending lambda: ``order[j]`` is the 0-based index of the
+    group ranked j+1 and ``ranked[j]`` its spectrum. Degenerate groups rank
+    last: their lambda, max(alpha, gamma), is below every non-degenerate one.
     """
 
     order: np.ndarray
-    non_distinct: bool
+    ranked: tuple
+
+    def tied(self, top: int | None = None) -> bool:
+        """Whether two of the ``top`` largest lambdas (all if None) lie within TIE_TOL."""
+        lams = [s.lam for s in self.ranked[:top]]
+        return any(a - b < TIE_TOL for a, b in zip(lams, lams[1:]))
+
+    non_distinct = property(tied)    # ray separation assumes strict ordering
+
+
+@dataclass(frozen=True)
+class RegimeSlack:
+    """Slack of the gap condition, which holds when ``gap`` > 0, and of the
+    moment condition, which holds when ``moment`` >= 0, at one rank."""
+
+    gap: float
+    moment: float
+
+    gap_ok = property(lambda self: self.gap > 0.0)
+    moment_ok = property(lambda self: self.moment >= 0.0)
+    ok = property(lambda self: self.gap_ok and self.moment_ok)
+
+
+def regime_slack(lam: float, lam_prev: float = 0.0) -> RegimeSlack:
+    """Slack of lambda ranked right after lam_prev: the gap condition is
+    lam > lam_prev/2 and the moment condition lam >= log 2. The top rank has
+    no predecessor; its default lam_prev = 0 voids its gap condition."""
+    return RegimeSlack(gap=lam - lam_prev / 2.0, moment=lam - LOG2)
 
 
 def spectral(params: ModelParams, rates: GroupRates, m: int) -> GroupSpectral:
@@ -110,14 +138,11 @@ def all_spectra(params: ModelParams, rates: GroupRates | None = None) -> list[Gr
     return [spectral(params, rates, m) for m in range(params.K)]
 
 
-def order_groups(spectra: list[GroupSpectral], tie_tol: float = TIE_TOL) -> GroupOrder:
-    """Sort groups by descending lambda; flag near-ties.
+def order_groups(spectra: list[GroupSpectral]) -> GroupOrder:
+    """Rank groups by descending lambda.
 
     The sort is stable, so tied groups keep their original relative order.
     """
-    lams = np.array([s.lam for s in spectra])
-    order = np.argsort(-lams, kind="stable")
-    sorted_lams = lams[order]
-    non_distinct = bool(np.any(np.abs(np.diff(sorted_lams)) < tie_tol)) if len(spectra) > 1 else False
+    order = np.argsort([-s.lam for s in spectra], kind="stable")
     order.setflags(write=False)
-    return GroupOrder(order=order, non_distinct=non_distinct)
+    return GroupOrder(order=order, ranked=tuple(spectra[i] for i in order))

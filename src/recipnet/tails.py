@@ -6,7 +6,10 @@ theta = out/(in + out), distances to a predicted ray, and the two-stage
 peel that first reads off the dominant ray (index c*/lambda_(1), slope
 a(1)) from the largest radii and then, using the scaled distance
 d'(x, y) = |y - a(1) x|, detects the hidden second regime (index
-c*/lambda_(2), slope a(2)) among points far from the first ray.
+c*/lambda_(2), slope a(2)) among points far from the first ray. Later
+rays are peeled while both regime conditions hold. The ranking of the
+groups and the conditions come from ``spectral.order_groups`` and
+``spectral.regime_slack``.
 
 Everything here is deterministic given the dataset: medians, quantiles
 and Hill ratios involve no randomness.
@@ -19,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import LOG2, EquilibriumSolution
-from .params import ModelParams
-from .spectral import TIE_TOL, GroupSpectral, order_groups
+from .equilibrium import EquilibriumSolution
+from .spectral import GroupSpectral, order_groups, regime_slack
 
 
 class InsufficientData(ValueError):
@@ -115,9 +117,9 @@ def hill_estimator(values, k: int, sweep: bool = False) -> HillReport:
 
 
 def angular_transform(dataset: DegreeDataset, radius_threshold: float) -> np.ndarray:
-    """theta = y/(x+y) for pairs with x + y above the threshold."""
-    if radius_threshold <= 0.0:
-        raise ValueError("radius threshold must be positive")
+    """theta = y/(x+y) for pairs with x + y above the threshold (0 drops only the origin)."""
+    if radius_threshold < 0.0:
+        raise ValueError("radius threshold must be nonnegative")
     rad = dataset.x + dataset.y
     keep = rad > radius_threshold
     if not keep.any():
@@ -143,7 +145,6 @@ def ray_distance(pairs, a: float):
 class PeelOptions:
     radius_quantile: float = 0.999
     distance_quantile: float = 0.999
-    max_rays: int | None = None     # None: as many as the per-ray conditions allow
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,6 @@ class HrvReport:
     second_ray_estimate = property(lambda self: self.rays[1].theta_median)
 
 
-def _eligible_rays(spectra_sorted: list[GroupSpectral], max_rays: int | None):
-    """Rays 2.. are admitted while lam_m > lam_{m-1}/2 and lam_m >= log 2."""
-    count = 1
-    for prev, cur in zip(spectra_sorted, spectra_sorted[1:]):
-        if cur.degenerate or not (cur.lam > prev.lam / 2.0 and cur.lam >= LOG2):
-            break
-        count += 1
-    if max_rays is not None:
-        count = min(count, max_rays)
-    return count
-
-
 def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
              sol: EquilibriumSolution, options: PeelOptions = PeelOptions()) -> HrvReport:
     """Two-stage (or iterated) ray detection.
@@ -195,89 +184,73 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
     Stage 1 reads the dominant regime from radius exceedances; stage j>=2
     ranks points by distance to the already-identified rays and reads the
     next regime from the distance exceedances. Raises ConditionsUnmet
-    when fewer than two non-degenerate, distinct-eigenvalue groups exist;
-    failed statistical hypotheses (the per-ray growth conditions) only
-    degrade the report.
+    when fewer than two non-degenerate, distinct-eigenvalue groups exist.
+    The second regime is always attempted, and a failed regime condition
+    at rank 2 only degrades the report; ray j >= 3 is peeled while both
+    conditions hold at every rank from 2 to j.
     """
     order = order_groups(spectra)
-    spectra_sorted = [spectra[i] for i in order.order]
-    usable = [s for s in spectra_sorted if not s.degenerate]
-    if len(usable) < 2:
+    ranked = order.ranked
+    n_usable = sum(not s.degenerate for s in ranked)
+    if n_usable < 2:
         raise ConditionsUnmet(
-            f"need >= 2 non-degenerate groups for a second regime, have {len(usable)}")
-    usable_lams = [s.lam for s in usable]
-    if min(abs(a - b) for a, b in zip(usable_lams, usable_lams[1:])) < TIE_TOL:
+            f"need >= 2 non-degenerate groups for a second regime, have {n_usable}")
+    if order.tied(n_usable):
         raise ConditionsUnmet("eigenvalues are not distinct; rays are not separated")
 
+    lam1, lam2 = ranked[0].lam, ranked[1].lam
+    slack = regime_slack(lam2, lam1)
     degraded = []
-    lam1, lam2 = spectra_sorted[0].lam, spectra_sorted[1].lam
-    if not (lam2 > lam1 / 2.0):
+    if not slack.gap_ok:
         degraded.append("gap: lam_(2) <= lam_(1)/2")
-    if not (lam2 >= LOG2):
+    if not slack.moment_ok:
         degraded.append("moment: lam_(2) < log 2")
 
     c_star = sol.c_star
     x, y = dataset.x, dataset.y
     rad = x + y
 
+    def read_ray(j, score, quantile, name):
+        """Ray j+1 from the pairs whose ``score`` exceeds its quantile."""
+        sel = score > float(np.quantile(score, quantile))
+        if not sel.any():
+            raise EmptySelection(f"{name} quantile leaves no exceedances")
+        k = int(sel.sum())
+        hill = hill_estimator(score, k=min(k, int((score > 0).sum()) - 1))
+        return RayEstimate(
+            rank=j + 1, group=int(ranked[j].group),
+            index_estimate=hill.index_estimate,
+            index_predicted=c_star / ranked[j].lam,
+            theta_median=float(np.median(y[sel] / rad[sel])),
+            theta_predicted=ranked[j].theta,
+            n_selected=k,
+        )
+
     # stage 1: dominant regime from radius exceedances
-    r_thr = float(np.quantile(rad, options.radius_quantile))
-    sel1 = rad > r_thr
-    if not sel1.any():
-        raise EmptySelection("radius quantile leaves no exceedances")
-    k1 = int(sel1.sum())
-    first_hill = hill_estimator(rad, k=min(k1, int((rad > 0).sum()) - 1))
-    theta1 = float(np.median(y[sel1] / rad[sel1]))
-    a1 = spectra_sorted[0].a
+    rays = [read_ray(0, rad, options.radius_quantile, "radius")]
 
-    rays = [RayEstimate(
-        rank=1, group=int(spectra_sorted[0].group),
-        index_estimate=first_hill.index_estimate,
-        index_predicted=c_star / lam1,
-        theta_median=theta1,
-        theta_predicted=spectra_sorted[0].theta,
-        n_selected=k1,
-    )]
-
-    # stages 2..: distance to the union of identified rays
-    n_rays = _eligible_rays(spectra_sorted, options.max_rays)
-    n_rays = max(n_rays, 2)            # always attempt the second regime
-    n_rays = min(n_rays, len(usable))
+    # stages 2..: distance to the union of identified rays; one more ray
+    # per leading rank where both conditions hold, and the second always
+    n_rays = 1
+    while n_rays < n_usable and regime_slack(ranked[n_rays].lam, ranked[n_rays - 1].lam).ok:
+        n_rays += 1
+    n_rays = max(n_rays, 2)
+    a1 = ranked[0].a
     dist = ray_distance(np.stack([x, y], axis=1), a1)
-    n_removed = 0
-    n_peeled = 0
     for j in range(1, n_rays):
-        spec_j = spectra_sorted[j]
         if not np.any(dist > 0.0):
             raise DegenerateTail("every pair lies on the identified ray(s)")
-        d_thr = float(np.quantile(dist, options.distance_quantile))
-        selj = dist > d_thr
-        if not selj.any():
-            raise EmptySelection("distance quantile leaves no exceedances")
-        kj = int(selj.sum())
-        hill_j = hill_estimator(dist, k=min(kj, int((dist > 0).sum()) - 1))
-        theta_j = float(np.median(y[selj] / rad[selj]))
-        rays.append(RayEstimate(
-            rank=j + 1, group=int(spec_j.group),
-            index_estimate=hill_j.index_estimate,
-            index_predicted=c_star / spec_j.lam,
-            theta_median=theta_j,
-            theta_predicted=spec_j.theta,
-            n_selected=kj,
-        ))
-        if j == 1:
-            n_removed = int((~selj).sum())
-            n_peeled = kj
+        rays.append(read_ray(j, dist, options.distance_quantile, "distance"))
         if j + 1 < n_rays:
-            dist = np.minimum(dist, ray_distance(np.stack([x, y], axis=1), spec_j.a))
+            dist = np.minimum(dist, ray_distance(np.stack([x, y], axis=1), ranked[j].a))
 
     return HrvReport(
         a1_used=a1,
         removal_rule=(f"rank pairs by d'(x,y)=|y-a(1)x|; keep the upper "
                       f"{1.0 - options.distance_quantile:.4%} as the hidden regime"),
-        predicted=(c_star / lam1, a1, c_star / lam2, spectra_sorted[1].a),
-        n_removed=n_removed,
-        n_peeled=n_peeled,
+        predicted=(c_star / lam1, a1, c_star / lam2, ranked[1].a),
+        n_removed=dataset.n - rays[1].n_selected,
+        n_peeled=rays[1].n_selected,
         degraded=tuple(degraded),
         rays=tuple(rays),
     )
@@ -306,8 +279,8 @@ def default_hill_k(n: int) -> int:
     return max(1, int(math.isqrt(n)))
 
 
-def tail_report(dataset: DegreeDataset, params: ModelParams,
-                sol: EquilibriumSolution, spectra: list[GroupSpectral],
+def tail_report(dataset: DegreeDataset, sol: EquilibriumSolution,
+                spectra: list[GroupSpectral],
                 options: PeelOptions = PeelOptions(),
                 bins: int = 50, hill_k: int | None = None) -> TailReport:
     """Marginal Hill estimates, angular histogram and the ray peel.
@@ -317,9 +290,7 @@ def tail_report(dataset: DegreeDataset, params: ModelParams,
     ``hill_k`` fixes the number of order statistics; None uses
     ``default_hill_k``. Either is capped at the positive count minus one.
     """
-    order = order_groups(spectra)
-    spectra_sorted = [spectra[i] for i in order.order]
-    lam1 = spectra_sorted[0].lam
+    ranked = order_groups(spectra).ranked
 
     reports = {}
     skips = {}
@@ -347,14 +318,14 @@ def tail_report(dataset: DegreeDataset, params: ModelParams,
 
     predicted_rays = tuple(
         (int(s.group), s.lam, s.a, s.theta)
-        for s in spectra_sorted if not s.degenerate
+        for s in ranked if not s.degenerate
     )
     return TailReport(
         hill_in=reports["in"], hill_out=reports["out"],
         angular_bins=edges, angular_counts=counts,
         radius_threshold=r_thr,
         hrv=hrv, hrv_skip_reason=skip_reason,
-        predicted_first_index=sol.c_star / lam1,
+        predicted_first_index=sol.c_star / ranked[0].lam,
         predicted_rays=predicted_rays,
         marginal_skip=skips,
     )

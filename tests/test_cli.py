@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import recipnet
-from recipnet.cli import main
+from recipnet.cli import DEFAULTS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -52,6 +53,15 @@ def test_effective_config_echo_and_defaults(tmp_path):
     assert echoed["sim"]["n_steps"] == 100_000
     assert echoed["sim"]["seed"] == 0
     assert echoed["embed"]["replicates"] == 100_000
+
+
+def test_readme_default_config_matches_schema():
+    readme = (CONFIGS.parent.parent / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    [documented] = [b for b in blocks if "solver" in b]
+    documented.pop("model")
+    # the same sections, keys, order, types and values
+    assert json.dumps(documented) == json.dumps(DEFAULTS)
 
 
 def test_seed_override_echoed(tmp_path):
@@ -231,16 +241,37 @@ def test_diagnose_unreadable_input_is_runtime_error(tmp_path, capsys):
 
 def test_diagnose_sparse_degrees_skips_hrv(tmp_path):
     # one node with a positive degree: the peel's stage-1 Hill estimate has no
-    # order statistic to use, so it is skipped like the marginal Hill estimates
+    # order statistic to use, so it is skipped like the marginal Hill estimates.
+    # With 2000 zero rows the 0.999 radius quantile is 0 as well.
+    for n_zero in (2, 2000):
+        rows = "".join(f"{i},{(i - 1) % 2 + 1},0,0\n" for i in range(1, n_zero + 1))
+        degrees = tmp_path / f"degrees{n_zero}.csv"
+        degrees.write_text(f"node,group,in_deg,out_deg\n{rows}{n_zero + 1},1,3,1\n")
+        out = tmp_path / f"out{n_zero}"
+        code = main(["diagnose", "--config", str(CONFIGS / "k2.json"), "--out", str(out),
+                     "--input", str(degrees)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["hrv"] is None
+        assert report["hrv_skip_reason"] == (
+            f"need k >= 1 and k+1 <= n, got k=0, n={n_zero + 1}")
+
+
+@pytest.mark.parametrize("row, column", [
+    ("3,1,-7,2", "in_deg"),
+    ("3,1,7,-2", "out_deg"),
+    ("3,0,7,2", "group"),
+], ids=["in_deg-negative", "out_deg-negative", "group-zero"])
+def test_diagnose_rejects_out_of_range_degree_rows(tmp_path, capsys, row, column):
     degrees = tmp_path / "degrees.csv"
-    degrees.write_text("node,group,in_deg,out_deg\n1,1,0,0\n2,2,0,0\n3,1,3,1\n")
-    out = tmp_path / "out"
-    code = main(["diagnose", "--config", str(CONFIGS / "k2.json"), "--out", str(out),
-                 "--input", str(degrees)])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["hrv"] is None
-    assert report["hrv_skip_reason"] == "need k >= 1 and k+1 <= n, got k=0, n=3"
+    degrees.write_text(f"node,group,in_deg,out_deg\n1,1,0,1\n2,2,1,0\n{row}\n")
+    code = main(["diagnose", "--config", str(CONFIGS / "k2.json"),
+                 "--out", str(tmp_path / "out"), "--input", str(degrees)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"recipnet: ValueError: {degrees}: {column} ")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_verify_subcommand(tmp_path):
@@ -387,3 +418,18 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env)
     assert done.stdout.strip() == "False"
+
+
+def test_missing_model_key_message_does_not_depend_on_hash_seed(tmp_path):
+    # the first missing key in the order alpha, delta, pi, rho is named,
+    # whatever order a set of the missing keys would iterate in
+    cfgpath = _write_config(tmp_path, {"model": {"alpha": 0.5}})
+    src = str(Path(recipnet.__file__).parent.parent)
+    code = f"import sys, recipnet.cli; sys.exit(recipnet.cli.main(['analyze', '--config', {cfgpath!r}]))"
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 2
+        assert done.stderr == "recipnet: ParseError: model section is missing 'delta'\n"

@@ -11,6 +11,7 @@ from recipnet import (
     spectral,
     validate_params,
 )
+from recipnet.spectral import LOG2, regime_slack
 from conftest import random_params
 
 
@@ -88,6 +89,25 @@ def test_order_groups_tie_flag():
     order = order_groups([_fake_spec(0, 0.75), _fake_spec(1, 0.75)])
     assert list(order.order) == [0, 1]  # stable
     assert order.non_distinct
+
+
+def test_order_groups_ranked_and_tied_prefix():
+    spectra = [_fake_spec(0, 0.7), _fake_spec(1, 0.9), _fake_spec(2, 0.7)]
+    order = order_groups(spectra)
+    assert [s.group for s in order.ranked] == list(order.order) == [1, 0, 2]
+    assert order.non_distinct and order.tied(3)
+    assert not order.tied(2)
+
+
+def test_regime_slack_boundaries():
+    # the gap condition is strict, the moment condition is not
+    at_gap = regime_slack(0.8, 1.6)
+    assert at_gap.gap == 0.0 and not at_gap.gap_ok and at_gap.moment_ok and not at_gap.ok
+    at_log2 = regime_slack(LOG2, 1.0)
+    assert at_log2.moment == 0.0 and at_log2.moment_ok and at_log2.ok
+    assert not regime_slack(0.69, 1.0).moment_ok
+    # the top rank has no predecessor, so only the moment condition applies
+    assert regime_slack(LOG2).ok and not regime_slack(0.69).ok
 
 
 def test_all_spectra_matches_groupwise(k2_ref):

@@ -163,6 +163,43 @@ def test_hrv_peel_synthetic_oracle():
     assert len(rep.degraded) == 2
 
 
+def synthetic_three_ray(indices, slopes, n=200_000, seed=0, weights=(0.85, 0.10, 0.05),
+                        jitter=0.005):
+    """Pareto(indices[j]) radii near ray slopes[j]; ray 1 exact, the rest jittered."""
+    rng = np.random.default_rng(seed)
+    r, th = [], []
+    for j, (c, a, w) in enumerate(zip(indices, slopes, weights)):
+        m = int(w * n)
+        r.append(rng.pareto(c, size=m) + 1.0)
+        th.append(np.full(m, a / (1.0 + a)) + (rng.uniform(-jitter, jitter, size=m) if j else 0.0))
+    r, th = np.concatenate(r), np.concatenate(th)
+    return DegreeDataset(x=r * (1.0 - th), y=r * th)
+
+
+DATA_LAMS = (1.6, 1.0, 0.7)    # with c* = 2.4, the data's indices are (1.5, 2.4, 3.43)
+
+
+@pytest.mark.parametrize("lams, n_rays", [
+    (DATA_LAMS, 3),            # both conditions hold at ranks 2 and 3
+    ((1.6, 1.0, 0.65), 2),     # rank 3 fails the moment condition: 0.65 < log 2
+    ((2.0, 0.9, 0.8), 2),      # rank 2 fails the gap condition; rank 3 is not reached
+], ids=["three-rays", "moment-fails-at-3", "gap-fails-at-2"])
+def test_hrv_peel_iterates_while_conditions_hold(lams, n_rays):
+    c_star, slopes = 2.4, (2.0, 0.5, 1.0)
+    ds = synthetic_three_ray([c_star / lam for lam in DATA_LAMS], slopes)
+    spectra = [_fake_spectrum(m, lam, a) for m, (lam, a) in enumerate(zip(lams, slopes))]
+    # 1% exceedances (k = 2000 per stage): over seeds 0-29 the three Hill
+    # estimates have a spread of 2-3%; at the default 0.1% it is 6-7%
+    rep = hrv_peel(ds, spectra, _FakeSolution(c_star), PeelOptions(0.99, 0.99))
+    assert [(r.rank, r.group) for r in rep.rays] == [(j + 1, j) for j in range(n_rays)]
+    assert len(rep.degraded) == (lams[1] <= lams[0] / 2)
+    for j, ray in enumerate(rep.rays):
+        truth = c_star / DATA_LAMS[j]
+        assert ray.index_predicted == pytest.approx(c_star / lams[j], rel=1e-12)
+        assert abs(ray.index_estimate - truth) / truth <= 0.15
+        assert abs(ray.theta_median - slopes[j] / (1 + slopes[j])) <= 0.05
+
+
 def test_hrv_peel_single_ray_degenerate_distance():
     x = np.linspace(1, 100, 1000)
     ds = DegreeDataset(x=x, y=2.0 * x)
@@ -191,7 +228,7 @@ def test_tail_report_k1_reference(k1_ref):
     spectra = all_spectra(k1_ref)
     result = run(k1_ref, SimConfig(n_steps=30_000, seed=4))
     ds = DegreeDataset.from_graph_state(result.state)
-    rep = tail_report(ds, k1_ref, sol, spectra)
+    rep = tail_report(ds, sol, spectra)
     assert rep.predicted_first_index == pytest.approx(2.5 / 0.75, abs=1e-12)
     assert rep.hill_in is not None and rep.hill_in.index_estimate > 0
     assert rep.hrv is None and "non-degenerate" in rep.hrv_skip_reason
@@ -199,7 +236,7 @@ def test_tail_report_k1_reference(k1_ref):
     peak = rep.angular_counts.argmax()
     assert abs((rep.angular_bins[peak] + rep.angular_bins[peak + 1]) / 2 - 0.5) <= 0.1
     # deterministic given the dataset
-    rep2 = tail_report(ds, k1_ref, sol, spectra)
+    rep2 = tail_report(ds, sol, spectra)
     assert rep2.hill_in.index_estimate == rep.hill_in.index_estimate
     assert np.array_equal(rep2.angular_counts, rep.angular_counts)
 
