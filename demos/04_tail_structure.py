@@ -62,5 +62,5 @@ out_dir = Path("out/tail_structure")
 out_dir.mkdir(parents=True, exist_ok=True)
 rio.write_angular_hist(out_dir / "angular_hist.csv", report.angular_bins,
                        report.angular_counts)
-rio.write_hill_sweep(out_dir / "hill_sweep_in.csv", report.hill_in.k_sweep[:5000])
+rio.write_hill_sweep(out_dir / "hill_sweep_in.csv", report.hill_in.k_sweep)
 print(f"\nwrote angular histogram and Hill sweep under {out_dir}")

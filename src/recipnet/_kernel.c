@@ -1,9 +1,12 @@
-/* Compiled mirror of recipnet.simulate._advance.
+/* Compiled mirrors of recipnet.simulate._advance and of the integer cells
+ * of recipnet.io._write_chunks.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
  * repeats it line for line on the same arrays: the same branch order, the
  * same double comparisons and the same truncations, so both produce the
  * same graph from the same uniforms, bit for bit. Change the two together.
+ * rn_format_int_rows writes the bytes that the %s row template of
+ * _write_chunks writes for int64 cells, str() of each.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off. Contracting
  * u1*(E + delta*V) into a fused multiply-add would change the draws.
@@ -123,4 +126,34 @@ void rn_advance(const double *u, int64_t m, double alpha, double delta,
     counts[0] = E;
     counts[1] = V;
     counts[2] = rc;
+}
+
+
+/* Format rows of w int64 cells each, row-major in cells, as str() of each
+ * cell joined by ',' with '\n' after every row: decimal digits, a leading
+ * '-' for a negative value, no padding. buf must hold rows * w * 21 bytes
+ * (20 for INT64_MIN, 1 for the separator). Returns the bytes written. */
+int64_t rn_format_int_rows(const int64_t *cells, int64_t rows, int32_t w, char *buf)
+{
+    char *p = buf;
+    char digits[20];
+    for (int64_t i = 0; i < rows; i++) {
+        const int64_t *row = cells + i * (int64_t)w;
+        for (int32_t j = 0; j < w; j++) {
+            int64_t x = row[j];
+            /* magnitude in unsigned arithmetic, so INT64_MIN does not overflow */
+            uint64_t mag = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+            int n = 0;
+            do {
+                digits[n++] = (char)('0' + mag % 10);
+                mag /= 10;
+            } while (mag);
+            if (x < 0)
+                *p++ = '-';
+            while (n)
+                *p++ = digits[--n];
+            *p++ = j + 1 < w ? ',' : '\n';
+        }
+    }
+    return p - buf;
 }

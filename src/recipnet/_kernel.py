@@ -1,4 +1,6 @@
-"""Build and load ``_kernel.c``, the compiled mirror of ``simulate._advance``.
+"""Build and load ``_kernel.c``: ``rn_advance``, the compiled mirror of
+``simulate._advance``, and ``rn_format_int_rows``, the compiled mirror of
+``io._write_chunks`` for integer tables.
 
 The library is compiled on first use with ``cc`` into a per-user cache
 directory (``$XDG_CACHE_HOME/recipnet``, default ``~/.cache/recipnet``,
@@ -8,8 +10,8 @@ is built under a temporary name and moved into place, so concurrent
 first uses cannot load a half-written file. ``load`` returns None when
 anything fails (no compiler, a build error, a cache directory that is
 not private to this user, a load error) and keeps the reason in
-``error``; the caller then runs the Python loop, which draws the same
-graph. Nothing here runs at import time.
+``error``; the caller then runs its Python code, which draws the same
+graph and writes the same bytes. Nothing here runs at import time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 error: str | None = None     # why the compiled kernel is unavailable, once tried
 _tried = False
-_fn = None
+_lib = None
 
 
 def source():
@@ -94,20 +96,23 @@ def _build() -> str:
 
 
 def load():
-    """``rn_advance`` as a ctypes function, or None with the reason in ``error``."""
-    global error, _tried, _fn
+    """The ctypes library with ``rn_advance`` and ``rn_format_int_rows`` typed,
+    or None with the reason in ``error``."""
+    global error, _tried, _lib
     if _tried:
-        return _fn
+        return _lib
     _tried = True
     try:
         import ctypes
 
-        fn = ctypes.CDLL(_build()).rn_advance
+        lib = ctypes.CDLL(_build())
         p, i32, i64, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-        fn.argtypes = [p, i64, f64, f64, p, p, i32, p, p, p, p, p, i32, p, p, p, p]
-        fn.restype = None
-        _fn = fn
-    except (OSError, AttributeError) as exc:   # the Python loop runs instead
+        lib.rn_advance.argtypes = [p, i64, f64, f64, p, p, i32, p, p, p, p, p, i32, p, p, p, p]
+        lib.rn_advance.restype = None
+        lib.rn_format_int_rows.argtypes = [p, i64, i32, p]
+        lib.rn_format_int_rows.restype = i64
+        _lib = lib
+    except (OSError, AttributeError) as exc:   # the Python code runs instead
         error = f"{type(exc).__name__}: {exc}"
-    return _fn
+    return _lib
 

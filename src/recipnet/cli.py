@@ -313,9 +313,9 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     if src is None:
         raise ParseError("diagnose requires an input degree CSV "
                          "(--input or diagnose.input)")
-    ind, outd, grp = rio.read_degree_snapshot(src)
-    dataset = DegreeDataset(x=ind.astype(float), y=outd.astype(float), groups=grp)
     params = _model(cfg)
+    ind, outd, grp = rio.read_degree_snapshot(src, params.K)
+    dataset = DegreeDataset(x=ind.astype(float), y=outd.astype(float), groups=grp)
     sol = solve_equilibrium(params, tol=cfg["solver"]["tol"],
                             max_iter=cfg["solver"]["max_iter"])
     spectra = all_spectra(params)

@@ -4,11 +4,13 @@ Every CSV goes through ``write_table`` (or ``_write_chunks``, which it
 wraps, for a table built chunk by chunk) and ``read_table``: a header row,
 then one comma-separated row per entry, nothing quoted. A cell is
 ``str()`` of the column's Python value (ints as digits, floats in
-shortest round-trip form, ``inf`` as ``inf``). Readers find columns by
-name in any order; a missing column, a header-only file or a cell that
-does not parse as its dtype is a ValueError naming the file. This module
-alone knows the artifact formats: edges, degrees and trajectory tables,
-pmf grids, Hill sweeps and the angular histogram. Node ids and the group
+shortest round-trip form, ``inf`` as ``inf``); the compiled kernel
+formats all-integer chunks, byte for byte the same. Readers find columns
+by name in any order; a missing column, a header-only file or a cell
+that does not parse as its dtype is a ValueError naming the file. This
+module alone knows the artifact formats: edges, degrees and trajectory
+tables, pmf grids, Hill sweeps (the rows of ``HillReport.k_sweep``, on
+its fixed k grid) and the angular histogram. Node ids and the group
 column are 1-based on disk, 0-based in the Python API. JSON artifacts
 keep their key order with a 2-space indent, so reruns stay byte-identical.
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
 from .branching import JointPmfEstimate
 from .simulate import GraphState, Trajectory
 
@@ -40,19 +43,32 @@ def _write_chunks(path, header, chunks) -> None:
     Each chunk's ``.tolist()`` values are interleaved row by row into one
     list and formatted with one ``%s`` template, so each cell is ``str()``
     of its Python value and a table never holds more than one chunk of
-    Python objects.
+    Python objects. That template is the rule. A chunk whose columns all
+    hold integers (no bools) goes instead, when the compiled kernel loads,
+    through ``rn_format_int_rows``, which writes the same bytes without
+    building a Python object per cell.
     """
     width = len(header)
     row = ",".join(["%s"] * width) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for columns in chunks:
             rows = len(columns[0])
-            cells = [None] * (rows * width)
-            for j, col in enumerate(columns):
-                cells[j::width] = col.tolist()
-            fh.write(row * rows % tuple(cells))
-            del cells   # free this chunk's objects before the next chunk is built
+            if all(col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64)
+                   for col in columns) and (kernel := _kernel.load()) is not None:
+                cells = np.empty((rows, width), dtype=np.int64)
+                for j, col in enumerate(columns):
+                    cells[:, j] = col
+                # a cell takes at most 20 characters and its separator
+                buf = np.empty(rows * width * 21, dtype=np.uint8)
+                fh.write(buf[:kernel.rn_format_int_rows(cells.ctypes.data, rows, width,
+                                                        buf.ctypes.data)])
+            else:
+                cells = [None] * (rows * width)
+                for j, col in enumerate(columns):
+                    cells[j::width] = col.tolist()
+                fh.write((row * rows % tuple(cells)).encode())
+            del cells   # free this chunk's cells before the next chunk is built
 
 
 def read_table(path, dtypes: dict) -> tuple:
@@ -88,13 +104,19 @@ def write_degree_snapshot(path, state: GraphState) -> None:
                 (np.arange(1, len(ind) + 1), grp + 1, ind, outd))
 
 
-def read_degree_snapshot(path):
-    """(in_deg, out_deg, groups) arrays of a degree snapshot; groups 0-based."""
+def read_degree_snapshot(path, K: int | None = None):
+    """(in_deg, out_deg, groups) arrays of a degree snapshot; groups 0-based.
+
+    A negative degree, a group below 1 or, when the model's ``K`` is given,
+    a group above it is a ValueError naming the file.
+    """
     ind, outd, grp = read_table(path, {"in_deg": np.int64, "out_deg": np.int64,
                                        "group": np.int64})
     for name, column, lo in (("in_deg", ind, 0), ("out_deg", outd, 0), ("group", grp, 1)):
         if column.min() < lo:
             raise ValueError(f"{path}: {name} must be >= {lo}, got {column.min()}")
+    if K is not None and grp.max() > K:
+        raise ValueError(f"{path}: group must be <= K = {K}, got {grp.max()}")
     return ind, outd, grp - 1
 
 

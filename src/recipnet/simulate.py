@@ -214,7 +214,7 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
     cum_pi = np.cumsum(params.pi)
     kernel = _kernel.load() if len(u) >= COMPILED_MIN_ROWS else None
     if kernel is not None:
-        _advance_compiled(kernel, state, params, u, cum_pi)
+        _advance_compiled(kernel.rn_advance, state, params, u, cum_pi)
         return
 
     alpha, delta = params.alpha, params.delta

@@ -26,6 +26,9 @@ from .equilibrium import EquilibriumSolution
 from .spectral import GroupSpectral, order_groups, regime_slack
 
 
+HILL_SWEEP_POINTS = 256     # sweep grid: every k up to this many, then this many geometric
+
+
 class InsufficientData(ValueError):
     """Fewer values than the requested number of order statistics."""
 
@@ -89,6 +92,12 @@ def hill_estimator(values, k: int, sweep: bool = False) -> HillReport:
     index is mean(log X_(i) - log X_(k+1), i <= k) and the estimate its
     reciprocal. Zeros are dropped before ranking; the reported standard
     error is the asymptotic index/sqrt(k).
+
+    ``sweep`` also returns ``k_sweep``, rows (k, estimate at k) for the k
+    of ``hill_sweep_ks``: every k up to HILL_SWEEP_POINTS, that many
+    geometric points up to the positive count minus one, and ``k`` itself.
+    A Hill plot is read on a log-k axis, so the grid resolves what one row
+    per k would.
     """
     values = np.asarray(values, dtype=float)
     if k < 1 or k + 1 > values.size:
@@ -106,14 +115,22 @@ def hill_estimator(values, k: int, sweep: bool = False) -> HillReport:
 
     k_sweep = None
     if sweep:
-        # running Hill estimate for every usable k, for stability plots
+        # running Hill estimate at the grid's k, for stability plots
         logs = np.log(top)
-        partial = np.cumsum(logs[:-1]) / np.arange(1, pos.size)
-        inv_all = partial - logs[1:]
+        ks = hill_sweep_ks(pos.size - 1, k)
+        inv_ks = np.cumsum(logs[:-1])[ks - 1] / ks - logs[ks]
         with np.errstate(divide="ignore"):
-            est_all = np.where(inv_all > 0.0, 1.0 / inv_all, np.inf)
-        k_sweep = np.stack([np.arange(1, pos.size), est_all], axis=1)
+            est_ks = np.where(inv_ks > 0.0, 1.0 / inv_ks, np.inf)
+        k_sweep = np.stack([ks, est_ks], axis=1)
     return HillReport(k=k, index_estimate=est, se=est / math.sqrt(k), k_sweep=k_sweep)
+
+
+def hill_sweep_ks(k_max: int, k: int) -> np.ndarray:
+    """The sweep's k grid, increasing: 1..min(HILL_SWEEP_POINTS, k_max), then
+    HILL_SWEEP_POINTS geometric points from 1 to ``k_max`` rounded, and ``k``."""
+    geometric = np.rint(np.geomspace(1, k_max, HILL_SWEEP_POINTS)).astype(np.int64)
+    return np.unique(np.concatenate(
+        [np.arange(1, min(HILL_SWEEP_POINTS, k_max) + 1), geometric, [k]]))
 
 
 def angular_transform(dataset: DegreeDataset, radius_threshold: float) -> np.ndarray:
@@ -178,12 +195,15 @@ class HrvReport:
 
 
 def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
-             sol: EquilibriumSolution, options: PeelOptions = PeelOptions()) -> HrvReport:
+             sol: EquilibriumSolution, options: PeelOptions = PeelOptions(),
+             radius_threshold: float | None = None) -> HrvReport:
     """Two-stage (or iterated) ray detection.
 
     Stage 1 reads the dominant regime from radius exceedances; stage j>=2
     ranks points by distance to the already-identified rays and reads the
-    next regime from the distance exceedances. Raises ConditionsUnmet
+    next regime from the distance exceedances. ``radius_threshold`` is the
+    ``options.radius_quantile`` of the radii x + y when the caller has
+    already taken it; None takes it here. Raises ConditionsUnmet
     when fewer than two non-degenerate, distinct-eigenvalue groups exist.
     The second regime is always attempted, and a failed regime condition
     at rank 2 only degrades the report; ray j >= 3 is peeled while both
@@ -210,9 +230,9 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
     x, y = dataset.x, dataset.y
     rad = x + y
 
-    def read_ray(j, score, quantile, name):
-        """Ray j+1 from the pairs whose ``score`` exceeds its quantile."""
-        sel = score > float(np.quantile(score, quantile))
+    def read_ray(j, score, threshold, name):
+        """Ray j+1 from the pairs whose ``score`` exceeds ``threshold``."""
+        sel = score > threshold
         if not sel.any():
             raise EmptySelection(f"{name} quantile leaves no exceedances")
         k = int(sel.sum())
@@ -227,7 +247,9 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
         )
 
     # stage 1: dominant regime from radius exceedances
-    rays = [read_ray(0, rad, options.radius_quantile, "radius")]
+    if radius_threshold is None:
+        radius_threshold = float(np.quantile(rad, options.radius_quantile))
+    rays = [read_ray(0, rad, radius_threshold, "radius")]
 
     # stages 2..: distance to the union of identified rays; one more ray
     # per leading rank where both conditions hold, and the second always
@@ -240,7 +262,8 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
     for j in range(1, n_rays):
         if not np.any(dist > 0.0):
             raise DegenerateTail("every pair lies on the identified ray(s)")
-        rays.append(read_ray(j, dist, options.distance_quantile, "distance"))
+        rays.append(read_ray(j, dist, float(np.quantile(dist, options.distance_quantile)),
+                             "distance"))
         if j + 1 < n_rays:
             dist = np.minimum(dist, ray_distance(np.stack([x, y], axis=1), ranked[j].a))
 
@@ -312,7 +335,7 @@ def tail_report(dataset: DegreeDataset, sol: EquilibriumSolution,
     hrv = None
     skip_reason = None
     try:
-        hrv = hrv_peel(dataset, spectra, sol, options)
+        hrv = hrv_peel(dataset, spectra, sol, options, radius_threshold=r_thr)
     except (ConditionsUnmet, EmptySelection, DegenerateTail, InsufficientData) as exc:
         skip_reason = str(exc)
 

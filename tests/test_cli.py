@@ -261,7 +261,8 @@ def test_diagnose_sparse_degrees_skips_hrv(tmp_path):
     ("3,1,-7,2", "in_deg"),
     ("3,1,7,-2", "out_deg"),
     ("3,0,7,2", "group"),
-], ids=["in_deg-negative", "out_deg-negative", "group-zero"])
+    ("3,3,7,2", "group"),
+], ids=["in_deg-negative", "out_deg-negative", "group-zero", "group-above-K"])
 def test_diagnose_rejects_out_of_range_degree_rows(tmp_path, capsys, row, column):
     degrees = tmp_path / "degrees.csv"
     degrees.write_text(f"node,group,in_deg,out_deg\n1,1,0,1\n2,2,1,0\n{row}\n")

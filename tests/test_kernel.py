@@ -1,8 +1,10 @@
-"""The compiled graph kernel against the Python statement of the rule.
+"""The compiled kernel against the Python statements of its rules.
 
 ``simulate._advance`` runs ``_kernel.c`` on large blocks when it builds
-and its own loop otherwise. Both must leave the same state and write the
-same artifacts; any failure to build or load falls back to the loop.
+and its own loop otherwise, and ``io._write_chunks`` formats all-integer
+chunks with it instead of its ``%s`` template. Both must leave the same
+state and write the same bytes; any failure to build or load falls back
+to the Python code.
 """
 
 import os
@@ -14,6 +16,7 @@ import pytest
 
 from recipnet import ResourceLimit, SimConfig, run, validate_params
 from recipnet import _kernel, simulate
+from recipnet import io as rio
 from recipnet.simulate import GraphState
 from conftest import run_k2, sha256s
 
@@ -28,7 +31,7 @@ def fresh_loader(monkeypatch, tmp_path):
     """A loader that has not tried yet, caching under ``tmp_path``."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernel, "_tried", False)
-    monkeypatch.setattr(_kernel, "_fn", None)
+    monkeypatch.setattr(_kernel, "_lib", None)
     monkeypatch.setattr(_kernel, "error", None)
     return tmp_path / "recipnet"
 
@@ -65,6 +68,62 @@ def test_compiled_kernel_matches_python_loop(tmp_path, k2_ref, monkeypatch):
     assert compiled_files == python_files
     assert {"edges.csv", "degrees.csv", "trajectory.csv", "summary.json"} <= set(
         compiled_files["simulate"])
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_format_int_rows_matches_str():
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    i64 = np.iinfo(np.int64)
+    cells = np.array([[i64.min, i64.max, 0], [-1, 1, -10], [9, 10, -9223372036854775807]],
+                     dtype=np.int64)
+    rows, w = cells.shape
+    buf = np.empty(rows * w * 21, dtype=np.uint8)
+    n = lib.rn_format_int_rows(cells.ctypes.data, rows, w, buf.ctypes.data)
+    expected = "".join(",".join(map(str, row)) + "\n" for row in cells.tolist())
+    assert buf[:n].tobytes() == expected.encode()
+    assert n == len(expected)
+
+
+def _tables(n):
+    """Integer tables of ``n`` rows: extreme int64, int8 and int32 columns."""
+    i64, i32, i8 = np.iinfo(np.int64), np.iinfo(np.int32), np.iinfo(np.int8)
+    wide = np.resize(np.array([i64.min, i64.max, 0, -1], dtype=np.int64), n)
+    small = np.resize(np.array([i8.min, i8.max, 0, -1], dtype=np.int8), n)
+    mid = np.resize(np.array([i32.min, i32.max, 0, -1], dtype=np.int32), n)
+    return {"wide.csv": (("a",), (wide,)),
+            "mixed.csv": (("a", "b", "c", "d"), (np.arange(n), small, mid, wide))}
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("n", [1, rio.CHUNK + 1], ids=["one-row", "chunk-plus-one"])
+def test_integer_tables_match_python_template(tmp_path, monkeypatch, n):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    calls = []
+    monkeypatch.setattr(_kernel, "load", lambda: calls.append(1) or lib)
+    for name, (header, columns) in _tables(n).items():
+        rio.write_table(tmp_path / name, header, columns)
+        expected = [",".join(header)] + [",".join(map(str, row))
+                                         for row in zip(*(c.tolist() for c in columns))]
+        assert (tmp_path / name).read_text().splitlines() == expected, name
+    assert len(calls) == 2 * -(-n // rio.CHUNK)    # every chunk went through the kernel
+    compiled = {name: (tmp_path / name).read_bytes() for name in _tables(n)}
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for name, (header, columns) in _tables(n).items():
+        rio.write_table(tmp_path / name, header, columns)
+        assert (tmp_path / name).read_bytes() == compiled[name], name
+
+
+def test_bool_and_float_tables_keep_the_python_template(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(_kernel, "load", lambda: calls.append(1))
+    rio.write_table(tmp_path / "t.csv", ("i", "b"),
+                    (np.arange(3), np.array([True, False, True])))
+    rio.write_table(tmp_path / "u.csv", ("x",), (np.array([0.5, 2.0]),))
+    assert (tmp_path / "t.csv").read_text() == "i,b\n0,True\n1,False\n2,True\n"
+    assert (tmp_path / "u.csv").read_text() == "x\n0.5\n2.0\n"
+    assert calls == []
 
 
 def test_kernel_source_is_package_data(fresh_loader):

@@ -286,7 +286,9 @@ def test_step_does_not_mutate_on_copy(k1_ref):
 # step() path. The run crosses the 65536-step uniform block boundary with a
 # snapshot on each side of it. summary.json and the diagnose artifacts of its
 # degrees.csv were recorded from the per-cell CSV writers that preceded
-# io.write_table; the table crosses the 65536-row write chunk.
+# io.write_table; the table crosses the 65536-row write chunk. The two
+# hill_sweep digests were re-recorded when the sweep moved from every k to
+# the grid of tails.hill_sweep_ks; each row equals the old row at its k.
 PARENT_DIGESTS = {
     "simulate": {
         "edges.csv": "f5056c44344ea20bc38e60b9205e467e19b7e265ce062fb8c05e15efa4314cd1",
@@ -295,8 +297,8 @@ PARENT_DIGESTS = {
         "summary.json": "481f2a1a993c6d7ee493a54715841faceac4fee1b94f22b94e805d8d56de4ddd",
     },
     "diagnose": {
-        "hill_sweep_in.csv": "2fd4f1f485c237879e6151874336618371db41c76a77f3514bfb972afad57f04",
-        "hill_sweep_out.csv": "26d549cef4942ff48efd33a38fdfbff05e463526269890284006c6df70b9b03d",
+        "hill_sweep_in.csv": "e6599957abdbf28e3a050af09bf1cecaae8bfa22ef5ddc93daea917aa7858b38",
+        "hill_sweep_out.csv": "f14a980a8b3a2dc25cb99f2f7f5a16aee934950a1e3a731a2476dad52ce28c21",
         "angular_hist.csv": "9053685bf8e4a2f5a3a45d1642cf957e98bb2ba9bb7667b98016247210efc469",
         "report.json": "8e8bdd8e62180aaeb377b8876bb848a9af09a644d1230b0064ff21471ee92ab8",
     },

@@ -26,6 +26,7 @@ from recipnet import (
     tail_report,
     validate_params,
 )
+from recipnet.tails import HILL_SWEEP_POINTS, hill_sweep_ks
 
 
 def test_hill_hand_arithmetic():
@@ -76,6 +77,26 @@ def test_hill_sweep_shape():
     assert rep.k_sweep.shape == (99, 2)
     assert rep.k_sweep[9, 0] == 10
     assert rep.k_sweep[9, 1] == pytest.approx(rep.index_estimate, abs=1e-12)
+
+
+def test_hill_sweep_grid_matches_direct_estimates():
+    # zeros are dropped before ranking, so the grid runs to the positive count - 1
+    rng = np.random.default_rng(5)
+    x = rng.pareto(2.0, size=3000) + 1.0
+    x[:200] = 0.0
+    k = 1000
+    rep = hill_estimator(x, k=k, sweep=True)
+    ks = rep.k_sweep[:, 0].astype(np.int64)
+    n_pos = int((x > 0).sum())
+    assert np.all(np.diff(ks) > 0)
+    assert set(range(1, min(HILL_SWEEP_POINTS, n_pos - 1) + 1)) <= set(ks.tolist())
+    assert ks[-1] == n_pos - 1
+    assert k in ks and k not in hill_sweep_ks(n_pos - 1, 1)   # k is added, not a grid point
+    assert len(ks) <= 2 * HILL_SWEEP_POINTS + 1
+    # the direct mean-of-log-ratios estimate at each k, not the sweep's cumsum
+    for kk, est in rep.k_sweep:
+        direct = hill_estimator(x, k=int(kk)).index_estimate
+        assert est == pytest.approx(direct, rel=1e-12, abs=0.0), kk
 
 
 def test_angular_hand_values():
