@@ -19,7 +19,12 @@ over the group label.
 
 ``simulate_mbi_batch`` is the one engine: it advances trajectories of
 any mix of labels in lockstep, three variates per event (waiting time,
-clock selector, reciprocation coin).
+clock selector, reciprocation coin). Its loop is the statement of the
+rule. ``rn_mbi_batch`` in ``_kernel.c`` repeats it line for line, and
+``rn_mbi_chunk`` repeats ``_sample_chunk`` followed by ``_tally_chunk``;
+both draw from the chunk's own numpy Generator in the same order, and they
+run instead whenever they build (see ``_kernel``), with the same counts
+and the same generator state after the call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .params import GroupRates, ModelParams, draw_groups, group_rates
 from .equilibrium import EquilibriumSolution, attachment_law
 
@@ -64,6 +70,9 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     shape (R, 2). Returns (n1, n2, events, failed): final counts, event
     totals, and a mask of trajectories that hit the event budget (their
     counts are partial).
+
+    The loop below is the statement of the rule; ``rn_mbi_batch`` runs
+    instead, from the same generator, whenever it builds.
     """
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
     inits = np.asarray(inits)
@@ -71,13 +80,32 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     n2 = inits[:, 1].astype(np.int64)
     events = np.zeros(len(n1), dtype=np.int64)
     failed = np.zeros(len(n1), dtype=bool)
+    left = np.array(t_ends, dtype=float)
+    labels = np.asarray(labels)
+    lib = _kernel.mbi()
+    # the compiled loop indexes memory with the labels, so it takes in-range
+    # integer labels, one per row, and numpy's own Generator only
+    if (lib is not None and isinstance(rng, np.random.Generator)
+            and labels.dtype.kind in "iu" and labels.shape == left.shape == n1.shape
+            and np.all((labels >= 0)
+                       & (labels < min(rates.rho_row.size, rates.rho_col.size)))):
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        rho_row, rho_col = (np.ascontiguousarray(r, dtype=float)
+                            for r in (rates.rho_row, rates.rho_col))
+        work = np.empty(5 * len(n1))
+        with rng.bit_generator.lock:
+            lib.rn_mbi_batch(rng.bit_generator.ctypes.bit_generator, len(n1),
+                             labels.ctypes.data, left.ctypes.data, rho_row.ctypes.data,
+                             rho_col.ctypes.data, alpha, gamma, delta, event_budget,
+                             n1.ctypes.data, n2.ctypes.data, events.ctypes.data,
+                             failed.ctypes.data, work.ctypes.data)
+        return n1, n2, events, failed
 
     # the running rows, compacted whenever some of them stop; every running
     # row makes one event per iteration, so each has made ``it`` events
     idx = np.arange(len(n1))
     a1 = n1.astype(float)
     a2 = n2.astype(float)
-    left = np.array(t_ends, dtype=float)
     rr = rates.rho_row[labels]
     rc = rates.rho_col[labels]
     it = 0
@@ -201,11 +229,31 @@ def _sample_chunk(args):
 
 def _tally_chunk(args):
     """One chunk's count vector: the (K, kmax+1, lmax+1) grid cells flat,
-    then the overflow count of each group, then the failed count."""
+    then the overflow count of each group, then the failed count.
+
+    ``rn_mbi_chunk`` draws and tallies the chunk whenever it builds; the
+    numpy code below is the statement it mirrors."""
     job, kmax, lmax = args
-    labels, n1, n2, failed = _sample_chunk(job)
-    K = job[0].K
+    params, rates, sampler, j, size, seed, event_budget = job
+    K = params.K
     cells = K * (kmax + 1) * (lmax + 1)
+    cum_pi, probs, rho_row, rho_col = (
+        np.ascontiguousarray(a, dtype=float)
+        for a in (np.cumsum(params.pi), sampler.init_probs, rates.rho_row, rates.rho_col))
+    lib = _kernel.mbi()
+    # the compiled tally indexes memory with the labels and the grid cells
+    if (lib is not None and min(kmax, lmax) >= 0 and probs.shape == (K, 3)
+            and cum_pi.shape == rho_row.shape == rho_col.shape == (K,)):
+        counts = np.zeros(cells + K + 1, dtype=np.int64)
+        work = np.empty(6 * size)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
+        with rng.bit_generator.lock:
+            lib.rn_mbi_chunk(rng.bit_generator.ctypes.bit_generator, size, cum_pi.ctypes.data,
+                             K, probs.ctypes.data, sampler.c_star, rho_row.ctypes.data,
+                             rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
+                             event_budget, kmax, lmax, counts.ctypes.data, work.ctypes.data)
+        return counts
+    labels, n1, n2, failed = _sample_chunk(job)
     code = np.where((n1 <= kmax) & (n2 <= lmax),
                     (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
     code[failed] = cells + K
@@ -233,6 +281,8 @@ def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, work
         fn, jobs = _tally_chunk, [(job, *grid) for job in jobs]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
+
+        _kernel.load()    # built once here; forked workers inherit the library
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             yield from pool.map(fn, jobs)

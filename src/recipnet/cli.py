@@ -128,8 +128,8 @@ FLAGS = {
     "--replicates": (("embed", "verify"), (("embed", "replicates"), ("verify", "replicates")),
                      {"type": int}),
     "--kmax": (("embed",), (("embed", "kmax"), ("embed", "lmax")), {"type": int}),
-    "--threads": (("embed",), (), {"type": int, "default": os.cpu_count() or 1,
-                                   "help": "worker cap for replicate fan-out"}),
+    "--threads": (("embed",), (), {"type": int, "help": "worker cap for replicate fan-out "
+                                                        "(default: the CPUs this process may use)"}),
     "--input": (("diagnose",), (("diagnose", "input"),), {"help": "degree snapshot CSV"}),
 }
 
@@ -183,7 +183,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         if value is not None:
             for section, key in keys:
                 cfg[section][key] = value
-    if getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", None) is not None and args.threads < 1:
         raise ParseError(f"--threads must be an integer >= 1, got {args.threads}")
     _check_values(cfg)
     # checked once n_steps is final, so --n-steps can cover the file's snapshots
@@ -423,6 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a ``taskset`` or a container limit), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -436,7 +444,7 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(cfg, out_dir)
         elif args.command == "embed":
-            cmd_embed(cfg, out_dir, workers=args.threads)
+            cmd_embed(cfg, out_dir, workers=args.threads or usable_cpus())
         elif args.command == "diagnose":
             cmd_diagnose(cfg, out_dir)
         elif args.command == "verify":

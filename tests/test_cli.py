@@ -340,6 +340,21 @@ def test_threads_flag_only_on_embed(tmp_path):
     assert not out.exists()
 
 
+def test_threads_default_is_the_cpu_affinity_set(tmp_path, monkeypatch):
+    # `taskset -c 0 recipnet embed` on a 2-CPU host may use one CPU
+    seen = []
+    monkeypatch.setattr(recipnet.cli, "cmd_embed",
+                        lambda cfg, out_dir, workers: seen.append(workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfgpath = _k1_config(tmp_path, tmp_path / "out")
+    assert main(["embed", "--config", cfgpath]) == 0
+    assert main(["embed", "--config", cfgpath, "--threads", "3"]) == 0
+    monkeypatch.delattr(os, "sched_getaffinity")     # a platform without affinity
+    assert main(["embed", "--config", cfgpath]) == 0
+    assert seen == [1, 3, 8]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--bogus"],
     ["verify", "--threads", "2"],

@@ -1,10 +1,13 @@
 """The compiled kernel against the Python statements of its rules.
 
 ``simulate._advance`` runs ``_kernel.c`` on large blocks when it builds
-and its own loop otherwise, and ``io._write_chunks`` formats all-integer
-chunks with it instead of its ``%s`` template. Both must leave the same
-state and write the same bytes; any failure to build or load falls back
-to the Python code.
+and its own loop otherwise, ``io._write_chunks`` formats all-integer
+chunks with it instead of its ``%s`` template, and ``branching`` runs its
+MBI loop and its chunk tally with it instead of numpy. Each must leave the
+same state, the same counts and the same generator state, and write the
+same bytes; any failure to build or load falls back to the Python code.
+The Python side of each comparison runs with ``_kernel.load`` patched to
+return None.
 """
 
 import os
@@ -14,11 +17,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from recipnet import ResourceLimit, SimConfig, run, validate_params
-from recipnet import _kernel, simulate
+from recipnet import (ResourceLimit, SimConfig, estimate_pkl, group_rates, run,
+                      simulate_mbi_batch, solve_equilibrium, validate_params)
+from recipnet import _kernel, branching, simulate
 from recipnet import io as rio
+from recipnet.params import ModelParams
 from recipnet.simulate import GraphState
-from conftest import run_k2, sha256s
+from conftest import K2_MODEL, run_k2, sha256s
 
 NO_CC = shutil.which(_kernel.CC) is None
 
@@ -215,3 +220,240 @@ def test_kernel_refuses_input_it_would_index_out_of_bounds(k2_ref):
         with pytest.raises(ValueError, match="bad kernel input"):
             simulate._advance(state, k2_ref, bad)
     assert (state.n, state.n_nodes, state.edge_count) == (0, 1, 1)
+
+
+def _mbi_model(name):
+    if name == "k1":
+        return validate_params(alpha=0.5, delta=1.0, pi=[1.0], rho=[[0.5]])
+    if name == "k2":
+        return validate_params(**K2_MODEL)
+    if name == "k3-zero-group":   # group 2 neither sends nor receives a reciprocal edge
+        return validate_params(alpha=0.35, delta=0.7, pi=[0.5, 0.3, 0.2],
+                               rho=[[0.6, 0.3, 0.0], [0.8, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    rng = np.random.default_rng(5)
+    K = 200
+    return validate_params(alpha=0.55, delta=1.3, pi=rng.dirichlet(np.ones(K)),
+                           rho=rng.uniform(0.0, 1.0, (K, K)))
+
+
+MBI_MODELS = ["k1", "k2", "k3-zero-group", "k200"]
+BUDGETS = [1, 12, branching.DEFAULT_EVENT_BUDGET]
+
+
+def _compiled_and_numpy(monkeypatch, fn):
+    """``fn()`` through the compiled MBI engine, then through numpy."""
+    assert _kernel.mbi() is not None, _kernel.error
+    compiled = fn()
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    return compiled, fn()
+
+
+def _batch(params, rows, seed, **kwargs):
+    """simulate_mbi_batch on ``rows`` random rows, and four uniforms drawn after it."""
+    draw = np.random.default_rng(seed)
+    labels = draw.integers(0, params.K, rows)
+    inits = draw.integers(0, 3, (rows, 2))
+    t_ends = draw.exponential(0.8, rows)
+    rng = np.random.default_rng(seed + 1)
+    out = simulate_mbi_batch(labels, inits, t_ends, params, group_rates(params), rng, **kwargs)
+    return (*out, rng.random(4))
+
+
+def _assert_same(compiled, numpy_side):
+    assert len(compiled) == len(numpy_side)
+    for a, b in zip(compiled, numpy_side):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("budget", BUDGETS, ids=["budget-1", "budget-12", "budget-default"])
+@pytest.mark.parametrize("model", MBI_MODELS)
+def test_mbi_batch_matches_numpy_loop(monkeypatch, model, budget):
+    params = _mbi_model(model)
+    compiled, numpy_side = _compiled_and_numpy(
+        monkeypatch, lambda: _batch(params, 3000, 7, event_budget=budget))
+    _assert_same(compiled, numpy_side)
+    n1, n2, events, failed, _ = compiled
+    assert failed.any() == (budget < 1000)
+    if budget < 1000:
+        assert events.max() == budget
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("rows", [0, 1])
+def test_mbi_batch_of_no_row_or_one_row_matches_numpy_loop(monkeypatch, k2_ref, rows):
+    _assert_same(*_compiled_and_numpy(monkeypatch, lambda: _batch(k2_ref, rows, 3)))
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_mbi_batch_absorbing_rows_match_numpy_loop(monkeypatch):
+    # delta = 0 makes (0, 0) absorbing: its rate is 0, its wait inf, and it stops at once
+    params = ModelParams(alpha=0.5, gamma=0.5, delta=0.0, K=2, pi=np.array([0.5, 0.5]),
+                         rho=np.array(K2_MODEL["rho"]))
+    inits = np.tile([[0, 0], [0, 1], [1, 0], [2, 3]], (50, 1))
+    labels = np.arange(len(inits)) % 2
+
+    def batch():
+        rng = np.random.default_rng(2)
+        out = simulate_mbi_batch(labels, inits, np.full(len(inits), 1.0), params,
+                                 group_rates(params), rng)
+        return (*out, rng.random(4))
+
+    compiled, numpy_side = _compiled_and_numpy(monkeypatch, batch)
+    _assert_same(compiled, numpy_side)
+    n1, n2, events, failed, _ = compiled
+    still = (inits == 0).all(axis=1)
+    assert (n1[still] == 0).all() and (n2[still] == 0).all() and (events[still] == 0).all()
+    assert not failed.any() and (events[~still] > 0).any()
+
+
+def test_mbi_batch_leaves_labels_out_of_range_to_numpy(k2_ref):
+    # the compiled loop would read past rho_row; numpy's indexing raises instead
+    with pytest.raises(IndexError):
+        simulate_mbi_batch(np.array([0, 2]), np.ones((2, 2), dtype=np.int64), np.ones(2),
+                           k2_ref, group_rates(k2_ref), np.random.default_rng(0))
+
+
+def _estimate(params, sol, **kwargs):
+    est = estimate_pkl(params, sol, **kwargs)
+    return est.group_counts, est.group_overflow_counts, np.array(est.failed)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.filterwarnings("ignore:.*(contraction|regularity):RuntimeWarning")  # k200
+@pytest.mark.parametrize("budget", BUDGETS, ids=["budget-1", "budget-12", "budget-default"])
+@pytest.mark.parametrize("model", MBI_MODELS)
+def test_estimate_pkl_matches_numpy_tally(monkeypatch, model, budget):
+    params = _mbi_model(model)
+    sol = solve_equilibrium(params)
+    draw = dict(replicates=5000, kmax=6, lmax=9, seed=13, event_budget=budget,
+                chunk_size=2048)
+    compiled, numpy_side = _compiled_and_numpy(monkeypatch,
+                                               lambda: _estimate(params, sol, **draw))
+    _assert_same(compiled, numpy_side)
+    counts, over, failed = compiled
+    assert counts.sum() + over.sum() + failed == 5000
+    assert (failed > 0) == (budget < 1000)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("replicates, chunk_size, kmax, lmax", [
+    (7, 1, 0, 3),
+    (branching.CHUNK + 2, branching.CHUNK + 1, 4, 0),
+], ids=["chunk-1-kmax-0", "chunk-plus-one-lmax-0"])
+def test_estimate_pkl_chunk_edges_match_numpy_tally(monkeypatch, k2_ref, replicates,
+                                                    chunk_size, kmax, lmax):
+    sol = solve_equilibrium(k2_ref)
+    draw = dict(replicates=replicates, kmax=kmax, lmax=lmax, seed=4, chunk_size=chunk_size)
+    _assert_same(*_compiled_and_numpy(monkeypatch, lambda: _estimate(k2_ref, sol, **draw)))
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_embed_artifacts_match_without_kernel(tmp_path, monkeypatch, threads):
+    body = {"embed": {"replicates": 70000, "kmax": 7, "lmax": 11, "seed": 4,
+                      "event_budget": 30}}
+    names = ["pmf.csv", "pmf_group_1.csv", "pmf_group_2.csv", "pmf.json"]
+
+    def embed(name):
+        return sha256s(run_k2(tmp_path / name, "embed", body, "--threads", threads), names)
+
+    (tmp_path / "compiled").mkdir()
+    (tmp_path / "numpy").mkdir()
+    compiled = embed("compiled")
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert embed("numpy") == compiled
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_library_exports_only_rn_symbols():
+    lib = _kernel.load()
+    assert lib is not None and _kernel.mbi() is lib, _kernel.error
+    for name in ("rn_advance", "rn_format_int_rows", "rn_mbi_batch", "rn_mbi_chunk"):
+        assert hasattr(lib, name), name
+    # --exclude-libs keeps libnpyrandom.a's symbols out of the dynamic table
+    for name in ("random_standard_exponential_fill", "random_standard_uniform_fill",
+                 "random_standard_exponential", "rn_mbi_run", "rn_draw_group"):
+        assert not hasattr(lib, name), name
+
+
+def test_library_name_tracks_numpy_random_files(tmp_path, monkeypatch):
+    import numpy
+
+    code = _kernel.source().read_bytes()
+    plain = _kernel.library_name(code, mbi=False)
+    assert _kernel.library_name(code) != plain
+    shipped = {"HEADER": os.path.join(numpy.get_include(), *_kernel.HEADER),
+               "ARCHIVE": os.path.join(os.path.dirname(numpy.__file__), *_kernel.ARCHIVE)}
+    for part, path in shipped.items():
+        copy = tmp_path / os.path.basename(path)
+        shutil.copyfile(path, copy)
+        monkeypatch.setattr(_kernel, part, (str(copy),))
+        before = _kernel.library_name(code)
+        copy.write_bytes(copy.read_bytes() + b"\n")     # an upgraded numpy
+        assert _kernel.library_name(code) != before, part
+    assert _kernel.library_name(code, mbi=False) == plain
+
+
+def _assert_mbi_falls_back(match, fresh_loader, k2_ref, monkeypatch):
+    """The library loads without the MBI entry points; everything else runs compiled."""
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    assert _kernel.error is not None and match in _kernel.error, _kernel.error
+    assert _kernel.mbi() is None and not hasattr(lib, "rn_mbi_chunk")
+    code = _kernel.source().read_bytes()
+    assert os.listdir(fresh_loader) == [_kernel.library_name(code, mbi=False)]
+
+    cells = np.array([[-12, 0, 345]], dtype=np.int64)
+    buf = np.empty(cells.size * 21, dtype=np.uint8)
+    n = lib.rn_format_int_rows(cells.ctypes.data, 1, 3, buf.ctypes.data)
+    assert buf[:n].tobytes() == b"-12,0,345\n"
+    config = SimConfig(n_steps=300, seed=4)   # blocks big enough for the kernel
+    compiled = run(k2_ref, config).state
+    sol = solve_equilibrium(k2_ref)
+    est = estimate_pkl(k2_ref, sol, replicates=3000, kmax=5, lmax=5, seed=2)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    python = run(k2_ref, config).state
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(compiled, name), getattr(python, name)), name
+    again = estimate_pkl(k2_ref, sol, replicates=3000, kmax=5, lmax=5, seed=2)
+    assert np.array_equal(est.group_counts, again.group_counts)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("part", ["HEADER", "ARCHIVE"])
+def test_missing_numpy_random_file_keeps_the_other_kernels(fresh_loader, monkeypatch,
+                                                           k2_ref, part):
+    monkeypatch.setattr(_kernel, part, ("recipnet-no-such-file",))
+    _assert_mbi_falls_back("missing", fresh_loader, k2_ref, monkeypatch)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_mbi_link_error_keeps_the_other_kernels(fresh_loader, monkeypatch, k2_ref):
+    monkeypatch.setattr(_kernel, "LINK", (*_kernel.LINK, "-lrecipnet-no-such-library"))
+    _assert_mbi_falls_back("exited", fresh_loader, k2_ref, monkeypatch)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_group_draw_ties_and_clamp_match_python_loop(monkeypatch):
+    # a uniform equal to a cumulative sum goes to the next group (side="right");
+    # pi sums to just below 1, so the largest uniforms lie above every
+    # cumulative sum and draw_groups clamps them into the last group
+    params = validate_params(alpha=0.4, delta=1.0, pi=[0.3, 0.2, 0.5 - 1e-13],
+                             rho=np.full((3, 3), 0.5))
+    u = np.random.default_rng(6).random((simulate.COMPILED_MIN_ROWS, 5))
+    u[::2, 3] = np.nextafter(1.0, 0.0)
+    u[1::4, 3] = np.cumsum(params.pi)[1]
+
+    def advance():
+        state = simulate.init_graph(params, np.random.default_rng(1))
+        simulate._advance(state, params, u)
+        return state
+
+    assert _kernel.load() is not None, _kernel.error
+    compiled = advance()
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    python = advance()
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(compiled, name), getattr(python, name)), name
+    assert (compiled.node_group[2::2] == 2).all() and (compiled.node_group[3::4] == 2).all()
