@@ -28,16 +28,13 @@ sol = solve_equilibrium(params)
 spectra = all_spectra(params)
 
 n, seeds = 400_000, (21, 22, 23)
-xs, ys, gs = [], [], []
+xs, ys = [], []
 for seed in seeds:
     result = run(params, SimConfig(n_steps=n, seed=seed))
-    i, o, g = result.state.degrees()
+    i, o, _ = result.state.degrees()
     xs.append(i)
     ys.append(o)
-    gs.append(g)
-data = DegreeDataset(x=np.concatenate(xs).astype(float),
-                     y=np.concatenate(ys).astype(float),
-                     groups=np.concatenate(gs))
+data = DegreeDataset(x=np.concatenate(xs), y=np.concatenate(ys))
 print(f"pooled {len(seeds)} runs of {n} steps: {data.n} nodes")
 
 report = tail_report(data, sol, spectra)

@@ -1,12 +1,14 @@
 /* Compiled mirrors of recipnet.simulate._advance, of the integer cells
- * of recipnet.io._write_chunks, and of recipnet.branching's MBI engine.
+ * of recipnet.io._write_chunks and io.read_table, and of
+ * recipnet.branching's MBI engine.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
  * repeats it line for line on the same arrays: the same branch order, the
  * same double comparisons and the same truncations, so both produce the
  * same graph from the same uniforms, bit for bit. Change the two together.
  * rn_format_int_rows writes the bytes that the %s row template of
- * _write_chunks writes for int64 cells, str() of each.
+ * _write_chunks writes for int64 cells, str() of each, and
+ * rn_parse_int_rows reads those bytes back as read_table's loadtxt does.
  *
  * rn_mbi_batch repeats simulate_mbi_batch, and rn_mbi_chunk repeats
  * _sample_chunk followed by _tally_chunk, in the same way. They draw from
@@ -178,6 +180,42 @@ int64_t rn_format_int_rows(const int64_t *cells, int64_t rows, int32_t w, char *
         }
     }
     return p - buf;
+}
+
+
+/* Parse what rn_format_int_rows writes: rows of w cells, each an optional
+ * '-' and 1 to 18 decimal digits, with ',' between cells and '\n' after
+ * every row. Cell j of row i goes to cols[j * cap + i], so each column is
+ * contiguous. Returns the number of rows, or -1 at the first byte that
+ * does not fit ('\r', '+', a blank, a 19th digit, a missing final
+ * newline, a wrong cell count, more than cap rows, ...); io.read_table
+ * then reads the file with loadtxt, which decides such input. 18 digits
+ * cannot overflow int64. The final '\n' stops every digit run, so no
+ * byte past len is read. */
+int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
+                          int64_t *cols)
+{
+    const unsigned char *p = (const unsigned char *)buf, *end = p + len;
+    int64_t rows = 0;
+    if (len == 0 || end[-1] != '\n')
+        return -1;
+    for (; p < end; rows++) {
+        if (rows == cap)
+            return -1;
+        int64_t *cell = cols + rows;
+        for (int32_t j = 0; j < w; j++, cell += cap) {
+            int neg = *p == '-';
+            p += neg;
+            const unsigned char *digits = p;
+            uint64_t x = 0;     /* unsigned, so a long run wraps rather than overflows */
+            for (unsigned d; (d = *p - (unsigned)'0') < 10; p++)
+                x = x * 10 + d;
+            if (p == digits || p - digits > 18 || *p++ != (j + 1 < w ? ',' : '\n'))
+                return -1;
+            *cell = neg ? -(int64_t)x : (int64_t)x;
+        }
+    }
+    return rows;
 }
 
 

@@ -1,6 +1,7 @@
 """Build and load ``_kernel.c``: ``rn_advance``, the compiled mirror of
-``simulate._advance``; ``rn_format_int_rows``, the compiled mirror of
-``io._write_chunks`` for integer tables; and ``rn_mbi_batch`` and
+``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
+the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
+integer tables; and ``rn_mbi_batch`` and
 ``rn_mbi_chunk``, the compiled mirrors of ``branching.simulate_mbi_batch``
 and of ``branching._sample_chunk`` + ``_tally_chunk``.
 
@@ -13,7 +14,9 @@ directory (``$XDG_CACHE_HOME/recipnet``, default ``~/.cache/recipnet``,
 mode 0700) under a name keyed by the sha256 of the source, the flags, the
 platform and numpy's two files, so a changed source, host or numpy never
 loads a stale build. It is built under a temporary name and moved into
-place, so concurrent first uses cannot load a half-written file. When
+place, so concurrent first uses cannot load a half-written file; a build
+then deletes all but the KEPT_LIBRARIES newest ``rn_kernel-*.so`` files
+there, so old sources and numpy versions do not pile up. When
 numpy's files are missing or the build against them fails, the library
 is built without the MBI entry points, ``error`` says why, and ``mbi``
 returns None. ``load`` returns None when anything else fails (no
@@ -33,6 +36,7 @@ HEADER = ("numpy", "random", "bitgen.h")          # under numpy.get_include()
 ARCHIVE = ("random", "lib", "libnpyrandom.a")     # under numpy's package directory
 LINK = ("-Wl,--exclude-libs,ALL", "-lm")
 NO_MBI = ("-DRN_NO_MBI",)
+KEPT_LIBRARIES = 4          # the cache keeps the newest builds, the new one among them
 
 error: str | None = None     # why the kernel, or its MBI part, is unavailable, once tried
 _tried = False
@@ -129,7 +133,27 @@ def _build(mbi: bool) -> str:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(directory, path)
     return path
+
+
+def _prune(directory: str, new: str) -> None:
+    """Delete every ``rn_kernel-*.so`` in ``directory`` but ``new`` and the
+    KEPT_LIBRARIES - 1 newest others by mtime; a failed unlink is ignored."""
+    old = []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if (entry.name.startswith("rn_kernel-") and entry.name.endswith(".so")
+                    and entry.path != new):
+                try:
+                    old.append((entry.stat().st_mtime, entry.path))
+                except OSError:
+                    pass
+    for _, path in sorted(old, reverse=True)[KEPT_LIBRARIES - 1:]:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
 def load():
@@ -152,6 +176,8 @@ def load():
         lib.rn_advance.restype = None
         lib.rn_format_int_rows.argtypes = [p, i64, i32, p]
         lib.rn_format_int_rows.restype = i64
+        lib.rn_parse_int_rows.argtypes = [p, i64, i32, i64, p]
+        lib.rn_parse_int_rows.restype = i64
         if full:
             lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
             lib.rn_mbi_chunk.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,

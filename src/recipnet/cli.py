@@ -314,8 +314,9 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
         raise ParseError("diagnose requires an input degree CSV "
                          "(--input or diagnose.input)")
     params = _model(cfg)
-    ind, outd, grp = rio.read_degree_snapshot(src, params.K)
-    dataset = DegreeDataset(x=ind.astype(float), y=outd.astype(float), groups=grp)
+    ind, outd, _ = rio.read_degree_snapshot(src, params.K)
+    dataset = DegreeDataset(x=ind, y=outd)
+    del ind, outd   # the statistics read only the pair table
     sol = solve_equilibrium(params, tol=cfg["solver"]["tol"],
                             max_iter=cfg["solver"]["max_iter"])
     spectra = all_spectra(params)

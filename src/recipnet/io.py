@@ -5,7 +5,8 @@ wraps, for a table built chunk by chunk) and ``read_table``: a header row,
 then one comma-separated row per entry, nothing quoted. A cell is
 ``str()`` of the column's Python value (ints as digits, floats in
 shortest round-trip form, ``inf`` as ``inf``); the compiled kernel
-formats all-integer chunks, byte for byte the same. Readers find columns
+formats all-integer chunks, byte for byte the same, and parses those
+bytes back into the arrays ``np.loadtxt`` gives. Readers find columns
 by name in any order; a missing column, a header-only file or a cell
 that does not parse as its dtype is a ValueError naming the file. This
 module alone knows the artifact formats: edges, degrees and trajectory
@@ -72,7 +73,18 @@ def _write_chunks(path, header, chunks) -> None:
 
 
 def read_table(path, dtypes: dict) -> tuple:
-    """Read the columns named in ``dtypes`` (name -> dtype), one array each."""
+    """Read the columns named in ``dtypes`` (name -> dtype), one array each.
+
+    The ``loadtxt`` call below is the rule, and names every error. A table
+    whose columns are all int64 is first parsed by the compiled kernel's
+    ``rn_parse_int_rows``, when it loads; it gives the same arrays for the
+    bytes ``rn_format_int_rows`` writes and refuses anything else, which
+    then goes to ``loadtxt``.
+    """
+    if all(np.dtype(dtype) == np.int64 for dtype in dtypes.values()):
+        columns = _parse_int_table(path, dtypes)
+        if columns is not None:
+            return columns
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         missing = [name for name in dtypes if name not in header]
@@ -90,6 +102,31 @@ def read_table(path, dtypes: dict) -> tuple:
     if rows.size == 0:
         raise ValueError(f"{path}: no rows below the header")
     return tuple(rows[name] for name in dtypes)
+
+
+def _parse_int_table(path, names) -> tuple | None:
+    """The named columns of an all-integer table through ``rn_parse_int_rows``,
+    or None when the kernel does not load, the header is not plain ASCII
+    naming every column, the body is empty, or the parser refuses it."""
+    if (kernel := _kernel.load()) is None:
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = data.find(b"\n") + 1
+    if start == 0 or b"\r" in data[:start] or not data[:start].isascii():
+        return None
+    header = data[:start - 1].decode().split(",")
+    if any(name not in header for name in names):
+        return None
+    rows = data.count(b"\n", start)
+    if rows == 0:
+        return None
+    columns = np.empty((len(header), rows), dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if kernel.rn_parse_int_rows(buf.ctypes.data + start, len(data) - start, len(header),
+                                rows, columns.ctypes.data) != rows:
+        return None
+    return tuple(columns[header.index(name)] for name in names)
 
 
 def write_edges(path, state: GraphState) -> None:

@@ -367,12 +367,10 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class DegreeHistogram:
-    """Joint (in, out) degree counts, overall and per group."""
+    """Joint (in, out) degree counts N_{k,l} over all nodes."""
 
     pairs: np.ndarray              # (M, 2) distinct (in, out) pairs
     counts: np.ndarray             # (M,)
-    group_pairs: list[np.ndarray]
-    group_counts: list[np.ndarray]
     n_nodes: int
 
     def to_pmf(self, kmax: int, lmax: int):
@@ -380,31 +378,16 @@ class DegreeHistogram:
         pairs, counts = self.pairs, self.counts
         grid = np.zeros((kmax + 1, lmax + 1))
         inside = (pairs[:, 0] <= kmax) & (pairs[:, 1] <= lmax)
-        np.add.at(grid, (pairs[inside, 0], pairs[inside, 1]), counts[inside])
+        grid[pairs[inside, 0], pairs[inside, 1]] = counts[inside]
         grid /= self.n_nodes
         return grid, float(counts[~inside].sum()) / self.n_nodes
 
 
 def degree_histogram(state: GraphState) -> DegreeHistogram:
-    """Tally joint in/out-degree counts N_{k,l} and per-group versions."""
-    ind, outd, grp = state.degrees()
-    ind, outd = ind.astype(np.int64), outd.astype(np.int64)   # the key needs int64
-    key = ind * (outd.max() + 1) + outd
+    """Tally joint in/out-degree counts N_{k,l}: the state's ``tails.pair_table``."""
+    from .tails import pair_table
 
-    def tally(mask):
-        uniq, cnt = np.unique(key[mask], return_counts=True)
-        p = np.stack([uniq // (outd.max() + 1), uniq % (outd.max() + 1)], axis=1)
-        return p, cnt
-
-    all_pairs, all_counts = tally(np.ones(len(key), dtype=bool))
-    group_pairs = []
-    group_counts = []
-    for g in range(state.K):
-        p, c = tally(grp == g)
-        group_pairs.append(p)
-        group_counts.append(c)
-    return DegreeHistogram(
-        pairs=all_pairs, counts=all_counts,
-        group_pairs=group_pairs, group_counts=group_counts,
-        n_nodes=state.n_nodes,
-    )
+    ind, outd, _ = state.degrees()
+    k, l, counts = pair_table(ind, outd)
+    return DegreeHistogram(pairs=np.stack([k, l], axis=1), counts=counts,
+                           n_nodes=state.n_nodes)

@@ -11,6 +11,13 @@ rays are peeled while both regime conditions hold. The ranking of the
 groups and the conditions come from ``spectral.order_groups`` and
 ``spectral.regime_slack``.
 
+A dataset is its table of distinct (in, out) pairs with their counts
+(``pair_table``): a snapshot of 5e5 nodes has a few hundred. Each
+statistic reads the rows with their weights, and gives what it gives on
+the per-node sample, bit for bit: quantiles and medians are numpy's rules
+read from the cumulative counts, and the Hill sums add the same terms in
+the same order.
+
 Everything here is deterministic given the dataset: medians, quantiles
 and Hill ratios involve no randomness.
 """
@@ -27,6 +34,7 @@ from .spectral import GroupSpectral, order_groups, regime_slack
 
 
 HILL_SWEEP_POINTS = 256     # sweep grid: every k up to this many, then this many geometric
+PAIR_KEY_SPAN = 4           # pair_table bincounts keys spanning up to this many per row
 
 
 class InsufficientData(ValueError):
@@ -53,28 +61,82 @@ class GridMismatch(ValueError):
     """Pmf grids have different shapes."""
 
 
+def pair_table(x, y):
+    """The distinct (x, y) pairs of two equal-length arrays, in increasing
+    (x, y) order, and how many times each occurs: ``(x, y, weight)``.
+
+    Non-negative integer arrays whose key ``x*(max y + 1) + y`` spans at most
+    PAIR_KEY_SPAN times their length are tallied by one ``np.bincount``;
+    other input (floats, negative values, wide key ranges) by ``np.unique``.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if len(x) != len(y) or len(x) == 0:
+        raise ValueError("x and y must be equal-length, non-empty")
+    if (all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64) for a in (x, y))
+            and x.min() >= 0 and y.min() >= 0):
+        width = int(y.max()) + 1
+        span = (int(x.max()) + 1) * width
+        if span <= PAIR_KEY_SPAN * len(x):
+            counts = np.bincount(x.astype(np.int64) * width + y, minlength=span)
+            key = np.flatnonzero(counts)
+            return key // width, key % width, counts[key]
+    rows, weight = np.unique(np.stack([x, y], axis=1), axis=0, return_counts=True)
+    return rows[:, 0], rows[:, 1], weight
+
+
 @dataclass(frozen=True)
 class DegreeDataset:
-    """Joint degree sample: x = in-degrees, y = out-degrees."""
+    """Joint degree sample as its pair table: the distinct pairs of x =
+    in-degrees and y = out-degrees (as floats), ``weight``, the number of
+    nodes with each pair, and ``n``, the number of nodes.
+
+    Every statistic below reads the rows with their weights and equals the
+    same statistic on the sample with each pair repeated ``weight`` times.
+    """
 
     x: np.ndarray
     y: np.ndarray
-    groups: np.ndarray | None = None
+    weight: np.ndarray = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.x) != len(self.y) or len(self.x) == 0:
-            raise ValueError("x and y must be equal-length, non-empty")
-        if self.groups is not None and len(self.groups) != len(self.x):
-            raise ValueError("groups length mismatch")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
+        x, y, weight = pair_table(self.x, self.y)
+        for name, value in (("x", x.astype(float)), ("y", y.astype(float)),
+                            ("weight", weight), ("n", int(weight.sum()))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_graph_state(cls, state) -> "DegreeDataset":
-        ind, outd, grp = state.degrees()
-        return cls(x=ind.astype(float), y=outd.astype(float), groups=grp)
+        ind, outd, _ = state.degrees()
+        return cls(x=ind, y=outd)
+
+
+def _order_stats(values, weights, ranks):
+    """The order statistics of 0-based ``ranks`` (ascending) of the sample
+    that holds each of ``values`` as many times as its weight."""
+    order = np.argsort(values, kind="stable")
+    return values[order][np.searchsorted(np.cumsum(weights[order]), ranks, side="right")]
+
+
+def weighted_quantile(values, weights, q: float) -> float:
+    """``np.quantile(sample, q)`` of that sample: numpy's default linear rule."""
+    n = int(weights.sum())
+    h = (n - 1) * q
+    lo = min(math.floor(h), n - 1)
+    a, b = _order_stats(values, weights, [lo, min(lo + 1, n - 1)])
+    t = h - lo
+    # numpy's _lerp, which interpolates from the nearer end
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
+def weighted_median(values, weights) -> float:
+    """``np.median(sample)`` of that sample: the middle order statistic, or
+    the mean of the middle two."""
+    n = int(weights.sum())
+    if n % 2:
+        return float(_order_stats(values, weights, [n // 2])[0])
+    a, b = _order_stats(values, weights, [n // 2 - 1, n // 2])
+    return float((a + b) / 2)
 
 
 @dataclass(frozen=True)
@@ -85,13 +147,14 @@ class HillReport:
     k_sweep: np.ndarray | None = None
 
 
-def hill_estimator(values, k: int, sweep: bool = False) -> HillReport:
+def hill_estimator(values, k: int, sweep: bool = False, weights=None) -> HillReport:
     """Hill estimate of the tail index from the top k order statistics.
 
     With descending order statistics X_(1) >= ... >= X_(k+1), the inverse
     index is mean(log X_(i) - log X_(k+1), i <= k) and the estimate its
     reciprocal. Zeros are dropped before ranking; the reported standard
-    error is the asymptotic index/sqrt(k).
+    error is the asymptotic index/sqrt(k). ``weights`` (default 1 each)
+    counts how often each value occurs in the sample, as in a pair table.
 
     ``sweep`` also returns ``k_sweep``, rows (k, estimate at k) for the k
     of ``hill_sweep_ks``: every k up to HILL_SWEEP_POINTS, that many
@@ -100,13 +163,20 @@ def hill_estimator(values, k: int, sweep: bool = False) -> HillReport:
     per k would.
     """
     values = np.asarray(values, dtype=float)
-    if k < 1 or k + 1 > values.size:
-        raise InsufficientData(f"need k >= 1 and k+1 <= n, got k={k}, n={values.size}")
-    pos = values[values > 0.0]
-    if pos.size < k + 1:
+    weights = np.ones(values.size, dtype=np.int64) if weights is None else np.asarray(weights)
+    n = int(weights.sum())
+    if k < 1 or k + 1 > n:
+        raise InsufficientData(f"need k >= 1 and k+1 <= n, got k={k}, n={n}")
+    pos = values > 0.0
+    n_pos = int(weights[pos].sum())
+    if n_pos < k + 1:
         raise NonPositiveValues(
-            f"need at least k+1={k + 1} positive values, have {pos.size}")
-    top = np.sort(pos, kind="stable")[::-1]
+            f"need at least k+1={k + 1} positive values, have {n_pos}")
+    order = np.argsort(values[pos], kind="stable")[::-1]
+    desc, counts = values[pos][order], weights[pos][order]
+    # X_(1..k+1): each value repeated by its weight, the last one cut at k+1
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    top = np.repeat(desc, np.diff(np.minimum(cum, k + 1)))
     # ratio form: exactly scale-invariant under power-of-two rescaling
     inv = float(np.mean(np.log(top[:k] / top[k])))
     if inv == 0.0:
@@ -115,9 +185,11 @@ def hill_estimator(values, k: int, sweep: bool = False) -> HillReport:
 
     k_sweep = None
     if sweep:
-        # running Hill estimate at the grid's k, for stability plots
-        logs = np.log(top)
-        ks = hill_sweep_ks(pos.size - 1, k)
+        # running Hill estimate at the grid's k, for stability plots; the
+        # logs are summed one order statistic at a time, so each row is the
+        # expanded sample's to the bit
+        logs = np.repeat(np.log(desc), counts)
+        ks = hill_sweep_ks(n_pos - 1, k)
         inv_ks = np.cumsum(logs[:-1])[ks - 1] / ks - logs[ks]
         with np.errstate(divide="ignore"):
             est_ks = np.where(inv_ks > 0.0, 1.0 / inv_ks, np.inf)
@@ -129,19 +201,23 @@ def hill_sweep_ks(k_max: int, k: int) -> np.ndarray:
     """The sweep's k grid, increasing: 1..min(HILL_SWEEP_POINTS, k_max), then
     HILL_SWEEP_POINTS geometric points from 1 to ``k_max`` rounded, and ``k``."""
     geometric = np.rint(np.geomspace(1, k_max, HILL_SWEEP_POINTS)).astype(np.int64)
-    return np.unique(np.concatenate(
-        [np.arange(1, min(HILL_SWEEP_POINTS, k_max) + 1), geometric, [k]]))
+    ks = np.sort(np.concatenate([np.arange(1, min(HILL_SWEEP_POINTS, k_max) + 1), geometric, [k]]))
+    # not np.unique, whose first call imports numpy.ma (about 20 ms)
+    return ks[np.diff(ks, prepend=0) > 0]
 
 
 def angular_transform(dataset: DegreeDataset, radius_threshold: float) -> np.ndarray:
-    """theta = y/(x+y) for pairs with x + y above the threshold (0 drops only the origin)."""
+    """theta = y/(x+y) of every node whose pair has x + y above the threshold
+    (0 drops only the origin), in increasing order."""
     if radius_threshold < 0.0:
         raise ValueError("radius threshold must be nonnegative")
     rad = dataset.x + dataset.y
     keep = rad > radius_threshold
     if not keep.any():
         raise EmptySelection(f"no pair has x+y > {radius_threshold}")
-    return dataset.y[keep] / rad[keep]
+    theta = dataset.y[keep] / rad[keep]
+    order = np.argsort(theta, kind="stable")
+    return np.repeat(theta[order], dataset.weight[keep][order])
 
 
 def ray_distance(pairs, a: float):
@@ -227,28 +303,28 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
         degraded.append("moment: lam_(2) < log 2")
 
     c_star = sol.c_star
-    x, y = dataset.x, dataset.y
+    x, y, w = dataset.x, dataset.y, dataset.weight
     rad = x + y
 
     def read_ray(j, score, threshold, name):
-        """Ray j+1 from the pairs whose ``score`` exceeds ``threshold``."""
+        """Ray j+1 from the nodes whose ``score`` exceeds ``threshold``."""
         sel = score > threshold
         if not sel.any():
             raise EmptySelection(f"{name} quantile leaves no exceedances")
-        k = int(sel.sum())
-        hill = hill_estimator(score, k=min(k, int((score > 0).sum()) - 1))
+        k = int(w[sel].sum())
+        hill = hill_estimator(score, k=min(k, int(w[score > 0].sum()) - 1), weights=w)
         return RayEstimate(
             rank=j + 1, group=int(ranked[j].group),
             index_estimate=hill.index_estimate,
             index_predicted=c_star / ranked[j].lam,
-            theta_median=float(np.median(y[sel] / rad[sel])),
+            theta_median=weighted_median(y[sel] / rad[sel], w[sel]),
             theta_predicted=ranked[j].theta,
             n_selected=k,
         )
 
     # stage 1: dominant regime from radius exceedances
     if radius_threshold is None:
-        radius_threshold = float(np.quantile(rad, options.radius_quantile))
+        radius_threshold = weighted_quantile(rad, w, options.radius_quantile)
     rays = [read_ray(0, rad, radius_threshold, "radius")]
 
     # stages 2..: distance to the union of identified rays; one more ray
@@ -262,7 +338,7 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
     for j in range(1, n_rays):
         if not np.any(dist > 0.0):
             raise DegenerateTail("every pair lies on the identified ray(s)")
-        rays.append(read_ray(j, dist, float(np.quantile(dist, options.distance_quantile)),
+        rays.append(read_ray(j, dist, weighted_quantile(dist, w, options.distance_quantile),
                              "distance"))
         if j + 1 < n_rays:
             dist = np.minimum(dist, ray_distance(np.stack([x, y], axis=1), ranked[j].a))
@@ -318,19 +394,17 @@ def tail_report(dataset: DegreeDataset, sol: EquilibriumSolution,
     reports = {}
     skips = {}
     for name, vals in (("in", dataset.x), ("out", dataset.y)):
-        pos = int((vals > 0).sum())
+        pos = int(dataset.weight[vals > 0].sum())
         k = default_hill_k(dataset.n) if hill_k is None else hill_k
         k = min(k, max(pos - 1, 1))
         try:
-            reports[name] = hill_estimator(vals, k=k, sweep=True)
+            reports[name] = hill_estimator(vals, k=k, sweep=True, weights=dataset.weight)
         except (InsufficientData, NonPositiveValues, DegenerateTail) as exc:
             reports[name] = None
             skips[name] = str(exc)
 
-    rad = dataset.x + dataset.y
-    r_thr = float(np.quantile(rad, options.radius_quantile))
-    theta = angular_transform(dataset, r_thr)
-    counts, edges = np.histogram(theta, bins=bins, range=(0.0, 1.0))
+    r_thr = weighted_quantile(dataset.x + dataset.y, dataset.weight, options.radius_quantile)
+    counts, edges = np.histogram(angular_transform(dataset, r_thr), bins=bins, range=(0.0, 1.0))
 
     hrv = None
     skip_reason = None

@@ -81,18 +81,15 @@ def k2_sims(k2_ref):
 
 
 @pytest.fixture(scope="session")
-def k2_pooled(k2_sims):
-    ins, outs, grps = [], [], []
-    for result in k2_sims:
-        i, o, g = result.state.degrees()
-        ins.append(i)
-        outs.append(o)
-        grps.append(g)
-    return DegreeDataset(
-        x=np.concatenate(ins).astype(float),
-        y=np.concatenate(outs).astype(float),
-        groups=np.concatenate(grps),
-    )
+def k2_pooled_degrees(k2_sims):
+    """Per-node (in, out) degrees of the pooled k2 runs."""
+    return tuple(np.concatenate([result.state.degrees()[side] for result in k2_sims])
+                 for side in (0, 1))
+
+
+@pytest.fixture(scope="session")
+def k2_pooled(k2_pooled_degrees):
+    return DegreeDataset(*k2_pooled_degrees)
 
 
 @pytest.fixture(scope="session")
@@ -217,17 +214,18 @@ def test_accept_05_power_law_index(k1_ref, k1_sol, k1_sim):
     assert rel <= 0.15
 
 
-def test_accept_06_ray_concentration(k2_ref, k2_pooled):
+def test_accept_06_ray_concentration(k2_ref, k2_pooled_degrees):
     spectra = all_spectra(k2_ref)
     order = order_groups(spectra)
     a1 = spectra[order.order[0]].a
     assert a1 == pytest.approx(1.15470, abs=5e-6)
     target = a1 / (1 + a1)
 
-    rad = k2_pooled.x + k2_pooled.y
+    x, y = (side.astype(float) for side in k2_pooled_degrees)
+    rad = x + y
     thr = np.quantile(rad, 0.999)
     sel = rad > thr
-    theta_med = float(np.median(k2_pooled.y[sel] / rad[sel]))
+    theta_med = float(np.median(y[sel] / rad[sel]))
     dev = abs(theta_med - target)
     ok = dev <= 0.05
     _verdict(6, ok, f"top-0.1% radius theta median = {theta_med:.4f} vs "

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from recipnet import SimConfig, estimate_pkl, run, solve_equilibrium
+from recipnet import SimConfig, _kernel, estimate_pkl, run, solve_equilibrium
 from recipnet import io as rio
 from conftest import run_k2, sha256s
 
@@ -139,6 +139,75 @@ def test_readers_find_columns_in_any_order(tmp_path):
     pmf.write_text("probability,l,k\n0.25,1,0\n0.75,0,2\n")
     grid = rio.read_pmf_grid(pmf, 2, 1)
     assert grid.tolist() == [[0.0, 0.25], [0.0, 0.0], [0.75, 0.0]]
+
+
+DEGREE_COLUMNS = {"in_deg": np.int64, "out_deg": np.int64, "group": np.int64}
+HEADER = "node,group,in_deg,out_deg\n"
+
+
+def _rows(n):
+    return "".join(f"{i + 1},{i % 3 + 1},{i % 7},{i % 11}\n" for i in range(n))
+
+
+# text, and whether rn_parse_int_rows takes it (else loadtxt reads it)
+READ_CASES = {
+    "crlf": (HEADER.replace("\n", "\r\n") + "1,1,2,0\r\n2,2,0,3\r\n", False),
+    "crlf-body": (HEADER + "1,1,2,0\r\n2,2,0,3\r\n", False),
+    "no-final-newline": (HEADER + "1,1,2,0\n2,2,0,3", False),
+    "permuted": ("out_deg,in_deg,group,node\n4,1,2,1\n0,3,1,2\n", True),
+    "plus": (HEADER + "1,1,+5,0\n", False),
+    "blank": (HEADER + "1,1, 5,0\n", False),
+    "fraction": (HEADER + "1,1,1.5,0\n", False),
+    "minus-zero": (HEADER + "1,1,-0,0\n", True),
+    "leading-zeros": (HEADER + "1,1,007,0\n", True),
+    "18-digits": (HEADER + f"1,1,{10**18 - 1},{-(10**18 - 1)}\n", True),
+    "two-to-63": (HEADER + f"1,1,{2**63},0\n", False),
+    "minus-two-to-63": (HEADER + f"1,1,{-2**63},0\n", False),
+    "header-only": (HEADER, False),
+    "extra-text-column": ("node,group,in_deg,out_deg,label\n1,1,2,0,a\n2,2,0,3,b\n", False),
+    "short-row": (HEADER + "1,1,2,0\n2,2,0\n", False),
+    "long-then-short-row": (HEADER + "1,1,2,0,9\n2,2,0\n", False),
+    "cr-inside-header": ("group,in_deg,out_deg,x\ry\n1,2,3,4\n", False),
+    "one-row": (HEADER + _rows(1), True),
+    "65537-rows": (HEADER + _rows(65537), True),
+}
+
+
+def _read(path):
+    try:
+        return rio.read_table(path, DEGREE_COLUMNS)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_int_table_parser_matches_loadtxt(tmp_path, monkeypatch, case):
+    """The compiled parser gives loadtxt's arrays, or leaves the file to it."""
+    text, parsed = READ_CASES[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode())
+    if _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    assert (rio._parse_int_table(path, DEGREE_COLUMNS) is not None) == parsed
+    fast = _read(path)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    slow = _read(path)
+    with open(path, newline="") as fh, warnings.catch_warnings():    # loadtxt itself
+        warnings.simplefilter("ignore")
+        header = fh.readline().rstrip("\r\n").split(",")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=list(DEGREE_COLUMNS.items()),
+                              usecols=[header.index(name) for name in DEGREE_COLUMNS])
+            direct = (tuple(rows[name] for name in DEGREE_COLUMNS) if rows.size
+                      else f"{path}: no rows below the header")
+        except ValueError as exc:
+            direct = f"{path}: {exc}"
+    if isinstance(slow, str):
+        assert fast == slow == direct
+    else:
+        for got, want, ref in zip(fast, slow, direct):
+            assert got.dtype == want.dtype == ref.dtype == np.int64
+            assert np.array_equal(got, want) and np.array_equal(got, ref)
 
 
 def test_write_table_cells_are_str_of_python_values(tmp_path):

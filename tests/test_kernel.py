@@ -90,6 +90,26 @@ def test_format_int_rows_matches_str():
     assert n == len(expected)
 
 
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_parse_int_rows_reads_what_format_int_rows_writes():
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    big = 10**18 - 1                       # the most digits the parser takes
+    cells = np.array([[-big, big, 0], [-1, 1, -10], [9, 10, 123456789012]], dtype=np.int64)
+    rows, w = cells.shape
+    buf = np.empty(rows * w * 21, dtype=np.uint8)
+    n = lib.rn_format_int_rows(cells.ctypes.data, rows, w, buf.ctypes.data)
+    columns = np.full((w, rows + 1), 7, dtype=np.int64)     # one row of room to spare
+    assert lib.rn_parse_int_rows(buf.ctypes.data, n, w, rows + 1, columns.ctypes.data) == rows
+    assert np.array_equal(columns[:, :rows], cells.T) and np.all(columns[:, rows] == 7)
+    # a table with more rows than room for them
+    assert lib.rn_parse_int_rows(buf.ctypes.data, n, w, rows - 1, columns.ctypes.data) == -1
+    # int64's extremes have 19 digits, so loadtxt reads them instead
+    for x in (np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10**18):
+        text = np.frombuffer(f"{x}\n".encode(), dtype=np.uint8)
+        assert lib.rn_parse_int_rows(text.ctypes.data, text.size, 1, 1, columns.ctypes.data) == -1
+
+
 def _tables(n):
     """Integer tables of ``n`` rows: extreme int64, int8 and int32 columns."""
     i64, i32, i8 = np.iinfo(np.int64), np.iinfo(np.int32), np.iinfo(np.int8)
@@ -149,6 +169,25 @@ def _assert_falls_back(match, k2_ref):
     assert _kernel.error is not None and match in _kernel.error, _kernel.error
     result = run(k2_ref, SimConfig(n_steps=300, seed=4))  # blocks big enough for the kernel
     result.state.check_invariants()
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_build_keeps_only_the_newest_libraries(fresh_loader):
+    fresh_loader.mkdir(mode=0o700)
+    old = [fresh_loader / f"rn_kernel-{i:024x}.so" for i in range(6)]
+    others = [fresh_loader / name for name in ("rn_kernel-notes.txt", "kernel-old.so")]
+    for age, path in enumerate(old + others):
+        path.write_bytes(b"an older build")
+        os.utime(path, (1e9 - 1e6 * age, 1e9 - 1e6 * age))   # old[0] is the newest
+    assert _kernel.load() is not None, _kernel.error
+    built = _kernel.library_name(_kernel.source().read_bytes())
+    kept = [built, *(path.name for path in old[:_kernel.KEPT_LIBRARIES - 1])]
+    assert sorted(os.listdir(fresh_loader)) == sorted(kept + [p.name for p in others])
+    # a cache hit deletes nothing
+    old[-1].write_bytes(b"an older build")
+    _kernel._build(mbi=True)
+    assert sorted(os.listdir(fresh_loader)) == sorted(kept + [old[-1].name]
+                                                      + [p.name for p in others])
 
 
 def test_missing_compiler_falls_back(fresh_loader, monkeypatch, k2_ref):
@@ -369,7 +408,8 @@ def test_embed_artifacts_match_without_kernel(tmp_path, monkeypatch, threads):
 def test_library_exports_only_rn_symbols():
     lib = _kernel.load()
     assert lib is not None and _kernel.mbi() is lib, _kernel.error
-    for name in ("rn_advance", "rn_format_int_rows", "rn_mbi_batch", "rn_mbi_chunk"):
+    for name in ("rn_advance", "rn_format_int_rows", "rn_parse_int_rows", "rn_mbi_batch",
+                 "rn_mbi_chunk"):
         assert hasattr(lib, name), name
     # --exclude-libs keeps libnpyrandom.a's symbols out of the dynamic table
     for name in ("random_standard_exponential_fill", "random_standard_uniform_fill",

@@ -15,6 +15,7 @@ from recipnet import (
     validate_params,
 )
 from recipnet.embedding import _chi_square_against
+from recipnet.tails import pair_table
 from conftest import random_params, run_k2, sha256s
 
 
@@ -234,8 +235,14 @@ def test_degree_histogram_conservation(k2_ref):
     result = run(k2_ref, SimConfig(n_steps=500, seed=21))
     hist = degree_histogram(result.state)
     assert hist.counts.sum() == result.state.n + 1
+    # per-group tallies: each holds its group's nodes, and together the histogram
+    ind, outd, grp = result.state.degrees()
+    merged = Counter()
     for g in range(k2_ref.K):
-        assert hist.group_counts[g].sum() == result.state.group_node_counts[g]
+        k, l, group_counts = pair_table(ind[grp == g], outd[grp == g])
+        assert group_counts.sum() == result.state.group_node_counts[g]
+        merged.update(dict(zip(zip(k.tolist(), l.tolist()), group_counts.tolist())))
+    assert merged == dict(zip(map(tuple, hist.pairs.tolist()), hist.counts.tolist()))
     grid, overflow = hist.to_pmf(15, 15)
     assert abs(grid.sum() + overflow - 1.0) <= 1e-12
 

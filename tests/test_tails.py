@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,36 @@ from recipnet import (
     tail_report,
     validate_params,
 )
-from recipnet.tails import HILL_SWEEP_POINTS, hill_sweep_ks
+from recipnet.spectral import order_groups
+from recipnet.tails import (HILL_SWEEP_POINTS, HillReport, hill_sweep_ks, pair_table,
+                            weighted_median, weighted_quantile)
+
+
+def expanded_hill_estimator(values, k, sweep=False):
+    """The per-node rule that ``hill_estimator`` reads from weighted rows:
+    sort every positive value, then average the top k log ratios."""
+    values = np.asarray(values, dtype=float)
+    if k < 1 or k + 1 > values.size:
+        raise InsufficientData(f"need k >= 1 and k+1 <= n, got k={k}, n={values.size}")
+    pos = values[values > 0.0]
+    if pos.size < k + 1:
+        raise NonPositiveValues(
+            f"need at least k+1={k + 1} positive values, have {pos.size}")
+    top = np.sort(pos, kind="stable")[::-1]
+    inv = float(np.mean(np.log(top[:k] / top[k])))
+    if inv == 0.0:
+        raise DegenerateTail("top order statistics are identical")
+    est = 1.0 / inv
+
+    k_sweep = None
+    if sweep:
+        logs = np.log(top)
+        ks = hill_sweep_ks(pos.size - 1, k)
+        inv_ks = np.cumsum(logs[:-1])[ks - 1] / ks - logs[ks]
+        with np.errstate(divide="ignore"):
+            est_ks = np.where(inv_ks > 0.0, 1.0 / inv_ks, np.inf)
+        k_sweep = np.stack([ks, est_ks], axis=1)
+    return HillReport(k=k, index_estimate=est, se=est / math.sqrt(k), k_sweep=k_sweep)
 
 
 def test_hill_hand_arithmetic():
@@ -288,3 +318,113 @@ def test_compare_pmf_against_histogram(k1_ref):
     hist = degree_histogram(result.state)
     grid, overflow = hist.to_pmf(10, 10)
     assert compare_pmf((grid, overflow), (grid, overflow)) == 0.0
+
+
+def test_pair_table_bincount_and_unique_agree():
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 40, 5000)
+    y = rng.integers(0, 9, 5000)
+    tables = [pair_table(x, y), pair_table(x.astype(float), y.astype(float)),
+              pair_table(x.astype(np.uint8), y.astype(np.int32))]
+    for tx, ty, w in tables:
+        assert np.array_equal(tx, tables[0][0]) and np.array_equal(ty, tables[0][1])
+        assert np.array_equal(w, tables[0][2]) and w.sum() == x.size
+    tx, ty, w = tables[0]
+    assert np.all(np.diff(tx * 9 + ty) > 0)              # distinct, in (x, y) order
+    assert dict(zip(zip(tx.tolist(), ty.tolist()), w.tolist())) == Counter(zip(x.tolist(), y.tolist()))
+    # a key range far wider than the sample, and negative values, go through np.unique
+    tx, ty, w = pair_table(np.array([10**12, 0, 10**12]), np.array([-1, 5, -1]))
+    assert tx.tolist() == [0, 10**12] and ty.tolist() == [5, -1] and w.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        pair_table(np.array([1]), np.array([1, 2]))
+
+
+def test_weighted_quantile_and_median_match_numpy():
+    rng = np.random.default_rng(8)
+    for n_rows in (1, 2, 3, 7, 40):
+        for _ in range(30):
+            values = rng.integers(0, 6, n_rows) + rng.choice([0.0, 0.25, 1 / 3], n_rows)
+            weights = rng.integers(1, 5, n_rows)
+            sample = np.repeat(values, weights)
+            assert weighted_median(values, weights) == np.median(sample)
+            for q in (0.0, 0.1, 0.5, 0.77, 0.999, 1.0, rng.uniform()):
+                assert weighted_quantile(values, weights, q) == np.quantile(sample, q), q
+
+
+def test_weighted_hill_matches_expanded_sample():
+    rng = np.random.default_rng(4)
+    values = np.floor(rng.pareto(1.5, 400) * 10.0)          # ties and zeros
+    weights = rng.integers(1, 50, 400)
+    sample = np.repeat(values, weights)
+    for k in (1, 2, 17, 300, int((sample > 0).sum()) - 1):
+        try:
+            want = expanded_hill_estimator(sample, k, sweep=True)
+        except DegenerateTail:
+            with pytest.raises(DegenerateTail):
+                hill_estimator(values, k, sweep=True, weights=weights)
+            continue
+        got = hill_estimator(values, k, sweep=True, weights=weights)
+        assert got.index_estimate == pytest.approx(want.index_estimate, rel=1e-12, abs=0.0)
+        assert np.array_equal(got.k_sweep[:, 0], want.k_sweep[:, 0])
+        np.testing.assert_allclose(got.k_sweep[:, 1], want.k_sweep[:, 1], rtol=1e-12, atol=0)
+    with pytest.raises(NonPositiveValues, match="have 3"):
+        hill_estimator([0.0, 2.0], 3, weights=[5, 3])
+    with pytest.raises(InsufficientData, match="n=8"):
+        hill_estimator([0.0, 2.0], 8, weights=[5, 3])
+
+
+ORACLE_MODELS = {
+    "k1": dict(alpha=0.5, delta=1.0, pi=[1.0], rho=[[0.5]]),
+    "k2": dict(alpha=0.5, delta=1.0, pi=[0.5, 0.5], rho=[[0.9, 0.9], [0.45, 0.45]]),
+    "k3-degenerate": dict(alpha=0.5, delta=1.0, pi=[0.4, 0.3, 0.3],
+                          rho=[[0.9] * 3, [0.45] * 3, [0.0] * 3]),
+    "k4-three-rays": dict(alpha=0.5, delta=2.0, pi=[0.25] * 4,
+                          rho=[[0.95] * 4, [0.7] * 4, [0.45] * 4, [0.1] * 4]),
+}
+
+
+@pytest.mark.parametrize("model, n_steps", [
+    ("k1", 30_000), ("k2", 30_000), ("k3-degenerate", 30_000), ("k4-three-rays", 30_000),
+    ("k2", 500_000)])
+def test_tail_report_on_pair_table_matches_expanded_sample(model, n_steps):
+    params = validate_params(**ORACLE_MODELS[model])
+    sol, spectra = solve_equilibrium(params), all_spectra(params)
+    ind, outd, _ = run(params, SimConfig(n_steps=n_steps, seed=11)).state.degrees()
+    ds = DegreeDataset(x=ind, y=outd)
+    assert ds.n == ind.size and ds.x.size < ind.size
+    rep = tail_report(ds, sol, spectra)
+
+    # the same statistics on the per-node sample
+    x, y = ind.astype(float), outd.astype(float)
+    k = int(math.isqrt(x.size))
+    for got, vals in ((rep.hill_in, x), (rep.hill_out, y)):
+        want = expanded_hill_estimator(vals, min(k, int((vals > 0).sum()) - 1), sweep=True)
+        assert got.k == want.k
+        assert got.index_estimate == pytest.approx(want.index_estimate, rel=1e-12, abs=0.0)
+        assert np.array_equal(got.k_sweep[:, 0], want.k_sweep[:, 0])
+        np.testing.assert_allclose(got.k_sweep[:, 1], want.k_sweep[:, 1], rtol=1e-12, atol=0)
+    rad = x + y
+    r_thr = np.quantile(rad, 0.999)
+    assert rep.radius_threshold == r_thr
+    counts, _ = np.histogram(y[rad > r_thr] / rad[rad > r_thr], bins=50, range=(0.0, 1.0))
+    assert np.array_equal(rep.angular_counts, counts)
+    assert rep.angular_counts.dtype == np.int64
+
+    if model == "k1":
+        assert rep.hrv is None
+        return
+    ranked = order_groups(spectra).ranked
+    assert len(rep.hrv.rays) == {"k4-three-rays": 3}.get(model, 2)
+    score, thr = rad, r_thr
+    for j, ray in enumerate(rep.hrv.rays):
+        if j:
+            dist = np.abs(y - ranked[0].a * x)
+            for i in range(1, j):
+                dist = np.minimum(dist, np.abs(y - ranked[i].a * x))
+            score, thr = dist, np.quantile(dist, 0.999)
+        sel = score > thr
+        assert ray.n_selected == int(sel.sum())
+        assert ray.theta_median == float(np.median(y[sel] / rad[sel]))
+        want = expanded_hill_estimator(score, min(ray.n_selected, int((score > 0).sum()) - 1))
+        assert ray.index_estimate == pytest.approx(want.index_estimate, rel=1e-12, abs=0.0)
+    assert rep.hrv.n_removed == x.size - rep.hrv.rays[1].n_selected
