@@ -23,10 +23,15 @@ enumeration of the graph law on the observable
     (edge count, sorted multiset of (group, in-degree, out-degree)),
 
 which is label-alignment-free: the two constructions agree in law on it.
+Each chunk's rows are packed into int64 keys, and the distinct keys of all
+chunks are decoded once. The p-value is the chi-square tail ``_chi2_sf``,
+a closed-form finite sum for integer degrees of freedom, so the check
+needs nothing beyond numpy and the standard library.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -88,22 +93,29 @@ def _code_width(K: int, n: int) -> int:
     return B
 
 
-def _tally(labels, n1, n2, K: int) -> Counter:
-    """Counter of observables over the rows of ``embedding_chains`` output.
+def _row_keys(labels, n1, n2, K: int) -> np.ndarray:
+    """One int64 key per row of ``embedding_chains`` output.
 
     Each process is coded as (g*B + in)*B + out with B = n + 2; the
-    sorted codes of a row are the digits of one int64 key in base K*B*B,
-    so ``np.unique`` tallies whole rows and only distinct keys are decoded.
+    sorted codes of a row are the digits of its key in base K*B*B.
     """
     B = _code_width(K, labels.shape[1] - 1)
-    base = K * B * B
     codes = np.sort((labels * B + n1) * B + n2, axis=1)
-    keys = codes @ (base ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64))
+    return codes @ ((K * B * B) ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _decode(keys: np.ndarray, K: int, n: int) -> Counter:
+    """Counter of observables over the row keys of n-jump chains.
+
+    ``np.unique`` tallies the keys, and only distinct keys are decoded.
+    """
+    B = _code_width(K, n)
+    base = K * B * B
     observed: Counter = Counter()
     for key, count in zip(*np.unique(keys, return_counts=True)):
         cells = []
         key = int(key)
-        for _ in range(codes.shape[1]):
+        for _ in range(n + 1):
             key, code = divmod(key, base)
             code, out = divmod(code, B)
             g, din = divmod(code, B)
@@ -111,6 +123,11 @@ def _tally(labels, n1, n2, K: int) -> Counter:
         cells.reverse()
         observed[(sum(c[1] for c in cells), tuple(cells))] += int(count)
     return observed
+
+
+def _tally(labels, n1, n2, K: int) -> Counter:
+    """Counter of observables over the rows of ``embedding_chains`` output."""
+    return _decode(_row_keys(labels, n1, n2, K), K, labels.shape[1] - 1)
 
 
 def enumerate_graph_law(params: ModelParams, n: int) -> dict:
@@ -189,10 +206,69 @@ class EquivalenceReport:
     impossible_support: bool
 
 
+# Stirling series of lgamma(a + 1) - (a log a - a + log(2 pi a) / 2), in powers
+# of 1/a from a^-1 to a^-11; the first term left out is below 1e-15 at a >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer ``df`` >= 1 degrees of freedom.
+
+    This is the upper regularized gamma Q(df/2, h) with h = x/2, a finite
+    sum of positive terms e^-h h^a / Gamma(a + 1): a = 0, 1, ..., df/2 - 1
+    for even df, and a = 1/2, 3/2, ..., df/2 - 1 plus erfc(sqrt(h)) for odd
+    df. The terms are scaled by the largest one, walked out from it with
+    the ratios h / a, and summed with ``math.fsum``. The log of the peak term
+    comes from the Stirling series once a >= 10, where the direct form
+    a log h - h - lgamma(a + 1) loses digits to cancellation.
+    """
+    if df < 1 or int(df) != df:
+        raise ValueError(f"df must be an integer >= 1, got {df!r}")
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = 0.5 * x
+    c = 0.5 * (df % 2)                      # a runs over c, c + 1, ..., c + n - 1
+    n = df // 2
+    head = math.erfc(math.sqrt(h)) if c else 0.0
+    if n == 0:
+        return head
+    p = min(n - 1, max(0, math.floor(h - c)))  # the terms rise while a <= h
+    a = p + c
+    if a >= 10.0:
+        d = (h - a) / a
+        s = 0.0
+        for coef in reversed(_STIRLING):
+            s = s / (a * a) + coef
+        log_peak = a * (math.log1p(d) - d) - 0.5 * math.log(2.0 * math.pi * a) - s / a
+    else:
+        log_peak = a * math.log(h) - h - math.lgamma(a + 1.0)
+    # away from the peak the ratios only shrink, so each walk stops below 1e-20
+    # of the peak term; what it leaves out is far below an ulp of the sum
+    terms = [1.0]
+    t = 1.0
+    for j in range(p, 0, -1):
+        t *= (j + c) / h
+        if t < 1e-20:
+            break
+        terms.append(t)
+    t = 1.0
+    for j in range(p + 1, n):
+        t *= h / (j + c)
+        if t < 1e-20:
+            break
+        terms.append(t)
+    return head + math.exp(log_peak) * math.fsum(terms)
+
+
 def _chi_square_against(exact: dict, observed: Counter, n_samples: int,
                         min_expected: float = 5.0):
-    """Pearson chi-square with small-expectation cells pooled."""
-    from scipy.special import chdtrc  # only verify needs scipy; keep it off CLI start-up
+    """Pearson chi-square with small-expectation cells pooled.
+
+    The p-value is ``_chi2_sf(df, statistic)``, the closed-form tail of the
+    chi-square law with df = cells - 1, or 1.0 when a single cell is left.
+    """
     impossible = any(key not in exact for key in observed)
     items = sorted(exact.items(), key=lambda kv: -kv[1])
     kept = []
@@ -213,7 +289,7 @@ def _chi_square_against(exact: dict, observed: Counter, n_samples: int,
         return float("inf"), max(len(cells) - 1, 1), 0.0, n_merged, True
     stat = sum((obs - exp) ** 2 / exp for obs, exp in cells)
     df = len(cells) - 1
-    p_value = float(chdtrc(df, stat)) if df > 0 else 1.0
+    p_value = _chi2_sf(df, stat) if df > 0 else 1.0
     return stat, df, p_value, n_merged, False
 
 
@@ -222,19 +298,19 @@ def verify_equivalence(params: ModelParams, n: int, replicates: int,
     """Exact graph law vs chain Monte Carlo on the degree observable.
 
     Runs ``replicates`` independent chains for n jumps (n <= 3) from one
-    ``default_rng(seed)`` stream, ``CHUNK`` replicates at a time, tallies
-    the observable, and chi-square-tests the frequencies against the
-    enumerated distribution.
+    ``default_rng(seed)`` stream, ``CHUNK`` replicates at a time, keys
+    each row, tallies and decodes the distinct keys of all chunks once, and
+    chi-square-tests the frequencies against the enumerated distribution.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     _code_width(params.K, n)
     exact = enumerate_graph_law(params, n)
     rng = np.random.default_rng(seed)
-    observed: Counter = Counter()
-    for start in range(0, replicates, CHUNK):
-        size = min(CHUNK, replicates - start)
-        observed.update(_tally(*embedding_chains(params, n, size, rng), params.K))
+    chunk_keys = [_row_keys(*embedding_chains(params, n, min(CHUNK, replicates - start), rng),
+                            params.K)
+                  for start in range(0, replicates, CHUNK)]
+    observed = _decode(np.concatenate(chunk_keys), params.K, n)
 
     stat, df, p_value, n_merged, impossible = _chi_square_against(exact, observed, replicates)
     keys = set(exact) | set(observed)

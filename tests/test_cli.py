@@ -436,6 +436,39 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # the same five runs in two fresh interpreters, one with scipy blocked;
+    # relative paths keep the echoed config.json equal between the two
+    body = {
+        "model": {"alpha": 0.5, "delta": 1.0, "pi": [0.5, 0.5],
+                  "rho": [[0.9, 0.9], [0.45, 0.45]]},
+        "sim": {"n_steps": 20_000, "seed": 2, "snapshots": [5000], "emit_edges": True},
+        "embed": {"replicates": 3000, "kmax": 6, "lmax": 6, "seed": 1},
+        "diagnose": {"input": "simulate/degrees.csv"},
+        "verify": {"n": 3, "replicates": 3000, "seed": 4},
+    }
+    runs = [[command, "--config", "../config.json", "--out", command]
+            for command in ("analyze", "simulate", "embed", "diagnose", "verify")]
+    runs[2] += ["--threads", "1"]
+    (tmp_path / "config.json").write_text(json.dumps(body))
+    src = str(Path(recipnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    trees = {}
+    for side, block in (("open", ""), ("blocked", "sys.modules['scipy'] = None; ")):
+        code = (f"import sys; {block}import recipnet.cli; "
+                f"sys.exit(max(recipnet.cli.main(argv) for argv in {runs!r}))")
+        cwd = tmp_path / side
+        cwd.mkdir()
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=cwd, env=env)
+        assert done.returncode == 0, done.stderr
+        trees[side] = {str(f.relative_to(cwd)): f.read_bytes()
+                       for f in sorted(cwd.rglob("*")) if f.is_file()}
+    assert {"verify/verify.json", "diagnose/report.json", "embed/pmf.json",
+            "simulate/degrees.csv", "analyze/analyze.json"} <= set(trees["open"])
+    assert trees["blocked"] == trees["open"]
+
+
 def test_missing_model_key_message_does_not_depend_on_hash_seed(tmp_path):
     # the first missing key in the order alpha, delta, pi, rho is named,
     # whatever order a set of the missing keys would iterate in

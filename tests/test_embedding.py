@@ -1,7 +1,11 @@
+import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
+from scipy.stats import chi2
 
 from recipnet import (
     EnumerationTooLarge,
@@ -11,7 +15,8 @@ from recipnet import (
     validate_params,
     verify_equivalence,
 )
-from recipnet.embedding import _chi_square_against, _tally
+from recipnet.embedding import (CHUNK, EquivalenceReport, _chi2_sf, _chi_square_against,
+                                _tally)
 from conftest import random_params
 
 
@@ -136,3 +141,82 @@ def test_checker_rejects_perturbed_law(k2_ref, perturb):
     exact = enumerate_graph_law(perturb(k2_ref), 2)
     _, _, p_value, _, _ = _chi_square_against(exact, observed, replicates)
     assert p_value < 1e-3
+
+
+def _per_chunk_report(params, n, replicates, seed):
+    """verify_equivalence as it ran before the keys were pooled: each chunk's
+    rows tallied and decoded on their own, the Counters summed."""
+    exact = enumerate_graph_law(params, n)
+    rng = np.random.default_rng(seed)
+    observed = Counter()
+    for start in range(0, replicates, CHUNK):
+        size = min(CHUNK, replicates - start)
+        observed.update(_tally(*embedding_chains(params, n, size, rng), params.K))
+    stat, df, p_value, merged, impossible = _chi_square_against(exact, observed, replicates)
+    max_dev = max(abs(observed.get(k, 0) / replicates - exact.get(k, 0.0))
+                  for k in set(exact) | set(observed))
+    return EquivalenceReport(
+        n=n, replicates=replicates, statistic=stat, df=df, p_value=p_value,
+        max_abs_dev=max_dev, n_cells=len(exact), n_merged=merged, impossible_support=impossible)
+
+
+def test_verify_equivalence_matches_per_chunk_tally(k1_ref, k2_ref):
+    rng = np.random.default_rng(1313)
+    models = [k1_ref, k2_ref] + [random_params(rng, k_max=3) for _ in range(5)]
+    for i, params in enumerate(models):
+        for n in (1, 2, 3):
+            for replicates in (1, CHUNK, CHUNK + 1):
+                seed = 100 * i + 10 * n + replicates % 7
+                got = verify_equivalence(params, n=n, replicates=replicates, seed=seed)
+                ref = _per_chunk_report(params, n, replicates, seed)
+                assert dataclasses.replace(got, p_value=0.0) == dataclasses.replace(ref, p_value=0.0)
+                if got.impossible_support:
+                    assert got.p_value == 0.0
+                elif got.df == 0:
+                    assert got.p_value == 1.0
+                else:
+                    expected = float(chdtrc(got.df, got.statistic))
+                    assert abs(got.p_value - expected) <= 1e-12 * expected
+
+
+CHI2_DFS = list(range(1, 61)) + sorted(
+    set(np.round(np.geomspace(60, 4000, 200)).astype(int).tolist()) - {60})
+CHI2_TAILS = (1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 1 - 1e-7)
+
+
+def test_chi2_sf_matches_scipy():
+    assert len(CHI2_DFS) > 230
+    for df in CHI2_DFS:
+        for q in CHI2_TAILS:
+            x = float(chi2.isf(q, df))
+            expected = float(chdtrc(df, x))
+            assert abs(_chi2_sf(df, x) - expected) <= 1e-12 * expected, (df, q)
+
+
+def test_chi2_sf_hand_values():
+    for x in (1e-9, 0.3, 1.0, 2.0, 7.5, 40.0, 300.0):
+        h = x / 2
+        assert _chi2_sf(2, x) == pytest.approx(math.exp(-h), rel=1e-15, abs=0)
+        assert _chi2_sf(1, x) == pytest.approx(math.erfc(math.sqrt(h)), rel=1e-15, abs=0)
+        # beyond one term, e^-h comes from the exp of a log term of size ~h,
+        # which carries about h ulps
+        rel = 4 * (1 + h) * 2.0**-52
+        assert _chi2_sf(4, x) == pytest.approx(math.exp(-h) * (1 + h), rel=rel, abs=0)
+        assert _chi2_sf(3, x) == pytest.approx(
+            math.erfc(math.sqrt(h)) + 2 * math.sqrt(h / math.pi) * math.exp(-h), rel=rel, abs=0)
+
+
+def test_chi2_sf_edges():
+    for df in (1, 2, 3, 75, 4000):
+        assert _chi2_sf(df, 0.0) == 1.0
+        assert _chi2_sf(df, -3.0) == 1.0
+        assert _chi2_sf(df, math.inf) == 0.0
+    assert _chi2_sf(3, 1e5) == 0.0
+    assert _chi2_sf(4000, 1e6) == 0.0
+    # far below the mean the tail is 1, though the last terms underflow
+    for df in (3999, 4000):
+        for x in (1e-3, 10.0):
+            assert _chi2_sf(df, x) == pytest.approx(1.0, rel=1e-14, abs=0)
+    for df in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="df"):
+            _chi2_sf(df, 1.0)
