@@ -260,12 +260,19 @@ def _tally_chunk(args):
     return np.bincount(code, minlength=cells + K + 1)
 
 
+def _tally_slice(jobs):
+    """The summed ``_tally_chunk`` counts of a slice of chunks: one vector per pool task."""
+    return sum(map(_tally_chunk, jobs))
+
+
 def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, workers=1,
                    grid=None):
-    """Yield each chunk's result in chunk order; chunk j draws from SeedSequence([seed, j]).
+    """Yield results in chunk order; chunk j draws from SeedSequence([seed, j]).
 
-    A result is the chunk's raw (labels, n1, n2, failed), or with
+    A result is one chunk's raw (labels, n1, n2, failed), or with
     ``grid=(kmax, lmax)`` its ``_tally_chunk`` counts, made where it was drawn.
+    With a grid and ``workers > 1`` each pool task tallies a contiguous
+    slice of chunks, about four slices per worker, and yields their sum.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -283,7 +290,10 @@ def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, work
         from concurrent.futures import ProcessPoolExecutor
 
         _kernel.load()    # built once here; forked workers inherit the library
-
+        if grid is not None:
+            n = min(len(jobs), 4 * workers)
+            fn, jobs = _tally_slice, [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n]
+                                      for i in range(n)]
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             yield from pool.map(fn, jobs)
     else:
@@ -315,9 +325,11 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     independent of scheduling and identical for any worker count. Within
     a chunk the label, initialization and T* vectors are drawn first, then
     all groups are advanced together by the lockstep engine. Each chunk is
-    tallied in its worker into K*(kmax+1)*(lmax+1) + K + 1 counts (grid
-    cells, overflow per group, failed), and the parent adds these vectors,
-    so its memory does not grow with ``replicates``.
+    tallied where it was drawn into K*(kmax+1)*(lmax+1) + K + 1 counts
+    (grid cells, overflow per group, failed); a pool task sums the vectors
+    of its slice of chunks, and the parent adds one vector per task, so its
+    memory does not grow with ``replicates``. Integer sums do not depend on
+    the order, so the counts are the same for any ``workers``.
     """
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "

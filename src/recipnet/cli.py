@@ -24,15 +24,31 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import io as rio
-from .branching import estimate_pkl
-from .embedding import verify_equivalence
-from .equilibrium import build_jstar, solve_equilibrium
 from .params import ParameterError, group_rates, validate_params
-from .simulate import SimConfig, run
-from .spectral import all_spectra, order_groups
-from .tails import DegreeDataset, PeelOptions, tail_report
 
 P_THRESHOLD = 0.001
+
+# Names from the other modules, each loaded on first use through the
+# package's table, so a subcommand imports only the modules it runs. Each
+# stays a module attribute, and a cmd_* looks it up at call time, so a
+# wrapper set with setattr is the one that runs.
+_LAZY = {"build_jstar", "solve_equilibrium", "all_spectra", "order_groups", "SimConfig",
+         "run", "estimate_pkl", "verify_equivalence", "DegreeDataset", "PeelOptions",
+         "tail_report"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _load(*names) -> None:
+    """Bind each lazy name that is not yet bound (a wrapper set earlier stays)."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 class ConfigError(ValueError):
@@ -217,6 +233,7 @@ def _spectra_payload(spectra, order):
 
 
 def cmd_analyze(cfg, out_dir: Path) -> None:
+    _load("build_jstar", "solve_equilibrium", "all_spectra", "order_groups")
     params = _model(cfg)
     rates = group_rates(params)
     contraction = build_jstar(params)
@@ -264,6 +281,7 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
 
 
 def cmd_simulate(cfg, out_dir: Path) -> None:
+    _load("SimConfig", "run")
     params = _model(cfg)
     sim = cfg["sim"]
     config = SimConfig(n_steps=sim["n_steps"], seed=sim["seed"],
@@ -298,6 +316,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
 
 
 def cmd_embed(cfg, out_dir: Path, workers: int) -> None:
+    _load("solve_equilibrium", "estimate_pkl")
     params = _model(cfg)
     sol = solve_equilibrium(params, tol=cfg["solver"]["tol"],
                             max_iter=cfg["solver"]["max_iter"])
@@ -313,6 +332,7 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     if src is None:
         raise ParseError("diagnose requires an input degree CSV "
                          "(--input or diagnose.input)")
+    _load("solve_equilibrium", "all_spectra", "DegreeDataset", "PeelOptions", "tail_report")
     params = _model(cfg)
     ind, outd, _ = rio.read_degree_snapshot(src, params.K)
     dataset = DegreeDataset(x=ind, y=outd)
@@ -371,6 +391,7 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
 
 
 def cmd_verify(cfg, out_dir: Path) -> None:
+    _load("verify_equivalence")
     params = _model(cfg)
     ver = cfg["verify"]
     runs = []

@@ -21,12 +21,15 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernel
-from .branching import JointPmfEstimate
-from .simulate import GraphState, Trajectory
+
+if TYPE_CHECKING:
+    from .branching import JointPmfEstimate
+    from .simulate import GraphState, Trajectory
 
 CHUNK = 1 << 16             # rows per write in write_table
 

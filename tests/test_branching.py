@@ -16,7 +16,7 @@ from recipnet import (
     validate_params,
 )
 from recipnet import io as rio
-from recipnet.branching import LimitPairSampler
+from recipnet.branching import LimitPairSampler, _tally_chunk
 from recipnet.embedding import _chi_square_against
 from recipnet.params import ModelParams
 
@@ -311,6 +311,32 @@ def test_estimate_pkl_is_a_tally_of_sample_limit_pairs(k2_ref, workers):
     assert np.array_equal(est.group_counts, counts)
     assert np.array_equal(est.group_overflow_counts, over)
     assert est.failed == int(failed.sum())
+
+
+@pytest.mark.parametrize("replicates, chunk_size", [
+    (2050, 100),   # 21 chunks, the last one short: slices of several chunks
+    (150, 100),    # 2 chunks: more workers than chunks at 3 workers
+    (80, 100),     # a single chunk
+], ids=["21-chunks", "2-chunks", "1-chunk"])
+def test_sliced_fan_out_matches_per_chunk_tally(k2_ref, replicates, chunk_size):
+    # the oracle: every chunk tallied on its own from SeedSequence([seed, j]),
+    # summed in chunk order; the budget makes some replicates fail
+    sol = solve_equilibrium(k2_ref)
+    kmax, lmax, seed, budget = 5, 7, 21, 10
+    rates, sampler = group_rates(k2_ref), LimitPairSampler.from_solution(k2_ref, sol)
+    oracle = sum(_tally_chunk(((k2_ref, rates, sampler, j,
+                                min(chunk_size, replicates - j * chunk_size), seed, budget),
+                               kmax, lmax))
+                 for j in range(-(-replicates // chunk_size)))
+    cells = k2_ref.K * (kmax + 1) * (lmax + 1)
+    assert oracle[-1] > 0
+    for workers in (1, 2, 3):
+        est = estimate_pkl(k2_ref, sol, replicates=replicates, kmax=kmax, lmax=lmax,
+                           seed=seed, event_budget=budget, chunk_size=chunk_size,
+                           workers=workers)
+        assert np.array_equal(est.group_counts.ravel(), oracle[:cells]), workers
+        assert np.array_equal(est.group_overflow_counts, oracle[cells:-1]), workers
+        assert est.failed == oracle[-1], workers
 
 
 def test_estimate_pkl_failed_accounting(k1_ref):

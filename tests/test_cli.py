@@ -482,3 +482,40 @@ def test_missing_model_key_message_does_not_depend_on_hash_seed(tmp_path):
                               env=env)
         assert done.returncode == 2
         assert done.stderr == "recipnet: ParseError: model section is missing 'delta'\n"
+
+
+# recipnet modules a launch must not load: each subcommand imports only what it runs
+NOT_LOADED = {
+    None: {"simulate", "branching", "embedding", "equilibrium", "tails"},   # the import alone
+    "analyze": {"simulate", "branching", "embedding", "tails"},
+    "simulate": {"branching", "embedding", "tails", "equilibrium"},
+    "embed": {"simulate", "embedding", "tails"},
+    "diagnose": {"simulate", "branching", "embedding"},
+    "verify": {"simulate", "branching", "tails", "equilibrium"},
+}
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    # one fresh interpreter per launch, with scipy blocked as in CI
+    out = tmp_path / "out"
+    cfgpath = _k1_config(tmp_path, out, extra={
+        "sim": {"n_steps": 2000, "seed": 1},
+        "embed": {"replicates": 2000, "kmax": 4, "lmax": 4},
+        "diagnose": {"input": str(out / "degrees.csv")},
+        "verify": {"n": 1, "replicates": 500},
+    })
+    src = str(Path(recipnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for command, forbidden in NOT_LOADED.items():
+        argv = None if command is None else [command, "--config", cfgpath]
+        if command == "embed":
+            argv += ["--threads", "1"]
+        code = ("import sys, json; sys.modules['scipy'] = None; import recipnet.cli; "
+                f"argv = {argv!r}; code = 0 if argv is None else recipnet.cli.main(argv); "
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('recipnet.')))); "
+                "sys.exit(code)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 0, (command, done.stderr)
+        loaded = {m.split(".", 1)[1] for m in json.loads(done.stdout.splitlines()[-1])}
+        assert "cli" in loaded and not loaded & forbidden, (command, sorted(loaded))
