@@ -10,9 +10,27 @@ power-law tail indices and ray concentration empirically.
 
 The names below load on first use (PEP 562), so ``import recipnet`` and
 each CLI subcommand import only the modules they run.
+
+When recipnet is the first to import numpy, numpy's OpenBLAS runs on one
+thread (the package's BLAS calls are on K x K matrices) unless one of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+set; ``os.environ`` is left as it was found. So a CLI process has one OS
+thread, and ``embed`` forks its workers from it.
 """
 
+import os as _os
+import sys as _sys
 from importlib import import_module as _import_module
+
+# OpenBLAS reads these once, in this order, when numpy loads it
+if "numpy" not in _sys.modules and not any(
+        v in _os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                   "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        _import_module("numpy")
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 # bound now: a later import of the submodule recipnet.spectral would set the
 # package attribute to the module, and __getattr__ is not asked once it is set

@@ -29,6 +29,7 @@ and the same generator state after the call.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -287,6 +288,7 @@ def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, work
     if grid is not None:
         fn, jobs = _tally_chunk, [(job, *grid) for job in jobs]
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         _kernel.load()    # built once here; forked workers inherit the library
@@ -294,7 +296,9 @@ def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, work
             n = min(len(jobs), 4 * workers)
             fn, jobs = _tally_slice, [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n]
                                       for i in range(n)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        # fork on Linux whatever the default (forkserver from Python 3.14)
+        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as pool:
             yield from pool.map(fn, jobs)
     else:
         yield from map(fn, jobs)

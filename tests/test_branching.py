@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -313,30 +315,49 @@ def test_estimate_pkl_is_a_tally_of_sample_limit_pairs(k2_ref, workers):
     assert est.failed == int(failed.sum())
 
 
+def _check_against_per_chunk_tally(params, replicates, chunk_size, workers):
+    # the oracle: every chunk tallied on its own from SeedSequence([seed, j]),
+    # summed in chunk order; the budget makes some replicates fail
+    sol = solve_equilibrium(params)
+    kmax, lmax, seed, budget = 5, 7, 21, 10
+    rates, sampler = group_rates(params), LimitPairSampler.from_solution(params, sol)
+    oracle = sum(_tally_chunk(((params, rates, sampler, j,
+                                min(chunk_size, replicates - j * chunk_size), seed, budget),
+                               kmax, lmax))
+                 for j in range(-(-replicates // chunk_size)))
+    cells = params.K * (kmax + 1) * (lmax + 1)
+    assert oracle[-1] > 0
+    for w in workers:
+        est = estimate_pkl(params, sol, replicates=replicates, kmax=kmax, lmax=lmax,
+                           seed=seed, event_budget=budget, chunk_size=chunk_size,
+                           workers=w)
+        assert np.array_equal(est.group_counts.ravel(), oracle[:cells]), w
+        assert np.array_equal(est.group_overflow_counts, oracle[cells:-1]), w
+        assert est.failed == oracle[-1], w
+
+
 @pytest.mark.parametrize("replicates, chunk_size", [
     (2050, 100),   # 21 chunks, the last one short: slices of several chunks
     (150, 100),    # 2 chunks: more workers than chunks at 3 workers
     (80, 100),     # a single chunk
 ], ids=["21-chunks", "2-chunks", "1-chunk"])
 def test_sliced_fan_out_matches_per_chunk_tally(k2_ref, replicates, chunk_size):
-    # the oracle: every chunk tallied on its own from SeedSequence([seed, j]),
-    # summed in chunk order; the budget makes some replicates fail
-    sol = solve_equilibrium(k2_ref)
-    kmax, lmax, seed, budget = 5, 7, 21, 10
-    rates, sampler = group_rates(k2_ref), LimitPairSampler.from_solution(k2_ref, sol)
-    oracle = sum(_tally_chunk(((k2_ref, rates, sampler, j,
-                                min(chunk_size, replicates - j * chunk_size), seed, budget),
-                               kmax, lmax))
-                 for j in range(-(-replicates // chunk_size)))
-    cells = k2_ref.K * (kmax + 1) * (lmax + 1)
-    assert oracle[-1] > 0
-    for workers in (1, 2, 3):
-        est = estimate_pkl(k2_ref, sol, replicates=replicates, kmax=kmax, lmax=lmax,
-                           seed=seed, event_budget=budget, chunk_size=chunk_size,
-                           workers=workers)
-        assert np.array_equal(est.group_counts.ravel(), oracle[:cells]), workers
-        assert np.array_equal(est.group_overflow_counts, oracle[cells:-1]), workers
-        assert est.failed == oracle[-1], workers
+    _check_against_per_chunk_tally(k2_ref, replicates, chunk_size, workers=(1, 2, 3))
+
+
+def test_embed_pool_forks_on_linux(k2_ref, monkeypatch):
+    # the pool forks on Linux whatever the platform default, so the workers
+    # inherit the loaded kernel; elsewhere it keeps the default context
+    methods = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            methods.append(mp_context and mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    _check_against_per_chunk_tally(k2_ref, 2050, 100, workers=(2,))
+    assert methods == ["fork" if sys.platform == "linux" else None]
 
 
 def test_estimate_pkl_failed_accounting(k1_ref):

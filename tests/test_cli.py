@@ -519,3 +519,70 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
         assert done.returncode == 0, (command, done.stderr)
         loaded = {m.split(".", 1)[1] for m in json.loads(done.stdout.splitlines()[-1])}
         assert "cli" in loaded and not loaded & forbidden, (command, sorted(loaded))
+
+
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="counts OS threads in /proc/self/task")
+
+
+def _fresh(code, **preset):
+    """Run ``code`` in a fresh interpreter whose environment has none of the
+    BLAS variables but ``preset``; the JSON on its last output line."""
+    src = str(Path(recipnet.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _threads_after_import(first="pass", **preset):
+    """Run ``first``, then ``import recipnet.cli``: the OS thread counts
+    before and after the import, and what it did to ``os.environ``."""
+    return _fresh(
+        f"import json, os; {first}; environ = dict(os.environ); "
+        "before = len(os.listdir('/proc/self/task')); import recipnet.cli; "
+        "print(json.dumps({'before': before, 'tasks': len(os.listdir('/proc/self/task')), "
+        "'environ_kept': dict(os.environ) == environ, "
+        f"'blas_vars': [v for v in {BLAS_VARS!r} if v in os.environ]}}))", **preset)
+
+
+@linux_only
+def test_cli_import_runs_on_one_os_thread():
+    got = _threads_after_import()
+    assert got["tasks"] == 1
+    assert got["environ_kept"] and got["blas_vars"] == []
+
+
+@linux_only
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable CPUs")
+def test_users_openblas_thread_count_wins():
+    got = _threads_after_import(OPENBLAS_NUM_THREADS="2")
+    assert got["tasks"] == 2
+    assert got["environ_kept"] and got["blas_vars"] == ["OPENBLAS_NUM_THREADS"]
+
+
+@linux_only
+def test_numpy_imported_first_is_left_alone():
+    # recipnet cannot pin a library that is already loaded, and does not try
+    got = _threads_after_import("import numpy")
+    plain = _fresh("import json, os, numpy; print(len(os.listdir('/proc/self/task')))")
+    assert got["tasks"] == got["before"] == plain
+    assert got["environ_kept"] and got["blas_vars"] == []
+
+
+@linux_only
+def test_embed_forks_its_pool_from_one_thread(tmp_path):
+    # 200000 replicates are 4 chunks, so 2 workers fork
+    forks = _fresh(
+        "import json, os; forks = []; "
+        "os.register_at_fork(before=lambda: forks.append(len(os.listdir('/proc/self/task')))); "
+        "from recipnet import cli; "
+        f"code = cli.main(['embed', '--config', {str(CONFIGS / 'k1.json')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--threads', '2', '--replicates', '200000']); "
+        "assert code == 0, code; print(json.dumps(forks))")
+    assert forks and set(forks) == {1}, forks
