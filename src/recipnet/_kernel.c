@@ -19,14 +19,14 @@
  * generator state. The caller holds the bit generator's lock.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<numpy include> _kernel.c
- * libnpyrandom.a -Wl,--exclude-libs,ALL -lm, or with -DRN_NO_MBI and
- * neither numpy file. Contracting u1*(E + delta*V) into a fused
- * multiply-add would change the draws. Every exported symbol carries the
- * rn_ prefix (--exclude-libs hides numpy's), so none can clash with a
- * symbol of another loaded library.
+ * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V)
+ * into a fused multiply-add would change the draws. Every exported symbol
+ * carries the rn_ prefix (--exclude-libs hides numpy's), so none can clash
+ * with a symbol of another loaded library.
  */
 
 #include <stdint.h>
+#include "numpy/random/bitgen.h"
 
 #define RN_PREFETCH_ROWS 8
 
@@ -219,9 +219,6 @@ int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
 }
 
 
-#ifndef RN_NO_MBI
-#include "numpy/random/bitgen.h"
-
 /* Generator.standard_exponential's fill, linked from numpy's libnpyrandom.a
  * (declared in numpy/random/distributions.h, which needs Python.h) */
 void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
@@ -356,4 +353,3 @@ void rn_mbi_chunk(bitgen_t *bg, int64_t n, const double *cum_pi, int32_t K,
         left[i] = left[i] / c_star;
     rn_mbi_run(bg, &m, n, idx, a1, a2, left, e);
 }
-#endif

@@ -16,14 +16,13 @@ platform and numpy's two files, so a changed source, host or numpy never
 loads a stale build. It is built under a temporary name and moved into
 place, so concurrent first uses cannot load a half-written file; a build
 then deletes all but the KEPT_LIBRARIES newest ``rn_kernel-*.so`` files
-there, so old sources and numpy versions do not pile up. When
-numpy's files are missing or the build against them fails, the library
-is built without the MBI entry points, ``error`` says why, and ``mbi``
-returns None. ``load`` returns None when anything else fails (no
-compiler, a build error, a cache directory that is not private to this
-user, a load error) and keeps the reason in ``error``; the caller then
-runs its Python code, which draws the same graph and the same limit-law
-counts and writes the same bytes. Nothing here runs at import time.
+there, so old sources and numpy versions do not pile up. ``load``
+returns None when anything fails (numpy's files are missing, no
+compiler, a build or link error, a cache directory that is not private
+to this user, a load error) and keeps the reason in ``error``; the caller
+then runs its Python code, which draws the same graph and the same
+limit-law counts and writes the same bytes. Nothing here runs at import
+time.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 HEADER = ("numpy", "random", "bitgen.h")          # under numpy.get_include()
 ARCHIVE = ("random", "lib", "libnpyrandom.a")     # under numpy's package directory
 LINK = ("-Wl,--exclude-libs,ALL", "-lm")
-NO_MBI = ("-DRN_NO_MBI",)
 KEPT_LIBRARIES = 4          # the cache keeps the newest builds, the new one among them
 
-error: str | None = None     # why the kernel, or its MBI part, is unavailable, once tried
+error: str | None = None     # why the kernel is unavailable, once tried
 _tried = False
 _lib = None
 
@@ -74,10 +72,8 @@ class CompileError(OSError):
     """numpy's random files are missing, or the compiler failed."""
 
 
-def _link(mbi: bool):
+def _link():
     """Compiler arguments after the source, and the files they read."""
-    if not mbi:
-        return NO_MBI, ()
     import numpy
 
     include = numpy.get_include()
@@ -89,12 +85,12 @@ def _link(mbi: bool):
     return ("-I" + include, archive, *LINK), (header, archive)
 
 
-def library_name(code: bytes, mbi: bool = True) -> str:
+def library_name(code: bytes) -> str:
     import platform
     import sys
 
     sha256 = _sha256()
-    args, inputs = _link(mbi)
+    args, inputs = _link()
     key = sha256(code)
     for part in (CC, *FLAGS, *args, sys.platform, platform.machine()):
         key.update(b"\0" + part.encode())
@@ -104,7 +100,7 @@ def library_name(code: bytes, mbi: bool = True) -> str:
     return f"rn_kernel-{key.hexdigest()[:24]}.so"
 
 
-def _build(mbi: bool) -> str:
+def _build() -> str:
     """Path of the compiled library, building it if the cache lacks it."""
     src = source()
     directory = cache_dir()
@@ -113,7 +109,7 @@ def _build(mbi: bool) -> str:
     if st.st_uid != os.getuid() or st.st_mode & 0o077:
         raise OSError(f"cache directory {directory} is not private to this user "
                       f"(owner uid {st.st_uid}, mode {st.st_mode & 0o777:o})")
-    path = os.path.join(directory, library_name(src.read_bytes(), mbi))
+    path = os.path.join(directory, library_name(src.read_bytes()))
     if os.path.exists(path):
         return path
 
@@ -125,7 +121,7 @@ def _build(mbi: bool) -> str:
     os.close(fd)
     try:
         with resources.as_file(src) as src_path:
-            done = subprocess.run([CC, *FLAGS, "-o", tmp, str(src_path), *_link(mbi)[0]],
+            done = subprocess.run([CC, *FLAGS, "-o", tmp, str(src_path), *_link()[0]],
                                   capture_output=True, text=True)
         if done.returncode != 0:
             raise CompileError(f"{CC} exited {done.returncode}: {done.stderr.strip()[-500:]}")
@@ -166,11 +162,7 @@ def load():
     try:
         import ctypes
 
-        try:
-            lib, full = ctypes.CDLL(_build(mbi=True)), True
-        except CompileError as exc:   # the MBI engine runs as numpy code instead
-            error, full = f"no MBI engine: {exc}", False
-            lib = ctypes.CDLL(_build(mbi=False))
+        lib = ctypes.CDLL(_build())
         p, i32, i64, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
         lib.rn_advance.argtypes = [p, i64, f64, f64, p, p, i32, p, p, p, p, p, i32, p, p, p, p]
         lib.rn_advance.restype = None
@@ -178,18 +170,11 @@ def load():
         lib.rn_format_int_rows.restype = i64
         lib.rn_parse_int_rows.argtypes = [p, i64, i32, i64, p]
         lib.rn_parse_int_rows.restype = i64
-        if full:
-            lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
-            lib.rn_mbi_chunk.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
-                                         i64, i64, p, p]
-            lib.rn_mbi_batch.restype = lib.rn_mbi_chunk.restype = None
+        lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
+        lib.rn_mbi_chunk.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
+                                     i64, i64, p, p]
+        lib.rn_mbi_batch.restype = lib.rn_mbi_chunk.restype = None
         _lib = lib
     except (OSError, AttributeError) as exc:   # the Python code runs instead
         error = f"{type(exc).__name__}: {exc}"
     return _lib
-
-
-def mbi():
-    """``load()``'s library when it has the MBI entry points, else None."""
-    lib = load()
-    return lib if hasattr(lib, "rn_mbi_chunk") else None

@@ -23,8 +23,8 @@ clock selector, reciprocation coin). Its loop is the statement of the
 rule. ``rn_mbi_batch`` in ``_kernel.c`` repeats it line for line, and
 ``rn_mbi_chunk`` repeats ``_sample_chunk`` followed by ``_tally_chunk``;
 both draw from the chunk's own numpy Generator in the same order, and they
-run instead whenever they build (see ``_kernel``), with the same counts
-and the same generator state after the call.
+run instead whenever the kernel loads (see ``_kernel``), with the same
+counts and the same generator state after the call.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     counts are partial).
 
     The loop below is the statement of the rule; ``rn_mbi_batch`` runs
-    instead, from the same generator, whenever it builds.
+    instead, from the same generator, whenever the kernel loads.
     """
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
     inits = np.asarray(inits)
@@ -83,7 +83,7 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     failed = np.zeros(len(n1), dtype=bool)
     left = np.array(t_ends, dtype=float)
     labels = np.asarray(labels)
-    lib = _kernel.mbi()
+    lib = _kernel.load()
     # the compiled loop indexes memory with the labels, so it takes in-range
     # integer labels, one per row, and numpy's own Generator only
     if (lib is not None and isinstance(rng, np.random.Generator)
@@ -232,8 +232,8 @@ def _tally_chunk(args):
     """One chunk's count vector: the (K, kmax+1, lmax+1) grid cells flat,
     then the overflow count of each group, then the failed count.
 
-    ``rn_mbi_chunk`` draws and tallies the chunk whenever it builds; the
-    numpy code below is the statement it mirrors."""
+    ``rn_mbi_chunk`` draws and tallies the chunk whenever the kernel loads;
+    the numpy code below is the statement it mirrors."""
     job, kmax, lmax = args
     params, rates, sampler, j, size, seed, event_budget = job
     K = params.K
@@ -241,7 +241,7 @@ def _tally_chunk(args):
     cum_pi, probs, rho_row, rho_col = (
         np.ascontiguousarray(a, dtype=float)
         for a in (np.cumsum(params.pi), sampler.init_probs, rates.rho_row, rates.rho_col))
-    lib = _kernel.mbi()
+    lib = _kernel.load()
     # the compiled tally indexes memory with the labels and the grid cells
     if (lib is not None and min(kmax, lmax) >= 0 and probs.shape == (K, 3)
             and cum_pi.shape == rho_row.shape == rho_col.shape == (K,)):
@@ -262,46 +262,22 @@ def _tally_chunk(args):
 
 
 def _tally_slice(jobs):
-    """The summed ``_tally_chunk`` counts of a slice of chunks: one vector per pool task."""
+    """The summed ``_tally_chunk`` counts of a slice of chunks: a pool task, or every chunk."""
     return sum(map(_tally_chunk, jobs))
 
 
-def _sample_chunks(params, sol, replicates, seed, event_budget, chunk_size, workers=1,
-                   grid=None):
-    """Yield results in chunk order; chunk j draws from SeedSequence([seed, j]).
-
-    A result is one chunk's raw (labels, n1, n2, failed), or with
-    ``grid=(kmax, lmax)`` its ``_tally_chunk`` counts, made where it was drawn.
-    With a grid and ``workers > 1`` each pool task tallies a contiguous
-    slice of chunks, about four slices per worker, and yields their sum.
-    """
+def _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size):
+    """One ``_sample_chunk`` job per chunk, in chunk order; chunk j draws
+    from SeedSequence([seed, j])."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     rates = group_rates(params)
     sampler = LimitPairSampler.from_solution(params, sol)
-    jobs = [
+    return [
         (params, rates, sampler, j, min(chunk_size, replicates - j * chunk_size),
          seed, event_budget)
         for j in range((replicates + chunk_size - 1) // chunk_size)
     ]
-    fn = _sample_chunk
-    if grid is not None:
-        fn, jobs = _tally_chunk, [(job, *grid) for job in jobs]
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        _kernel.load()    # built once here; forked workers inherit the library
-        if grid is not None:
-            n = min(len(jobs), 4 * workers)
-            fn, jobs = _tally_slice, [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n]
-                                      for i in range(n)]
-        # fork on Linux whatever the default (forkserver from Python 3.14)
-        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as pool:
-            yield from pool.map(fn, jobs)
-    else:
-        yield from map(fn, jobs)
 
 
 def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
@@ -314,7 +290,8 @@ def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
     follow the same chunked streams as ``estimate_pkl``, so the two agree
     replicate for replicate at equal seeds.
     """
-    parts = list(_sample_chunks(params, sol, replicates, seed, event_budget, chunk_size))
+    parts = list(map(_sample_chunk,
+                     _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size)))
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
 
 
@@ -338,8 +315,21 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)
-    counts = sum(_sample_chunks(params, sol, replicates, seed, event_budget, chunk_size,
-                                workers, grid=(kmax, lmax)))
+    jobs = [(job, kmax, lmax)
+            for job in _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size)]
+    if workers > 1 and len(jobs) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _kernel.load()    # built once here; forked workers inherit the library
+        n = min(len(jobs), 4 * workers)
+        slices = [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n] for i in range(n)]
+        # fork on Linux whatever the default (forkserver from Python 3.14)
+        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(max_workers=min(workers, n), mp_context=ctx) as pool:
+            counts = sum(pool.map(_tally_slice, slices))
+    else:
+        counts = _tally_slice(jobs)
     K = params.K
     cells = K * (kmax + 1) * (lmax + 1)
     return JointPmfEstimate(

@@ -207,6 +207,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     bad = [s for s in sim["snapshots"] if not 1 <= s <= sim["n_steps"]]
     if bad:
         raise ParseError(f"sim.snapshots must lie in [1, {sim['n_steps']}], got {bad}")
+    _model(cfg)    # the model's checks, too, come before any output is written
     return cfg
 
 

@@ -75,13 +75,13 @@ def validate_params(alpha, delta, pi, rho, k=None) -> ModelParams:
     """Validate a raw parameter bundle and return an immutable ModelParams.
 
     Raises the most specific ParameterError naming the violated
-    constraint. ``k`` is optional; when given it is cross-checked against
-    the shapes of ``pi`` and ``rho``.
+    constraint, and ParameterError itself for a value that is not a finite
+    number (a bool, a string, None, NaN or an infinity) or an array of
+    them. ``k`` is optional; when given it is cross-checked against the
+    shapes of ``pi`` and ``rho``.
     """
-    alpha = float(alpha)
-    delta = float(delta)
-    pi = np.asarray(pi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    alpha, delta = _finite("alpha", alpha, scalar=True), _finite("delta", delta, scalar=True)
+    pi, rho = _finite("pi", pi), _finite("rho", rho)
 
     if not 0.0 < alpha < 1.0:
         raise NonProbability(f"alpha must lie in (0, 1), got {alpha}")
@@ -91,23 +91,35 @@ def validate_params(alpha, delta, pi, rho, k=None) -> ModelParams:
     if pi.ndim != 1 or pi.size == 0:
         raise BadDimensions(f"pi must be a non-empty vector, got shape {pi.shape}")
     K = int(pi.size)
-    if k is not None and int(k) != K:
+    if k is not None and _finite("k", k, scalar=True) != K:
         raise BadDimensions(f"K={k} does not match len(pi)={K}")
     if rho.shape != (K, K):
         raise BadDimensions(f"rho must be {K}x{K}, got shape {rho.shape}")
 
-    if np.any(pi < 0.0):
+    # written so that NaN fails each check
+    if not np.all(pi >= 0.0):
         raise BadSimplex(f"pi has negative entries: {pi}")
-    if abs(pi.sum() - 1.0) > SIMPLEX_TOL:
+    if not abs(pi.sum() - 1.0) <= SIMPLEX_TOL:
         raise BadSimplex(f"pi sums to {pi.sum()!r}, not 1 within {SIMPLEX_TOL}")
-    if np.any(rho < 0.0) or np.any(rho > 1.0):
+    if not np.all((rho >= 0.0) & (rho <= 1.0)):
         raise NonProbability("rho entries must lie in [0, 1]")
 
-    pi = pi.copy()
-    rho = rho.copy()
     pi.setflags(write=False)
     rho.setflags(write=False)
     return ModelParams(alpha=alpha, gamma=1.0 - alpha, delta=delta, K=K, pi=pi, rho=rho)
+
+
+def _finite(name, value, scalar=False):
+    """``value`` as a float, or as a float array unless ``scalar``; a bool,
+    a string, None, a ragged array and a non-finite entry are refused."""
+    try:
+        a = np.asarray(value)
+    except ValueError:   # a ragged array
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or (scalar and a.ndim) or not np.isfinite(a).all():
+        what = "a finite number" if scalar else "an array of finite numbers"
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+    return float(a) if scalar else a.astype(float)   # a copy: the caller keeps theirs
 
 
 def draw_groups(cum_pi: np.ndarray, u):

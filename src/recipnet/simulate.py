@@ -297,17 +297,15 @@ def _advance_compiled(kernel, state: GraphState, params: ModelParams, u: np.ndar
                          f"[{u.min()}, {u.max()}], K={params.K}, rho {rho.shape}")
     counts = np.array([state.edge_count, state.n_nodes, state.reciprocal_count],
                       dtype=np.int64)
-    kernel(_addr(u), len(u), params.alpha, params.delta, _addr(cum_pi), _addr(rho),
-           params.K, _addr(state._in_pool), _addr(state._out_pool),
-           _addr(state._in_deg), _addr(state._out_deg), _addr(state._groups),
-           state._groups.itemsize > 1, _addr(state.group_in_edges),
-           _addr(state.group_out_edges), _addr(state.group_node_counts), _addr(counts))
+    kernel(u.ctypes.data, len(u), params.alpha, params.delta, cum_pi.ctypes.data,
+           rho.ctypes.data, params.K, state._in_pool.ctypes.data,
+           state._out_pool.ctypes.data, state._in_deg.ctypes.data,
+           state._out_deg.ctypes.data, state._groups.ctypes.data,
+           state._groups.itemsize > 1, state.group_in_edges.ctypes.data,
+           state.group_out_edges.ctypes.data, state.group_node_counts.ctypes.data,
+           counts.ctypes.data)
     state.n += len(u)
     state.edge_count, state.n_nodes, state.reciprocal_count = counts.tolist()
-
-
-def _addr(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
 
 
 def step(state: GraphState, params: ModelParams, rng: np.random.Generator) -> GraphState:

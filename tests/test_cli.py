@@ -161,6 +161,22 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "0.5"), ("rho", [[float("nan")]]), ("pi", [float("nan")]),
+    ("delta", float("inf")), ("alpha", [0.5]), ("delta", None),
+], ids=["alpha-str", "rho-nan", "pi-nan", "delta-inf", "alpha-list", "delta-null"])
+def test_model_value_that_is_no_finite_number_exits_2(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    body = {"model": {"alpha": 0.5, "delta": 1.0, "pi": [1.0], "rho": [[0.5]], key: value},
+            "output": {"directory": str(out)}}
+    code = main(["analyze", "--config", _write_config(tmp_path, body)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"recipnet: ParameterError: {key} must be")
+    assert err.count("\n") == 1 and err.count("recipnet: ") == 1
+    assert not out.exists()
+
+
 def test_unparseable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -169,6 +169,10 @@ def _assert_falls_back(match, k2_ref):
     assert _kernel.error is not None and match in _kernel.error, _kernel.error
     result = run(k2_ref, SimConfig(n_steps=300, seed=4))  # blocks big enough for the kernel
     result.state.check_invariants()
+    # three chunks on two workers: the pool forks with no library loaded
+    est = estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=3000, kmax=5, lmax=5,
+                       seed=2, chunk_size=1000, workers=2)
+    assert est.group_counts.sum() + est.group_overflow_counts.sum() + est.failed == 3000
 
 
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
@@ -185,7 +189,7 @@ def test_build_keeps_only_the_newest_libraries(fresh_loader):
     assert sorted(os.listdir(fresh_loader)) == sorted(kept + [p.name for p in others])
     # a cache hit deletes nothing
     old[-1].write_bytes(b"an older build")
-    _kernel._build(mbi=True)
+    _kernel._build()
     assert sorted(os.listdir(fresh_loader)) == sorted(kept + [old[-1].name]
                                                       + [p.name for p in others])
 
@@ -281,7 +285,7 @@ BUDGETS = [1, 12, branching.DEFAULT_EVENT_BUDGET]
 
 def _compiled_and_numpy(monkeypatch, fn):
     """``fn()`` through the compiled MBI engine, then through numpy."""
-    assert _kernel.mbi() is not None, _kernel.error
+    assert _kernel.load() is not None, _kernel.error
     compiled = fn()
     monkeypatch.setattr(_kernel, "load", lambda: None)
     return compiled, fn()
@@ -407,7 +411,7 @@ def test_embed_artifacts_match_without_kernel(tmp_path, monkeypatch, threads):
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
 def test_library_exports_only_rn_symbols():
     lib = _kernel.load()
-    assert lib is not None and _kernel.mbi() is lib, _kernel.error
+    assert lib is not None, _kernel.error
     for name in ("rn_advance", "rn_format_int_rows", "rn_parse_int_rows", "rn_mbi_batch",
                  "rn_mbi_chunk"):
         assert hasattr(lib, name), name
@@ -421,8 +425,6 @@ def test_library_name_tracks_numpy_random_files(tmp_path, monkeypatch):
     import numpy
 
     code = _kernel.source().read_bytes()
-    plain = _kernel.library_name(code, mbi=False)
-    assert _kernel.library_name(code) != plain
     shipped = {"HEADER": os.path.join(numpy.get_include(), *_kernel.HEADER),
                "ARCHIVE": os.path.join(os.path.dirname(numpy.__file__), *_kernel.ARCHIVE)}
     for part, path in shipped.items():
@@ -432,46 +434,20 @@ def test_library_name_tracks_numpy_random_files(tmp_path, monkeypatch):
         before = _kernel.library_name(code)
         copy.write_bytes(copy.read_bytes() + b"\n")     # an upgraded numpy
         assert _kernel.library_name(code) != before, part
-    assert _kernel.library_name(code, mbi=False) == plain
 
 
-def _assert_mbi_falls_back(match, fresh_loader, k2_ref, monkeypatch):
-    """The library loads without the MBI entry points; everything else runs compiled."""
-    lib = _kernel.load()
-    assert lib is not None, _kernel.error
-    assert _kernel.error is not None and match in _kernel.error, _kernel.error
-    assert _kernel.mbi() is None and not hasattr(lib, "rn_mbi_chunk")
-    code = _kernel.source().read_bytes()
-    assert os.listdir(fresh_loader) == [_kernel.library_name(code, mbi=False)]
-
-    cells = np.array([[-12, 0, 345]], dtype=np.int64)
-    buf = np.empty(cells.size * 21, dtype=np.uint8)
-    n = lib.rn_format_int_rows(cells.ctypes.data, 1, 3, buf.ctypes.data)
-    assert buf[:n].tobytes() == b"-12,0,345\n"
-    config = SimConfig(n_steps=300, seed=4)   # blocks big enough for the kernel
-    compiled = run(k2_ref, config).state
-    sol = solve_equilibrium(k2_ref)
-    est = estimate_pkl(k2_ref, sol, replicates=3000, kmax=5, lmax=5, seed=2)
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    python = run(k2_ref, config).state
-    for name in STATE_FIELDS:
-        assert np.array_equal(getattr(compiled, name), getattr(python, name)), name
-    again = estimate_pkl(k2_ref, sol, replicates=3000, kmax=5, lmax=5, seed=2)
-    assert np.array_equal(est.group_counts, again.group_counts)
-
-
-@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
 @pytest.mark.parametrize("part", ["HEADER", "ARCHIVE"])
-def test_missing_numpy_random_file_keeps_the_other_kernels(fresh_loader, monkeypatch,
-                                                           k2_ref, part):
+def test_missing_numpy_random_file_falls_back(fresh_loader, monkeypatch, k2_ref, part):
     monkeypatch.setattr(_kernel, part, ("recipnet-no-such-file",))
-    _assert_mbi_falls_back("missing", fresh_loader, k2_ref, monkeypatch)
+    _assert_falls_back("missing", k2_ref)
+    assert os.listdir(fresh_loader) == []
 
 
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
-def test_mbi_link_error_keeps_the_other_kernels(fresh_loader, monkeypatch, k2_ref):
+def test_mbi_link_error_falls_back(fresh_loader, monkeypatch, k2_ref):
     monkeypatch.setattr(_kernel, "LINK", (*_kernel.LINK, "-lrecipnet-no-such-library"))
-    _assert_mbi_falls_back("exited", fresh_loader, k2_ref, monkeypatch)
+    _assert_falls_back("exited", k2_ref)
+    assert os.listdir(fresh_loader) == []  # the failed link leaves no file
 
 
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")

@@ -6,6 +6,7 @@ from recipnet import (
     BadSimplex,
     NonPositiveDelta,
     NonProbability,
+    ParameterError,
     group_rates,
     validate_params,
 )
@@ -59,12 +60,34 @@ def test_bad_dimensions():
         validate_params(alpha=0.5, delta=1.0, pi=[[0.5, 0.5]], rho=np.zeros((2, 2)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "0.5"), ("alpha", [0.5]), ("alpha", True), ("alpha", NAN),
+    ("delta", None), ("delta", INF), ("delta", NAN),
+    ("pi", [NAN]), ("pi", [[0.5], [0.5, 0.5]]), ("pi", [True]), ("pi", ["1.0"]),
+    ("rho", [[NAN]]), ("rho", [[-INF]]), ("rho", [["a"]]), ("rho", [[None]]),
+    ("k", "x"), ("k", True),
+])
+def test_non_numbers_and_non_finite_values_name_their_key(key, value):
+    # the type check comes before every range check, and is not a subclass's
+    model = dict(alpha=0.5, delta=1.0, pi=[1.0], rho=[[0.5]])
+    model[key] = value
+    with pytest.raises(ParameterError, match=f"^{key} must be") as info:
+        validate_params(**model)
+    assert type(info.value) is ParameterError
+
+
 def test_params_arrays_are_readonly():
-    p = validate_params(alpha=0.5, delta=1.0, pi=[0.5, 0.5], rho=np.full((2, 2), 0.5))
+    pi, rho = np.array([0.5, 0.5]), np.full((2, 2), 0.5)
+    p = validate_params(alpha=0.5, delta=1.0, pi=pi, rho=rho, k=2.0)
     with pytest.raises(ValueError):
         p.pi[0] = 0.9
     with pytest.raises(ValueError):
         p.rho[0, 0] = 0.9
+    pi[0], rho[0, 0] = 0.9, 0.9     # copies: the caller's arrays stay theirs
+    assert p.pi[0] == 0.5 and p.rho[0, 0] == 0.5 and p.K == 2
 
 
 def test_group_rates_hand_example():
