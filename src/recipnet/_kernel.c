@@ -1,6 +1,6 @@
 /* Compiled mirrors of recipnet.simulate._advance, of the integer cells
- * of recipnet.io._write_chunks and io.read_table, and of
- * recipnet.branching's MBI engine.
+ * of recipnet.io._write_chunks and io.read_table, of recipnet.branching's
+ * MBI engine and of recipnet.embedding.embedding_chains.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
  * repeats it line for line on the same arrays: the same branch order, the
@@ -10,8 +10,9 @@
  * _write_chunks writes for int64 cells, str() of each, and
  * rn_parse_int_rows reads those bytes back as read_table's loadtxt does.
  *
- * rn_mbi_batch repeats simulate_mbi_batch, and rn_mbi_chunk repeats
- * _sample_chunk followed by _tally_chunk, in the same way. They draw from
+ * rn_mbi_batch repeats simulate_mbi_batch, rn_mbi_chunk repeats
+ * _sample_chunk followed by _tally_chunk, and rn_chains repeats
+ * embedding_chains, in the same way. They draw from
  * the caller's numpy Generator through its bitgen_t, with the functions
  * numpy itself calls (random_standard_exponential_fill from
  * libnpyrandom.a, and next_double, which Generator.random calls), in the
@@ -352,4 +353,51 @@ void rn_mbi_chunk(bitgen_t *bg, int64_t n, const double *cum_pi, int32_t K,
     for (int64_t i = 0; i < n; i++)
         left[i] = left[i] / c_star;
     rn_mbi_run(bg, &m, n, idx, a1, a2, left, e);
+}
+
+/* embedding.embedding_chains on R replicates of n jumps, for alpha * delta
+ * and gamma * delta > 0. labels, n1 and n2 are (R, n + 1) row-major, with
+ * n1 and n2 at 1 in column 0 and 0 elsewhere on entry; work holds R + 2n
+ * doubles. The draws are those of the numpy loop: R uniforms for the root
+ * labels, then per jump j an (R, 2j) exponential block, filled row by row,
+ * R uniforms for the children's groups and R for the reciprocation coins. */
+void rn_chains(bitgen_t *bg, int64_t n, int64_t R, const double *cum_pi, int32_t K,
+               const double *rho, double alpha, double gamma, double delta,
+               int64_t *labels, int64_t *n1, int64_t *n2, double *work)
+{
+    int64_t *winner = (int64_t *)work, w = n + 1;
+    double *e = work + R;
+    for (int64_t i = 0; i < R; i++)
+        labels[i * w] = rn_draw_group(cum_pi, K, bg->next_double(bg->state));
+    for (int64_t j = 1; j <= n; j++) {
+        for (int64_t i = 0; i < R; i++) {
+            /* np.argmin: the first of the 2j clocks with the least time.
+             * Every rate is > 0, so no time is NaN. The winner is random,
+             * so the update is a select rather than a branch. */
+            const int64_t *a1 = n1 + i * w, *a2 = n2 + i * w;
+            random_standard_exponential_fill(bg, 2 * j, e);
+            int64_t best = 0;
+            double least = e[0] / (alpha * ((double)a1[0] + delta));
+            for (int64_t c = 1; c < 2 * j; c++) {
+                double rate = c < j ? alpha * ((double)a1[c] + delta)
+                                    : gamma * ((double)a2[c - j] + delta);
+                double t = e[c] / rate;
+                int take = t < least;
+                best = take ? c : best;
+                least = take ? t : least;
+            }
+            winner[i] = best;
+        }
+        for (int64_t i = 0; i < R; i++)
+            labels[i * w + j] = rn_draw_group(cum_pi, K, bg->next_double(bg->state));
+        for (int64_t i = 0; i < R; i++) {
+            int64_t type2 = winner[i] >= j, k = winner[i] - j * type2;
+            int64_t m = labels[i * w + k], r = labels[i * w + j];
+            int64_t rec = bg->next_double(bg->state) < (type2 ? rho[r * K + m] : rho[m * K + r]);
+            n1[i * w + k] += !type2 | rec;
+            n2[i * w + k] += type2 | rec;
+            n1[i * w + j] = type2 | rec;
+            n2[i * w + j] = !type2 | rec;
+        }
+    }
 }

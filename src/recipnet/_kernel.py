@@ -1,12 +1,13 @@
 """Build and load ``_kernel.c``: ``rn_advance``, the compiled mirror of
 ``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
 the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
-integer tables; and ``rn_mbi_batch`` and
-``rn_mbi_chunk``, the compiled mirrors of ``branching.simulate_mbi_batch``
-and of ``branching._sample_chunk`` + ``_tally_chunk``.
+integer tables; ``rn_mbi_batch`` and ``rn_mbi_chunk``, the compiled
+mirrors of ``branching.simulate_mbi_batch`` and of
+``branching._sample_chunk`` + ``_tally_chunk``; and ``rn_chains``, the
+compiled mirror of ``embedding.embedding_chains``.
 
-The MBI entry points draw from the caller's numpy Generator, so they are
-linked against numpy's own ``libnpyrandom.a`` (with its ``bitgen.h``);
+The MBI and chain entry points draw from the caller's numpy Generator, so
+they are linked against numpy's own ``libnpyrandom.a`` (with its ``bitgen.h``);
 ``--exclude-libs`` keeps numpy's symbols out of the library's exports.
 
 The library is compiled on first use with ``cc`` into a per-user cache
@@ -20,9 +21,8 @@ there, so old sources and numpy versions do not pile up. ``load``
 returns None when anything fails (numpy's files are missing, no
 compiler, a build or link error, a cache directory that is not private
 to this user, a load error) and keeps the reason in ``error``; the caller
-then runs its Python code, which draws the same graph and the same
-limit-law counts and writes the same bytes. Nothing here runs at import
-time.
+then runs its Python code, which draws the same graph, limit-law counts
+and chains and writes the same bytes. Nothing here runs at import time.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ def load():
         lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
         lib.rn_mbi_chunk.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
                                      i64, i64, p, p]
-        lib.rn_mbi_batch.restype = lib.rn_mbi_chunk.restype = None
+        lib.rn_chains.argtypes = [p, i64, i64, p, i32, p, f64, f64, f64, p, p, p, p]
+        lib.rn_mbi_batch.restype = lib.rn_mbi_chunk.restype = lib.rn_chains.restype = None
         _lib = lib
     except (OSError, AttributeError) as exc:   # the Python code runs instead
         error = f"{type(exc).__name__}: {exc}"

@@ -408,7 +408,9 @@ def cmd_verify(cfg, out_dir: Path) -> None:
             runs.append({
                 "n": report.n, "seed": ver["seed"] + rep,
                 "replicates": report.replicates,
-                "statistic": report.statistic, "df": report.df,
+                # inf on impossible support, which strict JSON cannot hold
+                "statistic": None if report.impossible_support else report.statistic,
+                "df": report.df,
                 "p_value": report.p_value, "max_abs_dev": report.max_abs_dev,
                 "cells": report.n_cells, "merged": report.n_merged,
                 "impossible_support": report.impossible_support,

@@ -17,6 +17,7 @@ parent and child both gain the other particle type.
 
 All replicates run in lockstep as (replicates, n + 1) arrays: one jump
 draws a (replicates, 2j) block of exponentials and takes the argmin.
+``rn_chains`` in ``_kernel.c`` mirrors that loop draw for draw.
 ``verify_equivalence`` compares chain Monte Carlo against exact
 enumeration of the graph law on the observable
 
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .params import ModelParams, draw_groups
 
 MAX_ENUM_STEPS = 3
@@ -55,16 +57,35 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
     ``(replicates, n + 1)`` with processes in creation order. Process 0
     starts at (1, 1), the initial self-loop; the total type-I (and
     type-II) count is the graph's edge count.
+
+    The loop below is the statement of the rule; ``rn_chains`` runs
+    instead, from the same generator, whenever the kernel loads.
     """
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
     cum_pi = np.cumsum(params.pi)
-    rows = np.arange(replicates)
-
     labels = np.zeros((replicates, n + 1), dtype=np.int64)
     n1 = np.zeros((replicates, n + 1), dtype=np.int64)
     n2 = np.zeros((replicates, n + 1), dtype=np.int64)
-    labels[:, 0] = draw_groups(cum_pi, rng.random(replicates))
     n1[:, 0] = n2[:, 0] = 1
+    lib = _kernel.load()
+    # the compiled loop indexes rho with labels it draws from cum_pi, so
+    # both must have K entries per axis; it takes numpy's Generator only, and
+    # positive rates, so that no clock's time is 0 / 0 (NaN, which np.argmin
+    # would pick)
+    if (lib is not None and isinstance(rng, np.random.Generator)
+            and cum_pi.shape == (params.K,) and np.shape(params.rho) == (params.K, params.K)
+            and min(alpha, gamma) * delta > 0.0):
+        cum_pi, rho = (np.ascontiguousarray(a, dtype=float) for a in (cum_pi, params.rho))
+        work = np.empty(replicates + 2 * n)
+        with rng.bit_generator.lock:
+            lib.rn_chains(rng.bit_generator.ctypes.bit_generator, n, replicates,
+                          cum_pi.ctypes.data, params.K, rho.ctypes.data, alpha, gamma, delta,
+                          labels.ctypes.data, n1.ctypes.data, n2.ctypes.data,
+                          work.ctypes.data)
+        return labels, n1, n2
+
+    rows = np.arange(replicates)
+    labels[:, 0] = draw_groups(cum_pi, rng.random(replicates))
     for j in range(1, n + 1):
         # clocks are memoryless, so every jump races fresh exponentials; the
         # first of the 2j clocks picks the jumping process and its type

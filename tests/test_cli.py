@@ -421,6 +421,29 @@ def test_embed_all_replicates_failed_exits_1(tmp_path, capsys, monkeypatch):
     assert not (out / "pmf.json").exists()
 
 
+def test_verify_writes_strict_json_on_impossible_support(tmp_path, monkeypatch):
+    from recipnet import cli
+    from recipnet.embedding import EquivalenceReport
+
+    def impossible(params, n, replicates, seed):
+        return EquivalenceReport(n=n, replicates=replicates, statistic=float("inf"), df=3,
+                                 p_value=0.0, max_abs_dev=0.5, n_cells=4, n_merged=0,
+                                 impossible_support=True)
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    monkeypatch.setattr(cli, "verify_equivalence", impossible)
+    out = tmp_path / "out"
+    cfgpath = _k1_config(tmp_path, out, extra={"verify": {"n": 1, "replicates": 10}})
+    assert main(["verify", "--config", cfgpath]) == 0   # the report says it failed
+    report = json.loads((out / "verify.json").read_text(), parse_constant=refuse)
+    assert report["passes"] == 0 and report["total"] == 1
+    run = report["runs"][0]
+    assert run["statistic"] is None and run["impossible_support"] is True
+    assert run["p_value"] == 0.0 and run["pass"] is False
+
+
 @pytest.mark.parametrize("command, formats, written, skipped", [
     ("embed", ["json"], ["pmf.json"], ["pmf.csv", "pmf_group_1.csv"]),
     ("embed", ["csv"], ["pmf.csv", "pmf_group_1.csv"], ["pmf.json"]),

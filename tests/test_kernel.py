@@ -2,10 +2,12 @@
 
 ``simulate._advance`` runs ``_kernel.c`` on large blocks when it builds
 and its own loop otherwise, ``io._write_chunks`` formats all-integer
-chunks with it instead of its ``%s`` template, and ``branching`` runs its
-MBI loop and its chunk tally with it instead of numpy. Each must leave the
-same state, the same counts and the same generator state, and write the
-same bytes; any failure to build or load falls back to the Python code.
+chunks with it instead of its ``%s`` template, ``branching`` runs its
+MBI loop and its chunk tally with it instead of numpy, and
+``embedding.embedding_chains`` runs its linked chains with it. Each must
+leave the same state, the same counts and the same generator state, and
+write the same bytes; any failure to build or load falls back to the
+Python code.
 The Python side of each comparison runs with ``_kernel.load`` patched to
 return None.
 """
@@ -13,13 +15,14 @@ return None.
 import os
 import shutil
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from recipnet import (ResourceLimit, SimConfig, estimate_pkl, group_rates, run,
                       simulate_mbi_batch, solve_equilibrium, validate_params)
-from recipnet import _kernel, branching, simulate
+from recipnet import _kernel, branching, embedding, simulate
 from recipnet import io as rio
 from recipnet.params import ModelParams
 from recipnet.simulate import GraphState
@@ -173,6 +176,8 @@ def _assert_falls_back(match, k2_ref):
     est = estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=3000, kmax=5, lmax=5,
                        seed=2, chunk_size=1000, workers=2)
     assert est.group_counts.sum() + est.group_overflow_counts.sum() + est.failed == 3000
+    # the linked chains run as numpy
+    assert embedding.verify_equivalence(k2_ref, n=2, replicates=500, seed=1).df > 0
 
 
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
@@ -408,12 +413,72 @@ def test_embed_artifacts_match_without_kernel(tmp_path, monkeypatch, threads):
     assert embed("numpy") == compiled
 
 
+def _chains_model(name):
+    if name != "k3-zero-pi-binary-rho":
+        return _mbi_model(name)
+    # group 1 is never drawn, and every coin but one is certain
+    return validate_params(alpha=0.35, delta=0.7, pi=[0.6, 0.0, 0.4],
+                           rho=[[1.0, 0.0, 0.5], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def chains_and_after(params, n, replicates, seed):
+    """``embedding_chains`` output, the generator's state after it, and
+    four uniforms drawn after it."""
+    rng = np.random.default_rng(seed)
+    out = embedding.embedding_chains(params, n, replicates, rng)
+    state = rng.bit_generator.state
+    return (*out, rng.random(4)), state
+
+
+def assert_chains_match_numpy(monkeypatch, lib, params, n, replicates, seed):
+    """The compiled chains, run through ``lib``, against the numpy loop."""
+    calls = []
+
+    def rn_chains(*args):
+        calls.append(args[1:3])
+        return lib.rn_chains(*args)
+
+    monkeypatch.setattr(_kernel, "load", lambda: SimpleNamespace(rn_chains=rn_chains))
+    compiled, compiled_state = chains_and_after(params, n, replicates, seed)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    numpy_side, numpy_state = chains_and_after(params, n, replicates, seed)
+    assert calls == [(n, replicates)]       # the compiled side ran the kernel
+    _assert_same(compiled, numpy_side)
+    assert compiled_state == numpy_state
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("model", ["k1", "k2", "k3-zero-pi-binary-rho"])
+def test_chains_match_numpy_loop(monkeypatch, model, n):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    params = _chains_model(model)
+    for replicates in (0, 1, 3, 7, 4096, embedding.CHUNK + 1):
+        with monkeypatch.context() as patch:
+            assert_chains_match_numpy(patch, lib, params, n, replicates, 10 * n + replicates)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")   # the rate-0 clocks
+def test_chains_leave_zero_rates_to_numpy(monkeypatch):
+    # delta = 0 gives a child with no type-I particle a rate-0 clock; 0 / 0
+    # would be NaN, which np.argmin picks and the compiled select would not
+    def refuse(*args):
+        raise AssertionError("rn_chains ran with a zero rate")
+
+    monkeypatch.setattr(_kernel, "load", lambda: SimpleNamespace(rn_chains=refuse))
+    params = ModelParams(alpha=0.5, gamma=0.5, delta=0.0, K=2, pi=np.array([0.5, 0.5]),
+                         rho=np.array(K2_MODEL["rho"]))
+    labels, n1, n2 = embedding.embedding_chains(params, 3, 50, np.random.default_rng(0))
+    assert (n1.sum(axis=1) == n2.sum(axis=1)).all() and (n1[:, 1:] == 0).any()
+
+
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
 def test_library_exports_only_rn_symbols():
     lib = _kernel.load()
     assert lib is not None, _kernel.error
     for name in ("rn_advance", "rn_format_int_rows", "rn_parse_int_rows", "rn_mbi_batch",
-                 "rn_mbi_chunk"):
+                 "rn_mbi_chunk", "rn_chains"):
         assert hasattr(lib, name), name
     # --exclude-libs keeps libnpyrandom.a's symbols out of the dynamic table
     for name in ("random_standard_exponential_fill", "random_standard_uniform_fill",
