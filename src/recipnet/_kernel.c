@@ -1,6 +1,6 @@
 /* Compiled mirrors of recipnet.simulate._advance, of the integer cells
  * of recipnet.io._write_chunks and io.read_table, of recipnet.branching's
- * MBI engine and of recipnet.embedding.embedding_chains.
+ * MBI engine and limit-law chain, and of recipnet.embedding.embedding_chains.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
  * repeats it line for line on the same arrays: the same branch order, the
@@ -10,20 +10,23 @@
  * _write_chunks writes for int64 cells, str() of each, and
  * rn_parse_int_rows reads those bytes back as read_table's loadtxt does.
  *
- * rn_mbi_batch repeats simulate_mbi_batch, rn_mbi_chunk repeats
- * _sample_chunk followed by _tally_chunk, and rn_chains repeats
- * embedding_chains, in the same way. They draw from
- * the caller's numpy Generator through its bitgen_t, with the functions
- * numpy itself calls (random_standard_exponential_fill from
- * libnpyrandom.a, and next_double, which Generator.random calls), in the
- * order of the numpy code, so they leave the same counts and the same
- * generator state. The caller holds the bit generator's lock.
+ * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch,
+ * rn_mbi_chunk repeats the killed jump chain of _sample_chunk (with
+ * _tally_chunk's tally, or with the per-row outputs), and rn_chains
+ * repeats embedding_chains, in the same way. They draw from the caller's
+ * numpy Generator through its bitgen_t, with the functions numpy itself
+ * calls (random_standard_exponential_fill and random_standard_uniform_fill,
+ * which Generator.random calls, from libnpyrandom.a, and next_double, one
+ * uniform of the same stream), in the order of the numpy code, so they
+ * leave the same counts and the same generator state. The caller holds the
+ * bit generator's lock.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<numpy include> _kernel.c
- * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V)
- * into a fused multiply-add would change the draws. Every exported symbol
- * carries the rn_ prefix (--exclude-libs hides numpy's), so none can clash
- * with a symbol of another loaded library.
+ * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V),
+ * or c_star + w1*rho_row[g], into a fused multiply-add would change the
+ * draws. Every exported symbol carries the rn_ prefix (--exclude-libs
+ * hides numpy's), so none can clash with a symbol of another loaded
+ * library.
  */
 
 #include <stdint.h>
@@ -220,101 +223,24 @@ int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
 }
 
 
-/* Generator.standard_exponential's fill, linked from numpy's libnpyrandom.a
- * (declared in numpy/random/distributions.h, which needs Python.h) */
+/* Generator.standard_exponential's and Generator.random's fills, linked
+ * from numpy's libnpyrandom.a (declared in numpy/random/distributions.h,
+ * which needs Python.h) */
 void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
-
-/* One MBI model, and where the rows that stop go: the per-row outputs of
- * simulate_mbi_batch (counts == NULL), or the count vector of _tally_chunk,
- * laid out as its K*(kmax+1)*(lmax+1) grid cells, then the overflow of
- * each group, then the failed count. */
-typedef struct {
-    double alpha, gamma, delta, event_budget;
-    const double *rho_row, *rho_col;
-    const int64_t *label;
-    int64_t *n1, *n2, *events;
-    uint8_t *failed;
-    int64_t *counts, kmax, lmax, K;
-} rn_mbi_t;
-
-/* Record row i at its state after `it` events; `stop` says whether it
- * stops now. A row that keeps running adds 0 to counts, and its per-row
- * outputs are written again when it stops, so only the stop counts. Writing
- * every row avoids a branch that the rows take at random. */
-static inline void rn_mbi_record(const rn_mbi_t *m, int64_t i, double a1, double a2,
-                                 int64_t it, int failed, int stop)
-{
-    int64_t n1 = (int64_t)a1, n2 = (int64_t)a2;
-    if (m->counts == NULL) {
-        m->n1[i] = n1;
-        m->n2[i] = n2;
-        m->events[i] = it;
-        m->failed[i] = (uint8_t)failed;
-    } else {
-        int64_t cells = m->K * (m->kmax + 1) * (m->lmax + 1);
-        int64_t g = m->label[i];
-        int64_t cell = (n1 <= m->kmax) & (n2 <= m->lmax)
-            ? (g * (m->kmax + 1) + n1) * (m->lmax + 1) + n2 : cells + g;
-        m->counts[failed ? cells + m->K : cell] += stop;
-    }
-}
-
-/* The while loop of simulate_mbi_batch. Running row j is row idx[j] of the
- * batch, at (a1[j], a2[j]) with left[j] still to wait; e is scratch for n
- * doubles. Every running row makes one event per iteration. */
-static void rn_mbi_run(bitgen_t *bg, const rn_mbi_t *m, int64_t n,
-                       int64_t *idx, double *a1, double *a2, double *left, double *e)
-{
-    const double *coin[2] = {m->rho_col, m->rho_row};   /* indexed by is1 */
-    for (int64_t it = 0; n > 0; it++) {
-        random_standard_exponential_fill(bg, n, e);
-        int over = (double)it >= m->event_budget;
-        int64_t kept = 0;
-        for (int64_t j = 0; j < n; j++) {
-            double w1 = m->alpha * (a1[j] + m->delta);
-            double rate = w1 + m->gamma * (a2[j] + m->delta);
-            /* a rate-0 row (delta = 0 at state (0, 0)) is absorbing: its wait is inf */
-            double l = left[j] - e[j] / rate;
-            int go = l >= 0.0;
-            int64_t i = idx[j];
-            double x1 = a1[j], x2 = a2[j];
-            /* stable compaction: row j moves down to kept, which advances
-             * only if the row keeps running */
-            idx[kept] = i;
-            a1[kept] = x1;
-            a2[kept] = x2;
-            left[kept] = l;
-            rn_mbi_record(m, i, x1, x2, it, go & over, (!go) | over);
-            kept += go & !over;
-        }
-        n = kept;
-        /* is1 = random(n) * rate < w1 takes n uniforms, then the coins n more */
-        for (int64_t j = 0; j < n; j++)
-            e[j] = bg->next_double(bg->state);
-        for (int64_t j = 0; j < n; j++) {
-            double w1 = m->alpha * (a1[j] + m->delta);
-            double rate = w1 + m->gamma * (a2[j] + m->delta);
-            int is1 = e[j] * rate < w1;
-            double c = bg->next_double(bg->state);
-            int64_t g = m->label[idx[j]];
-            int rec = c < coin[is1][g];     /* c < rho_row[g] if is1 else rho_col[g] */
-            a1[j] += (double)(is1 | rec);
-            a2[j] += (double)((!is1) | rec);
-        }
-    }
-}
+void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 
 /* simulate_mbi_batch on R rows. n1 and n2 hold the initial states on entry
  * and the final counts on return; events and failed are written for every
- * row. work holds 5R doubles. */
+ * row. work holds 5R doubles: running row j is row idx[j] of the batch, at
+ * (a1[j], a2[j]) with left[j] still to wait, and e is scratch. Every
+ * running row makes one event per iteration. */
 void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t_ends,
                   const double *rho_row, const double *rho_col,
                   double alpha, double gamma, double delta, double event_budget,
                   int64_t *n1, int64_t *n2, int64_t *events, uint8_t *failed, double *work)
 {
-    rn_mbi_t m = {alpha, gamma, delta, event_budget, rho_row, rho_col, label,
-                  n1, n2, events, failed, NULL, 0, 0, 0};
-    int64_t *idx = (int64_t *)work;
+    const double *coin[2] = {rho_col, rho_row};   /* indexed by is1 */
+    int64_t *idx = (int64_t *)work, n = R;
     double *a1 = work + R, *a2 = a1 + R, *left = a2 + R, *e = left + R;
     for (int64_t i = 0; i < R; i++) {
         idx[i] = i;
@@ -322,37 +248,108 @@ void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t
         a2[i] = (double)n2[i];
         left[i] = t_ends[i];
     }
-    rn_mbi_run(bg, &m, R, idx, a1, a2, left, e);
+    for (int64_t it = 0; n > 0; it++) {
+        random_standard_exponential_fill(bg, n, e);
+        int over = (double)it >= event_budget;
+        int64_t kept = 0;
+        for (int64_t j = 0; j < n; j++) {
+            double w1 = alpha * (a1[j] + delta);
+            double rate = w1 + gamma * (a2[j] + delta);
+            /* a rate-0 row (delta = 0 at state (0, 0)) is absorbing: its wait is inf */
+            double l = left[j] - e[j] / rate;
+            int go = l >= 0.0;
+            int64_t i = idx[j];
+            double x1 = a1[j], x2 = a2[j];
+            /* stable compaction: row j moves down to kept, which advances
+             * only if the row keeps running. Every row's outputs are
+             * written, and written again when it stops, which avoids a
+             * branch that the rows take at random. */
+            idx[kept] = i;
+            a1[kept] = x1;
+            a2[kept] = x2;
+            left[kept] = l;
+            n1[i] = (int64_t)x1;
+            n2[i] = (int64_t)x2;
+            events[i] = it;
+            failed[i] = (uint8_t)(go & over);
+            kept += go & !over;
+        }
+        n = kept;
+        /* is1 = random(n) * rate < w1 takes n uniforms, then the coins n more */
+        for (int64_t j = 0; j < n; j++)
+            e[j] = bg->next_double(bg->state);
+        for (int64_t j = 0; j < n; j++) {
+            double w1 = alpha * (a1[j] + delta);
+            double rate = w1 + gamma * (a2[j] + delta);
+            int is1 = e[j] * rate < w1;
+            double c = bg->next_double(bg->state);
+            int64_t g = label[idx[j]];
+            int rec = c < coin[is1][g];     /* c < rho_row[g] if is1 else rho_col[g] */
+            a1[j] += (double)(is1 | rec);
+            a2[j] += (double)((!is1) | rec);
+        }
+    }
 }
 
-/* _sample_chunk and _tally_chunk on n replicates: the labels as
- * params.draw_groups draws them, the initial states as
- * LimitPairSampler.draw_inits does (init_probs is its (K, 3) table), T* as
- * standard_exponential / c_star, then the MBI loop, each row that stops
- * added to counts. work holds 6n doubles. */
+/* _sample_chunk on n replicates: the labels as params.draw_groups draws
+ * them, the initial states as LimitPairSampler.draw_inits does (init_probs
+ * is its (K, 3) table), then the killed jump chain, one uniform per
+ * running row and iteration. Each row that stops goes to counts, laid out
+ * as _tally_chunk's K*(kmax+1)*(lmax+1) grid cells, then the overflow of
+ * each group, then the failed count; or with counts == NULL to n1, n2 and
+ * failed. label has room for n labels in both modes; work holds 4n
+ * doubles. */
 void rn_mbi_chunk(bitgen_t *bg, int64_t n, const double *cum_pi, int32_t K,
                   const double *init_probs, double c_star,
                   const double *rho_row, const double *rho_col,
                   double alpha, double gamma, double delta, double event_budget,
-                  int64_t kmax, int64_t lmax, int64_t *counts, double *work)
+                  int64_t kmax, int64_t lmax, int64_t *counts,
+                  int64_t *label, int64_t *n1, int64_t *n2, uint8_t *failed, double *work)
 {
-    int64_t *label = (int64_t *)work, *idx = label + n;
-    double *a1 = work + 2 * n, *a2 = a1 + n, *left = a2 + n, *e = left + n;
-    rn_mbi_t m = {alpha, gamma, delta, event_budget, rho_row, rho_col, label,
-                  NULL, NULL, NULL, NULL, counts, kmax, lmax, K};
+    int64_t cells = K * (kmax + 1) * (lmax + 1), *idx = (int64_t *)work;
+    double *a1 = work + n, *a2 = a1 + n, *u = a2 + n;
     for (int64_t i = 0; i < n; i++)
         label[i] = rn_draw_group(cum_pi, K, bg->next_double(bg->state));
     for (int64_t i = 0; i < n; i++) {
-        double u = bg->next_double(bg->state);
+        double v = bg->next_double(bg->state);
         double p01 = init_probs[3 * label[i]], p10 = init_probs[3 * label[i] + 1];
         idx[i] = i;
-        a1[i] = u >= p01;
-        a2[i] = (u < p01) | (u >= p01 + p10);
+        a1[i] = v >= p01;
+        a2[i] = (v < p01) | (v >= p01 + p10);
     }
-    random_standard_exponential_fill(bg, n, left);
-    for (int64_t i = 0; i < n; i++)
-        left[i] = left[i] / c_star;
-    rn_mbi_run(bg, &m, n, idx, a1, a2, left, e);
+    /* running row j is row idx[j] of the chunk, at (a1[j], a2[j]); every
+     * running row makes one event per iteration */
+    for (int64_t it = 0; n > 0; it++) {
+        random_standard_uniform_fill(bg, n, u);
+        int over = (double)it >= event_budget;
+        int64_t kept = 0;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t i = idx[j], g = label[i];
+            double x1 = a1[j], x2 = a2[j];
+            double w1 = alpha * (x1 + delta), w2 = gamma * (x2 + delta);
+            double x = u[j] * (c_star + w1 + w2);
+            int go = x >= c_star, is1 = x < c_star + w1;
+            int64_t k = (int64_t)x1, l = (int64_t)x2;
+            /* every row is recorded, which avoids a branch that the rows
+             * take at random: a row that keeps running adds 0 to counts,
+             * and its per-row outputs are written again when it stops */
+            if (counts == NULL) {
+                n1[i] = k;
+                n2[i] = l;
+                failed[i] = (uint8_t)(go & over);
+            } else {
+                int64_t cell = (k <= kmax) & (l <= lmax)
+                    ? (g * (kmax + 1) + k) * (lmax + 1) + l : cells + g;
+                counts[go & over ? cells + K : cell] += (!go) | over;
+            }
+            /* stable compaction, as in rn_mbi_batch */
+            idx[kept] = i;
+            a1[kept] = x1 + (double)(is1 | (x < c_star + w1 + w2 * rho_col[g]));
+            a2[kept] = x2 + (double)((!is1) | (x < c_star + w1 * rho_row[g]));
+            kept += go & !over;
+        }
+        n = kept;
+    }
 }
 
 /* embedding.embedding_chains on R replicates of n jumps, for alpha * delta

@@ -1,10 +1,11 @@
 """Build and load ``_kernel.c``: ``rn_advance``, the compiled mirror of
 ``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
 the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
-integer tables; ``rn_mbi_batch`` and ``rn_mbi_chunk``, the compiled
-mirrors of ``branching.simulate_mbi_batch`` and of
-``branching._sample_chunk`` + ``_tally_chunk``; and ``rn_chains``, the
-compiled mirror of ``embedding.embedding_chains``.
+integer tables; ``rn_mbi_batch``, the compiled mirror of the
+fixed-horizon loop of ``branching.simulate_mbi_batch``; ``rn_mbi_chunk``,
+the compiled mirror of the killed jump chain of ``branching._sample_chunk``
+and of ``_tally_chunk``'s tally; and ``rn_chains``, the compiled mirror
+of ``embedding.embedding_chains``.
 
 The MBI and chain entry points draw from the caller's numpy Generator, so
 they are linked against numpy's own ``libnpyrandom.a`` (with its ``bitgen.h``);
@@ -172,7 +173,7 @@ def load():
         lib.rn_parse_int_rows.restype = i64
         lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
         lib.rn_mbi_chunk.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
-                                     i64, i64, p, p]
+                                     i64, i64, p, p, p, p, p, p]
         lib.rn_chains.argtypes = [p, i64, i64, p, i32, p, f64, f64, f64, p, p, p, p]
         lib.rn_mbi_batch.restype = lib.rn_mbi_chunk.restype = lib.rn_chains.restype = None
         _lib = lib

@@ -17,14 +17,23 @@ at an independent Exp(c*) time T* yields a draw from the limiting joint
 in/out-degree distribution; ``estimate_pkl`` Monte-Carlos that mixture
 over the group label.
 
-``simulate_mbi_batch`` is the one engine: it advances trajectories of
-any mix of labels in lockstep, three variates per event (waiting time,
-clock selector, reciprocation coin). Its loop is the statement of the
-rule. ``rn_mbi_batch`` in ``_kernel.c`` repeats it line for line, and
-``rn_mbi_chunk`` repeats ``_sample_chunk`` followed by ``_tally_chunk``;
-both draw from the chunk's own numpy Generator in the same order, and they
-run instead whenever the kernel loads (see ``_kernel``), with the same
-counts and the same generator state after the call.
+T* is memoryless, so that law is also the law of the process's jump
+chain killed in each state with probability c* / (c* + w1 + w2), w1 and
+w2 the state's two clock rates. ``_sample_chunk`` draws it so, one
+uniform per event: ``x = u * (c* + w1 + w2)`` stops the row below c*,
+makes a type-I event below c* + w1 (reciprocated below c* + w1*rho_row)
+and a type-II event above it (reciprocated below c* + w1 + w2*rho_col).
+``rn_mbi_chunk`` in ``_kernel.c`` repeats that loop line for line, with
+``_tally_chunk``'s tally or with its per-row outputs.
+
+``simulate_mbi_batch`` is the fixed-horizon engine: it advances
+trajectories of any mix of labels in lockstep up to given times, three
+variates per event (waiting time, clock selector, reciprocation coin).
+Its loop is the statement of the rule, and ``rn_mbi_batch`` repeats it
+line for line. Both compiled loops draw from the caller's numpy
+Generator in the numpy code's order, and they run instead whenever the
+kernel loads (see ``_kernel``), with the same counts and the same
+generator state after the call.
 """
 
 from __future__ import annotations
@@ -59,6 +68,12 @@ class EventBudgetExceeded(RuntimeError):
     def __str__(self) -> str:
         return (f"all replicates hit the event budget ({self.failed} failed of "
                 f"{self.replicates}); there is no estimate to normalize")
+
+
+def _clock_rates(params: ModelParams, a1, a2):
+    """The type-I and type-II clock rates of processes at (a1, a2):
+    alpha * (n1 + delta) and gamma * (n2 + delta)."""
+    return params.alpha * (a1 + params.delta), params.gamma * (a2 + params.delta)
 
 
 def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray,
@@ -111,8 +126,8 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     rc = rates.rho_col[labels]
     it = 0
     while idx.size:
-        w1 = alpha * (a1 + delta)
-        rate = w1 + gamma * (a2 + delta)
+        w1, w2 = _clock_rates(params, a1, a2)
+        rate = w1 + w2
         with np.errstate(divide="ignore", invalid="ignore"):
             # a rate-0 row (delta = 0 at state (0, 0)) is absorbing: its wait is inf
             left -= rng.standard_exponential(idx.size) / rate
@@ -216,15 +231,79 @@ class JointPmfEstimate:
         return self.group_counts[m] / self._normalizer()
 
 
+def _kernel_chunk(job, counts=None, kmax=0, lmax=0):
+    """``rn_mbi_chunk`` on one job: the chunk's rows added to ``counts``
+    (laid out as ``_tally_chunk``'s), or with no ``counts`` its (labels,
+    n1, n2, failed). None when the kernel is not loaded or the model's
+    arrays lack the shapes it indexes memory with."""
+    params, rates, sampler, j, size, seed, event_budget = job
+    K = params.K
+    cum_pi, probs, rho_row, rho_col = (
+        np.ascontiguousarray(a, dtype=float)
+        for a in (np.cumsum(params.pi), sampler.init_probs, rates.rho_row, rates.rho_col))
+    lib = _kernel.load()
+    if (lib is None or min(kmax, lmax) < 0 or probs.shape != (K, 3)
+            or not cum_pi.shape == rho_row.shape == rho_col.shape == (K,)):
+        return None
+    labels = np.empty(size, dtype=np.int64)
+    rows = () if counts is not None else (np.empty(size, dtype=np.int64),
+                                          np.empty(size, dtype=np.int64),
+                                          np.empty(size, dtype=bool))
+    work = np.empty(4 * size)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
+    with rng.bit_generator.lock:
+        lib.rn_mbi_chunk(rng.bit_generator.ctypes.bit_generator, size, cum_pi.ctypes.data,
+                         K, probs.ctypes.data, sampler.c_star, rho_row.ctypes.data,
+                         rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
+                         event_budget, kmax, lmax,
+                         None if counts is None else counts.ctypes.data, labels.ctypes.data,
+                         *([r.ctypes.data for r in rows] or [None] * 3), work.ctypes.data)
+    return counts if counts is not None else (labels, *rows)
+
+
 def _sample_chunk(args):
-    """Raw limit pairs for one replicate chunk; top-level so pools can pickle it."""
-    (params, rates, sampler, j, size, seed, event_budget) = args
+    """Raw limit pairs (labels, n1, n2, failed) for one replicate chunk;
+    top-level so pools can pickle it.
+
+    The numpy code below is the statement of the killed jump chain;
+    ``rn_mbi_chunk`` runs instead whenever the kernel loads."""
+    rows = _kernel_chunk(args)
+    if rows is not None:
+        return rows
+    params, rates, sampler, j, size, seed, event_budget = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
     labels = draw_groups(np.cumsum(params.pi), rng.random(size))
     inits = sampler.draw_inits(labels, rng.random(size))
-    t_star = rng.standard_exponential(size) / sampler.c_star
-    n1, n2, _, failed = simulate_mbi_batch(labels, inits, t_star, params, rates, rng,
-                                           event_budget)
+    n1, n2 = inits[:, 0].copy(), inits[:, 1].copy()
+    failed = np.zeros(size, dtype=bool)
+    c = sampler.c_star
+    # the running rows, compacted whenever some of them stop; every running
+    # row makes one event per iteration, so each has made ``it`` events
+    idx = np.arange(size)
+    a1 = n1.astype(float)
+    a2 = n2.astype(float)
+    rr = rates.rho_row[labels]
+    rc = rates.rho_col[labels]
+    it = 0
+    while idx.size:
+        w1, w2 = _clock_rates(params, a1, a2)
+        x = rng.random(idx.size) * (c + w1 + w2)
+        go = x >= c
+        if it >= event_budget:
+            failed[idx[go]] = True
+            go[:] = False
+        if not go.all():
+            stop = np.flatnonzero(~go)
+            done = idx[stop]
+            n1[done] = a1[stop]
+            n2[done] = a2[stop]
+            keep = np.flatnonzero(go)
+            idx, a1, a2, rr, rc, w1, w2, x = (
+                v.take(keep) for v in (idx, a1, a2, rr, rc, w1, w2, x))
+        is1 = x < c + w1
+        a1 += is1 | (x < c + w1 + w2 * rc)
+        a2 += ~is1 | (x < c + w1 * rr)
+        it += 1
     return labels, n1, n2, failed
 
 
@@ -235,24 +314,10 @@ def _tally_chunk(args):
     ``rn_mbi_chunk`` draws and tallies the chunk whenever the kernel loads;
     the numpy code below is the statement it mirrors."""
     job, kmax, lmax = args
-    params, rates, sampler, j, size, seed, event_budget = job
-    K = params.K
+    K = job[0].K
     cells = K * (kmax + 1) * (lmax + 1)
-    cum_pi, probs, rho_row, rho_col = (
-        np.ascontiguousarray(a, dtype=float)
-        for a in (np.cumsum(params.pi), sampler.init_probs, rates.rho_row, rates.rho_col))
-    lib = _kernel.load()
-    # the compiled tally indexes memory with the labels and the grid cells
-    if (lib is not None and min(kmax, lmax) >= 0 and probs.shape == (K, 3)
-            and cum_pi.shape == rho_row.shape == rho_col.shape == (K,)):
-        counts = np.zeros(cells + K + 1, dtype=np.int64)
-        work = np.empty(6 * size)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-        with rng.bit_generator.lock:
-            lib.rn_mbi_chunk(rng.bit_generator.ctypes.bit_generator, size, cum_pi.ctypes.data,
-                             K, probs.ctypes.data, sampler.c_star, rho_row.ctypes.data,
-                             rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
-                             event_budget, kmax, lmax, counts.ctypes.data, work.ctypes.data)
+    counts = _kernel_chunk(job, np.zeros(cells + K + 1, dtype=np.int64), kmax, lmax)
+    if counts is not None:
         return counts
     labels, n1, n2, failed = _sample_chunk(job)
     code = np.where((n1 <= kmax) & (n2 <= lmax),
@@ -304,8 +369,8 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     Replicates are processed in chunks of ``chunk_size``; chunk j uses the
     generator seeded with SeedSequence([seed, j]), so the result is
     independent of scheduling and identical for any worker count. Within
-    a chunk the label, initialization and T* vectors are drawn first, then
-    all groups are advanced together by the lockstep engine. Each chunk is
+    a chunk the label and initialization vectors are drawn first, then the
+    killed jump chains of all groups run together in lockstep. Each chunk is
     tallied where it was drawn into K*(kmax+1)*(lmax+1) + K + 1 counts
     (grid cells, overflow per group, failed); a pool task sums the vectors
     of its slice of chunks, and the parent adds one vector per task, so its

@@ -3,7 +3,8 @@
 ``simulate._advance`` runs ``_kernel.c`` on large blocks when it builds
 and its own loop otherwise, ``io._write_chunks`` formats all-integer
 chunks with it instead of its ``%s`` template, ``branching`` runs its
-MBI loop and its chunk tally with it instead of numpy, and
+fixed-horizon MBI loop and its limit-law chunks (the killed jump chain,
+tallied or per row) with it instead of numpy, and
 ``embedding.embedding_chains`` runs its linked chains with it. Each must
 leave the same state, the same counts and the same generator state, and
 write the same bytes; any failure to build or load falls back to the
@@ -482,7 +483,7 @@ def test_library_exports_only_rn_symbols():
         assert hasattr(lib, name), name
     # --exclude-libs keeps libnpyrandom.a's symbols out of the dynamic table
     for name in ("random_standard_exponential_fill", "random_standard_uniform_fill",
-                 "random_standard_exponential", "rn_mbi_run", "rn_draw_group"):
+                 "random_standard_exponential", "rn_draw_group"):
         assert not hasattr(lib, name), name
 
 
