@@ -7,8 +7,10 @@
  * same double comparisons and the same truncations, so both produce the
  * same graph from the same uniforms, bit for bit. Change the two together.
  * rn_format_int_rows writes the bytes that the %s row template of
- * _write_chunks writes for int64 cells, str() of each, and
- * rn_parse_int_rows reads those bytes back as read_table's loadtxt does.
+ * _write_chunks writes for integer cells, str() of each, reading every
+ * column where it lies (any item size, sign and stride), and
+ * rn_parse_int_rows reads those bytes back as read_table's loadtxt does,
+ * into one array per column that the caller asks for.
  *
  * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch,
  * rn_mbi_chunk repeats the killed jump chain of _sample_chunk (with
@@ -30,6 +32,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 #include "numpy/random/bitgen.h"
 
 #define RN_PREFETCH_ROWS 8
@@ -157,29 +160,70 @@ void rn_advance(const double *u, int64_t m, double alpha, double delta,
 }
 
 
-/* Format rows of w int64 cells each, row-major in cells, as str() of each
- * cell joined by ',' with '\n' after every row: decimal digits, a leading
- * '-' for a negative value, no padding. buf must hold rows * w * 21 bytes
- * (20 for INT64_MIN, 1 for the separator). Returns the bytes written. */
-int64_t rn_format_int_rows(const int64_t *cells, int64_t rows, int32_t w, char *buf)
+/* 10^0 to 10^19: a magnitude below 10^n has at most n digits */
+static const uint64_t rn_pow10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL};
+
+/* "00" to "99": two digits per division by 100 */
+static const char rn_digit_pairs[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The magnitude of cell i of a column described as rn_format_int_rows
+ * reads it, with its sign in *neg. memcpy reads a cell at any alignment. */
+static inline uint64_t rn_cell(const int64_t *col, int64_t i, int *neg)
+{
+    const char *at = (const char *)(intptr_t)col[0] + i * col[1];
+    int64_t x;
+    *neg = 0;
+    switch (col[2] * 2 + col[3]) {     /* item size, then sign */
+    case 2: { uint8_t v; memcpy(&v, at, 1); return v; }
+    case 4: { uint16_t v; memcpy(&v, at, 2); return v; }
+    case 8: { uint32_t v; memcpy(&v, at, 4); return v; }
+    case 16: { uint64_t v; memcpy(&v, at, 8); return v; }
+    case 3: { int8_t v; memcpy(&v, at, 1); x = v; break; }
+    case 5: { int16_t v; memcpy(&v, at, 2); x = v; break; }
+    case 9: { int32_t v; memcpy(&v, at, 4); x = v; break; }
+    default: { int64_t v; memcpy(&v, at, 8); x = v; break; }
+    }
+    *neg = x < 0;
+    /* in unsigned arithmetic, so INT64_MIN does not overflow */
+    return x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+}
+
+/* Format rows of w integer cells as str() of each cell joined by ',' with
+ * '\n' after every row: decimal digits, a leading '-' for a negative
+ * value, no padding. Column j is cols[4j..4j+3]: the address of its first
+ * cell, the bytes from one cell to the next (negative or 0 allowed), the
+ * item size (1, 2, 4 or 8) and 1 if signed, 0 if not. buf must hold
+ * rows * w * 21 bytes (20 for INT64_MIN, 1 for the separator). Returns
+ * the bytes written. */
+int64_t rn_format_int_rows(const int64_t *cols, int64_t rows, int32_t w, char *buf)
 {
     char *p = buf;
-    char digits[20];
     for (int64_t i = 0; i < rows; i++) {
-        const int64_t *row = cells + i * (int64_t)w;
         for (int32_t j = 0; j < w; j++) {
-            int64_t x = row[j];
-            /* magnitude in unsigned arithmetic, so INT64_MIN does not overflow */
-            uint64_t mag = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
-            int n = 0;
-            do {
-                digits[n++] = (char)('0' + mag % 10);
-                mag /= 10;
-            } while (mag);
-            if (x < 0)
-                *p++ = '-';
-            while (n)
-                *p++ = digits[--n];
+            int neg, n = 1;
+            uint64_t mag = rn_cell(cols + 4 * j, i, &neg);
+            while (n < 20 && mag >= rn_pow10[n])
+                n++;
+            *p = '-';
+            p += neg;
+            /* the n digits, from the right */
+            char *d = p + n;
+            for (; mag >= 100; mag /= 100) {
+                d -= 2;
+                memcpy(d, rn_digit_pairs + 2 * (mag % 100), 2);
+            }
+            if (mag >= 10)
+                memcpy(d - 2, rn_digit_pairs + 2 * mag, 2);
+            else
+                d[-1] = (char)('0' + mag);
+            p += n;
             *p++ = j + 1 < w ? ',' : '\n';
         }
     }
@@ -189,15 +233,15 @@ int64_t rn_format_int_rows(const int64_t *cells, int64_t rows, int32_t w, char *
 
 /* Parse what rn_format_int_rows writes: rows of w cells, each an optional
  * '-' and 1 to 18 decimal digits, with ',' between cells and '\n' after
- * every row. Cell j of row i goes to cols[j * cap + i], so each column is
- * contiguous. Returns the number of rows, or -1 at the first byte that
- * does not fit ('\r', '+', a blank, a 19th digit, a missing final
- * newline, a wrong cell count, more than cap rows, ...); io.read_table
- * then reads the file with loadtxt, which decides such input. 18 digits
- * cannot overflow int64. The final '\n' stops every digit run, so no
- * byte past len is read. */
+ * every row. Cell j of row i goes to cols[j][i], or, where cols[j] is
+ * NULL, is checked and dropped. Returns the number of rows, or -1 at the
+ * first byte that does not fit ('\r', '+', a blank, a 19th digit, a
+ * missing final newline, a wrong cell count, more than cap rows, ...),
+ * in a dropped column too; io.read_table then reads the file with
+ * loadtxt, which decides such input. 18 digits cannot overflow int64.
+ * The final '\n' stops every digit run, so no byte past len is read. */
 int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
-                          int64_t *cols)
+                          int64_t *const *cols)
 {
     const unsigned char *p = (const unsigned char *)buf, *end = p + len;
     int64_t rows = 0;
@@ -206,8 +250,7 @@ int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
     for (; p < end; rows++) {
         if (rows == cap)
             return -1;
-        int64_t *cell = cols + rows;
-        for (int32_t j = 0; j < w; j++, cell += cap) {
+        for (int32_t j = 0; j < w; j++) {
             int neg = *p == '-';
             p += neg;
             const unsigned char *digits = p;
@@ -216,7 +259,8 @@ int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
                 x = x * 10 + d;
             if (p == digits || p - digits > 18 || *p++ != (j + 1 < w ? ',' : '\n'))
                 return -1;
-            *cell = neg ? -(int64_t)x : (int64_t)x;
+            if (cols[j] != NULL)
+                cols[j][rows] = neg ? -(int64_t)x : (int64_t)x;
         }
     }
     return rows;

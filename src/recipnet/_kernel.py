@@ -1,11 +1,12 @@
 """Build and load ``_kernel.c``: ``rn_advance``, the compiled mirror of
 ``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
 the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
-integer tables; ``rn_mbi_batch``, the compiled mirror of the
-fixed-horizon loop of ``branching.simulate_mbi_batch``; ``rn_mbi_chunk``,
-the compiled mirror of the killed jump chain of ``branching._sample_chunk``
-and of ``_tally_chunk``'s tally; and ``rn_chains``, the compiled mirror
-of ``embedding.embedding_chains``.
+integer tables, which read and fill the columns where they lie;
+``rn_mbi_batch``, the compiled mirror of the fixed-horizon loop of
+``branching.simulate_mbi_batch``; ``rn_mbi_chunk``, the compiled mirror
+of the killed jump chain of ``branching._sample_chunk`` and of
+``_tally_chunk``'s tally; and ``rn_chains``, the compiled mirror of
+``embedding.embedding_chains``.
 
 The MBI and chain entry points draw from the caller's numpy Generator, so
 they are linked against numpy's own ``libnpyrandom.a`` (with its ``bitgen.h``);
@@ -18,7 +19,9 @@ platform and numpy's two files, so a changed source, host or numpy never
 loads a stale build. It is built under a temporary name and moved into
 place, so concurrent first uses cannot load a half-written file; a build
 then deletes all but the KEPT_LIBRARIES newest ``rn_kernel-*.so`` files
-there, so old sources and numpy versions do not pile up. ``load``
+there by mtime, so old sources and numpy versions do not pile up.
+``load`` sets the mtime of the library it opens to now, so a library
+that another checkout still loads counts as new and is kept. ``load``
 returns None when anything fails (numpy's files are missing, no
 compiler, a build or link error, a cache directory that is not private
 to this user, a load error) and keeps the reason in ``error``; the caller
@@ -86,14 +89,23 @@ def _link():
     return ("-I" + include, archive, *LINK), (header, archive)
 
 
-def library_name(code: bytes) -> str:
+def _machine() -> str:
+    """``platform.machine()``, without importing ``platform`` where
+    ``os.uname`` gives the same answer."""
+    if hasattr(os, "uname"):
+        return os.uname().machine
     import platform
+
+    return platform.machine()
+
+
+def library_name(code: bytes) -> str:
     import sys
 
     sha256 = _sha256()
     args, inputs = _link()
     key = sha256(code)
-    for part in (CC, *FLAGS, *args, sys.platform, platform.machine()):
+    for part in (CC, *FLAGS, *args, sys.platform, _machine()):
         key.update(b"\0" + part.encode())
     for path in inputs:
         with open(path, "rb") as fh:
@@ -136,7 +148,8 @@ def _build() -> str:
 
 def _prune(directory: str, new: str) -> None:
     """Delete every ``rn_kernel-*.so`` in ``directory`` but ``new`` and the
-    KEPT_LIBRARIES - 1 newest others by mtime; a failed unlink is ignored."""
+    KEPT_LIBRARIES - 1 newest others by mtime (``load`` refreshes it, so
+    that is the last use); a failed unlink is ignored."""
     old = []
     with os.scandir(directory) as entries:
         for entry in entries:
@@ -153,6 +166,15 @@ def _prune(directory: str, new: str) -> None:
             pass
 
 
+def column_layout(columns):
+    """Each 1-d integer column's address, byte stride, item size and sign
+    (1 if signed), one row per column: what ``rn_format_int_rows`` reads."""
+    import numpy as np
+
+    return np.array([(col.ctypes.data, col.strides[0], col.itemsize, col.dtype.kind == "i")
+                     for col in columns], dtype=np.int64)
+
+
 def load():
     """The ctypes library with its entry points typed, or None with the
     reason in ``error``."""
@@ -163,7 +185,12 @@ def load():
     try:
         import ctypes
 
-        lib = ctypes.CDLL(_build())
+        path = _build()
+        try:
+            os.utime(path)      # _prune ranks by mtime: keep the library in use
+        except OSError:
+            pass
+        lib = ctypes.CDLL(path)
         p, i32, i64, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
         lib.rn_advance.argtypes = [p, i64, f64, f64, p, p, i32, p, p, p, p, p, i32, p, p, p, p]
         lib.rn_advance.restype = None

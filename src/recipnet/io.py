@@ -5,10 +5,11 @@ wraps, for a table built chunk by chunk) and ``read_table``: a header row,
 then one comma-separated row per entry, nothing quoted. A cell is
 ``str()`` of the column's Python value (ints as digits, floats in
 shortest round-trip form, ``inf`` as ``inf``); the compiled kernel
-formats all-integer chunks, byte for byte the same, and parses those
-bytes back into the arrays ``np.loadtxt`` gives. Readers find columns
-by name in any order; a missing column, a header-only file or a cell
-that does not parse as its dtype is a ValueError naming the file. This
+formats all-integer chunks, byte for byte the same, reading each column
+where it lies, and parses those bytes back into the arrays ``np.loadtxt``
+gives, filling only the requested columns. Readers find columns by name
+in any order; a missing column, a header-only file or a cell that does
+not parse as its dtype is a ValueError naming the file. This
 module alone knows the artifact formats: edges, degrees and trajectory
 tables, pmf grids, Hill sweeps (the rows of ``HillReport.k_sweep``, on
 its fixed k grid) and the angular histogram. Node ids and the group
@@ -48,31 +49,32 @@ def _write_chunks(path, header, chunks) -> None:
     list and formatted with one ``%s`` template, so each cell is ``str()``
     of its Python value and a table never holds more than one chunk of
     Python objects. That template is the rule. A chunk whose columns all
-    hold integers (no bools) goes instead, when the compiled kernel loads,
-    through ``rn_format_int_rows``, which writes the same bytes without
-    building a Python object per cell.
+    hold native-order integers (no bools) goes instead, when the compiled
+    kernel loads, through ``rn_format_int_rows``, which reads each column
+    where it lies and writes the same bytes into one buffer that the whole
+    table reuses.
     """
     width = len(header)
     row = ",".join(["%s"] * width) + "\n"
+    buf = None
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for columns in chunks:
             rows = len(columns[0])
-            if all(col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64)
-                   for col in columns) and (kernel := _kernel.load()) is not None:
-                cells = np.empty((rows, width), dtype=np.int64)
-                for j, col in enumerate(columns):
-                    cells[:, j] = col
+            if all(col.dtype.kind in "iu" and col.dtype.isnative for col in columns) and (
+                    kernel := _kernel.load()) is not None:
                 # a cell takes at most 20 characters and its separator
-                buf = np.empty(rows * width * 21, dtype=np.uint8)
-                fh.write(buf[:kernel.rn_format_int_rows(cells.ctypes.data, rows, width,
+                if buf is None or len(buf) < rows * width * 21:
+                    buf = np.empty(rows * width * 21, dtype=np.uint8)
+                layout = _kernel.column_layout(columns)
+                fh.write(buf[:kernel.rn_format_int_rows(layout.ctypes.data, rows, width,
                                                         buf.ctypes.data)])
             else:
                 cells = [None] * (rows * width)
                 for j, col in enumerate(columns):
                     cells[j::width] = col.tolist()
                 fh.write((row * rows % tuple(cells)).encode())
-            del cells   # free this chunk's cells before the next chunk is built
+                del cells   # free this chunk's cells before the next chunk is built
 
 
 def read_table(path, dtypes: dict) -> tuple:
@@ -124,24 +126,31 @@ def _parse_int_table(path, names) -> tuple | None:
     rows = data.count(b"\n", start)
     if rows == 0:
         return None
-    columns = np.empty((len(header), rows), dtype=np.int64)
+    columns = {name: np.empty(rows, dtype=np.int64) for name in names}
+    # one destination per header column; a NULL one is checked and dropped
+    dest = np.zeros(len(header), dtype=np.uintp)
+    for name, column in columns.items():
+        dest[header.index(name)] = column.ctypes.data
     buf = np.frombuffer(data, dtype=np.uint8)
     if kernel.rn_parse_int_rows(buf.ctypes.data + start, len(data) - start, len(header),
-                                rows, columns.ctypes.data) != rows:
+                                rows, dest.ctypes.data) != rows:
         return None
-    return tuple(columns[header.index(name)] for name in names)
+    return tuple(columns.values())
 
 
 def write_edges(path, state: GraphState) -> None:
-    """Write ``state.edges()``, building CHUNK rows of it at a time."""
+    """Write the edge table, CHUNK rows of ``state.edge_columns`` at a time."""
     _write_chunks(path, ("step", "source", "target", "reciprocal"),
-                 (state.edges(lo, lo + CHUNK).T for lo in range(0, len(state), CHUNK)))
+                  (state.edge_columns(lo, lo + CHUNK) for lo in range(0, len(state), CHUNK)))
 
 
 def write_degree_snapshot(path, state: GraphState) -> None:
+    """Write one (node, group, in_deg, out_deg) row per node, building the
+    1-based node ids and groups CHUNK rows at a time."""
     ind, outd, grp = state.degrees()
-    write_table(path, ("node", "group", "in_deg", "out_deg"),
-                (np.arange(1, len(ind) + 1), grp + 1, ind, outd))
+    _write_chunks(path, ("node", "group", "in_deg", "out_deg"),
+                  ((np.arange(lo + 1, min(lo + CHUNK, len(ind)) + 1), grp[lo:lo + CHUNK] + 1,
+                    ind[lo:lo + CHUNK], outd[lo:lo + CHUNK]) for lo in range(0, len(ind), CHUNK)))
 
 
 def read_degree_snapshot(path, K: int | None = None):
@@ -157,7 +166,8 @@ def read_degree_snapshot(path, K: int | None = None):
             raise ValueError(f"{path}: {name} must be >= {lo}, got {column.min()}")
     if K is not None and grp.max() > K:
         raise ValueError(f"{path}: group must be <= K = {K}, got {grp.max()}")
-    return ind, outd, grp - 1
+    grp -= 1
+    return ind, outd, grp
 
 
 def write_trajectory(path, traj: Trajectory) -> None:

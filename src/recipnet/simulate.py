@@ -140,9 +140,10 @@ class GraphState:
         """The edge count: ``len(state) == len(state.edges())``."""
         return self.edge_count
 
-    def edges(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Int64 rows lo..hi-1 (all rows by default) of (step, source, target,
-        reciprocal), in creation order.
+    def edge_columns(self, lo: int = 0, hi: int | None = None) -> tuple:
+        """Rows lo..hi-1 (all rows by default) of the edge table, in creation
+        order, as its four columns: an int32 step, the source and target
+        pool slices (views) and a uint8 reciprocal flag.
 
         Edge i is (out_pool[i], in_pool[i]). Step k creates node k + 1, so an
         edge's step is its larger endpoint minus one; a reciprocal edge
@@ -150,15 +151,19 @@ class GraphState:
         lo comes from row lo - 1.
         """
         hi = self.edge_count if hi is None else min(hi, self.edge_count)
-        out = np.empty((hi - lo, 4), dtype=np.int64)
-        out[:, 1] = self.out_pool[lo:hi]
-        out[:, 2] = self.in_pool[lo:hi]
-        np.maximum(out[:, 1], out[:, 2], out=out[:, 0])
-        out[:, 0] -= 1
+        source, target = self.out_pool[lo:hi], self.in_pool[lo:hi]
+        step = np.maximum(source, target)
+        step -= 1
         prev = max(self.out_pool[lo - 1], self.in_pool[lo - 1]) - 1 if lo else -1
-        out[:1, 3] = out[:1, 0] == prev
-        out[1:, 3] = out[1:, 0] == out[:-1, 0]
-        return out
+        flag = np.empty(len(step), dtype=bool)
+        flag[:1] = step[:1] == prev
+        np.equal(step[1:], step[:-1], out=flag[1:])
+        return step, source, target, flag.view(np.uint8)
+
+    def edges(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Int64 rows lo..hi-1 (all rows by default) of (step, source, target,
+        reciprocal): the columns of ``edge_columns`` side by side."""
+        return np.stack(self.edge_columns(lo, hi), axis=1, dtype=np.int64)
 
     def check_invariants(self):
         """Raise AssertionError on any violated conservation law."""

@@ -77,7 +77,10 @@ def pair_table(x, y):
         width = int(y.max()) + 1
         span = (int(x.max()) + 1) * width
         if span <= PAIR_KEY_SPAN * len(x):
-            counts = np.bincount(x.astype(np.int64) * width + y, minlength=span)
+            key = x.astype(np.int64)
+            key *= width
+            key += y
+            counts = np.bincount(key, minlength=span)
             key = np.flatnonzero(counts)
             return key // width, key % width, counts[key]
     rows, weight = np.unique(np.stack([x, y], axis=1), axis=0, return_counts=True)

@@ -1,14 +1,16 @@
 """Generated differential tests of the compiled kernel against its statements.
 
-Hypothesis draws the inputs: models for ``rn_chains`` against the numpy
-loop of ``embedding.embedding_chains``, for ``rn_mbi_chunk`` against
-``branching._sample_chunk`` and ``_tally_chunk`` and for ``rn_mbi_batch``
-against the numpy loop of ``simulate_mbi_batch``; integer tables for
-``rn_format_int_rows`` against ``str()``; and integer tables and raw bytes
-for ``rn_parse_int_rows`` against ``np.loadtxt``. Every comparison is
-exact, and those of the sampling mirrors include the generator's state
-after the call. The runs are derandomized, so every run tries the same
-examples.
+Hypothesis draws the inputs: models and blocks of uniforms for
+``rn_advance`` against the loop of ``simulate._advance``; models for
+``rn_chains`` against the numpy loop of ``embedding.embedding_chains``,
+for ``rn_mbi_chunk`` against ``branching._sample_chunk`` and
+``_tally_chunk`` and for ``rn_mbi_batch`` against the numpy loop of
+``simulate_mbi_batch``; integer columns of every width and sign, strided
+and reversed, for ``rn_format_int_rows`` against ``str()``; and integer
+tables and raw bytes, with some columns dropped, for ``rn_parse_int_rows``
+against ``np.loadtxt``. Every comparison is exact, and those of the
+sampling mirrors include the generator's state after the call. The runs
+are derandomized, so every run tries the same examples.
 """
 
 import io
@@ -18,9 +20,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from recipnet import _kernel, branching
+from recipnet import _kernel, branching, simulate
 from recipnet.params import group_rates, validate_params
-from test_kernel import NO_CC, assert_chains_match_numpy
+from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy, format_rows,
+                         parse_rows, str_rows)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -49,6 +52,57 @@ def test_chains_match_numpy_loop_on_generated_models(params, n, replicates, seed
     assert lib is not None, _kernel.error
     with pytest.MonkeyPatch.context() as patch:
         assert_chains_match_numpy(patch, lib, params, n, replicates, seed)
+
+
+@st.composite
+def graph_models(draw):
+    """Models for the graph transition: K from 1 to 8, groups that are never
+    drawn, rho with whole rows and columns of zeros, and delta down to 1e-6."""
+    K = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=K, max_size=K)
+                   .filter(lambda w: sum(w) > 0.0))
+    rho = np.reshape(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                   min_size=K * K, max_size=K * K)), (K, K))
+    rho[sorted(draw(st.sets(st.integers(0, K - 1)))), :] = 0.0
+    rho[:, sorted(draw(st.sets(st.integers(0, K - 1))))] = 0.0
+    return validate_params(alpha=draw(st.floats(0.01, 0.99)), delta=draw(st.floats(1e-6, 50.0)),
+                           pi=np.array(weights) / sum(weights), rho=rho)
+
+
+def _advanced(load, params, blocks, seed):
+    """The graph after ``_advance`` on each block in turn, from one root,
+    with ``_kernel.load`` returning ``load``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "load", lambda: load)
+        rng = np.random.default_rng(seed)
+        state = simulate.init_graph(params, rng)
+        for rows in blocks:
+            simulate._advance(state, params, rng.random((rows, 5)))
+    return state
+
+
+@GENERATED
+@given(graph_models(), st.lists(st.integers(simulate.COMPILED_MIN_ROWS, 300),
+                                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_advance_matches_python_loop_on_generated_models(params, blocks, seed):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    calls = []
+
+    def rn_advance(*args):
+        calls.append(args[1])
+        return lib.rn_advance(*args)
+
+    compiled = _advanced(SimpleNamespace(rn_advance=rn_advance), params, blocks, seed)
+    python = _advanced(None, params, blocks, seed)
+    assert calls == blocks                  # every block ran through the kernel
+    for name in STATE_FIELDS:
+        a, b = getattr(compiled, name), getattr(python, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (compiled.n, compiled.n_nodes, compiled.edge_count, compiled.reciprocal_count) == (
+        python.n, python.n_nodes, python.edge_count, python.reciprocal_count)
+    compiled.check_invariants()
 
 
 def _run_with(load, fn):
@@ -151,41 +205,49 @@ INT64 = np.iinfo(np.int64)
 # every power of ten in int64 with its neighbours, of both signs, and the two ends
 BOUNDARIES = sorted({s * (10**k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)}
                     | {int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 1, int(INT64.max)})
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def int_columns(draw, rows):
+    """A column of ``rows`` cells of a generated integer dtype, read with a
+    generated stride (negative for a reversed view) from a larger array:
+    the boundaries that fit the dtype, its ends, and any value between."""
+    info = np.iinfo(draw(st.sampled_from(INT_DTYPES)))
+    step = draw(st.sampled_from([1, 1, 2, 3, -1, -2]))
+    edges = [b for b in BOUNDARIES if info.min <= b <= info.max] + [int(info.min), int(info.max)]
+    cell = st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
+    cells = draw(st.lists(cell, min_size=rows * abs(step), max_size=rows * abs(step)))
+    return np.array(cells, dtype=info.dtype)[::step]
 
 
 @GENERATED
-@example((1, [[b] for b in BOUNDARIES]))
-@given(st.integers(1, 4).flatmap(lambda w: st.tuples(st.just(w), st.lists(
-    st.lists(st.one_of(st.sampled_from(BOUNDARIES), st.integers(int(INT64.min), int(INT64.max))),
-             min_size=w, max_size=w), max_size=30))))
-def test_format_int_rows_matches_str_on_generated_tables(table):
-    w, rows = table
+@example([np.array(BOUNDARIES, dtype=np.int64)])
+@example([np.array(BOUNDARIES, dtype=np.int64)[::-1],
+          np.array(BOUNDARIES, dtype=np.int64).view(np.uint64)])
+@given(st.tuples(st.integers(0, 30), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(int_columns(shape[0]), min_size=shape[1], max_size=shape[1])))
+def test_format_int_rows_matches_str_on_generated_tables(columns):
     lib = _kernel.load()
     assert lib is not None, _kernel.error
-    cells = np.array(rows, dtype=np.int64).reshape(len(rows), w)
-    room = len(rows) * w * 21                   # the room the entry point asks for
-    buf = np.full(room + 8, 0xA5, dtype=np.uint8)
-    n = lib.rn_format_int_rows(cells.ctypes.data, len(rows), w, buf.ctypes.data)
-    expected = "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
-    assert n == len(expected) and buf[:n].tobytes() == expected
-    assert (buf[room:] == 0xA5).all()           # nothing written past that room
+    text, spare = format_rows(lib, columns, spare=8)
+    assert text == str_rows(columns)
+    assert (spare == 0xA5).all()            # nothing written past the room it asks for
 
 
-def _parse(data: bytes, w: int, cap: int):
-    """``rn_parse_int_rows`` on ``data``: its return value and the rows it read."""
-    lib = _kernel.load()
-    assert lib is not None, _kernel.error
-    buf = np.frombuffer(data + b"\0", dtype=np.uint8)     # never empty, so it has an address
-    columns = np.full((w, cap), -7, dtype=np.int64)
-    rows = lib.rn_parse_int_rows(buf.ctypes.data, len(data), w, cap, columns.ctypes.data)
-    return rows, columns[:, :max(rows, 0)].T
-
-
-def _loadtxt(data: bytes, w: int) -> np.ndarray:
-    """``data`` as io.read_table's ``np.loadtxt`` reads integer cells."""
+def _loadtxt(data: bytes, w: int, keep) -> np.ndarray:
+    """Columns ``keep`` of ``data`` as io.read_table's ``np.loadtxt`` reads
+    integer cells, one row per line."""
     with warnings.catch_warnings():
         warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
-        return np.loadtxt(io.BytesIO(data), delimiter=",", dtype=np.int64, ndmin=2).reshape(-1, w)
+        return np.loadtxt(io.BytesIO(data), delimiter=",", dtype=np.int64, ndmin=2,
+                          usecols=keep).reshape(-1, len(keep))
+
+
+def _read(parsed, rows):
+    """The kept columns that ``parse_rows`` filled, as (rows, kept) cells."""
+    return np.array([column[:rows] for column in parsed.values()],
+                    dtype=np.int64).reshape(len(parsed), rows).T
 
 
 # the cells the parser takes: an optional '-' and at most 18 digits
@@ -193,19 +255,25 @@ CELLS = st.integers(-(10**18 - 1), 10**18 - 1)
 
 
 @GENERATED
-@given(st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(CELLS, min_size=w, max_size=w),
-                                                     min_size=1, max_size=30)),
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.lists(st.lists(CELLS, min_size=w, max_size=w), min_size=1, max_size=30),
+    st.lists(st.booleans(), min_size=w, max_size=w))),
        st.integers(0, 32))
-def test_parse_int_rows_matches_loadtxt_on_generated_tables(table, cap):
-    w = len(table[0])
+def test_parse_int_rows_matches_loadtxt_on_generated_tables(table_and_keep, cap):
+    table, mask = table_and_keep
+    w, keep = len(table[0]), [j for j, kept in enumerate(mask) if kept]
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
     data = "".join(",".join(map(str, row)) + "\n" for row in table).encode()
-    rows, read = _parse(data, w, cap)
+    rows, parsed = parse_rows(lib, data, w, cap, keep)
     if cap < len(table):
         assert rows == -1               # more rows than room for them
-    else:
-        assert rows == len(table)
-        assert np.array_equal(read, _loadtxt(data, w))
-        assert np.array_equal(read, np.array(table, dtype=np.int64))
+        return
+    assert rows == len(table)
+    assert all((column[rows:] == -7).all() for column in parsed.values())
+    assert np.array_equal(_read(parsed, rows), np.array(table, dtype=np.int64)[:, keep])
+    if keep:
+        assert np.array_equal(_read(parsed, rows), _loadtxt(data, w, keep))
 
 
 # cells the parser must refuse, or may refuse and leave to loadtxt
@@ -215,12 +283,14 @@ ODD_CELLS = st.sampled_from(["", "-", "+1", " 1", "1 ", "1.5", "--1", "1e3", "0x
 
 @st.composite
 def raw_tables(draw):
-    """``(data, w)``: arbitrary bytes, or a table of w-cell rows with at most
-    one fault: an odd cell, a row one cell too wide or too narrow, another
-    row end, or one byte changed."""
+    """``(data, w, keep)``: arbitrary bytes, or a table of w-cell rows with
+    at most one fault: an odd cell, a row one cell too wide or too narrow,
+    another row end, or one byte changed; and the columns to keep, never
+    none, so a fault may lie in a dropped column."""
     w = draw(st.integers(1, 4))
+    keep = sorted(draw(st.sets(st.integers(0, w - 1), min_size=1)))
     if draw(st.integers(0, 4)) == 0:
-        return draw(st.binary(max_size=64)), w
+        return draw(st.binary(max_size=64)), w, keep
     rows = [list(map(str, row)) for row in
             draw(st.lists(st.lists(CELLS, min_size=w, max_size=w), min_size=1, max_size=6))]
     ends = ["\n"] * len(rows)
@@ -235,16 +305,18 @@ def raw_tables(draw):
     data = bytearray("".join(",".join(row) + end for row, end in zip(rows, ends)).encode())
     if fault == "byte" and data:
         data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
-    return bytes(data), w
+    return bytes(data), w, keep
 
 
 @GENERATED
 @given(raw_tables(), st.integers(-1, 2))
 def test_parse_int_rows_accepts_only_what_loadtxt_reads_alike(raw, spare):
-    data, w = raw
+    data, w, keep = raw
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
     cap = max(data.count(b"\n") + spare, 0)    # spare -1: one row too few
-    rows, read = _parse(data, w, cap)
+    rows, parsed = parse_rows(lib, data, w, cap, keep)
     if rows == -1:
         return                          # refused: io.read_table leaves it to loadtxt
     assert 0 < rows <= cap and rows == data.count(b"\n")
-    assert np.array_equal(read, _loadtxt(data, w))
+    assert np.array_equal(_read(parsed, rows), _loadtxt(data, w, keep))

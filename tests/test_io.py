@@ -168,6 +168,8 @@ READ_CASES = {
     "short-row": (HEADER + "1,1,2,0\n2,2,0\n", False),
     "long-then-short-row": (HEADER + "1,1,2,0,9\n2,2,0\n", False),
     "cr-inside-header": ("group,in_deg,out_deg,x\ry\n1,2,3,4\n", False),
+    "bad-cell-in-dropped-column": (HEADER + "1,1,2,0\nx,2,0,3\n", False),
+    "fraction-in-dropped-column": (HEADER + "1.5,1,2,0\n", False),
     "one-row": (HEADER + _rows(1), True),
     "65537-rows": (HEADER + _rows(65537), True),
 }

@@ -79,19 +79,58 @@ def test_compiled_kernel_matches_python_loop(tmp_path, k2_ref, monkeypatch):
         compiled_files["simulate"])
 
 
+def format_rows(lib, columns, spare=0):
+    """``rn_format_int_rows`` on 1-d integer ``columns``, read where they lie:
+    the bytes it wrote, and the ``spare`` bytes past its room."""
+    rows, w = len(columns[0]), len(columns)
+    room = rows * w * 21                    # the room the entry point asks for
+    buf = np.full(room + spare, 0xA5, dtype=np.uint8)
+    layout = _kernel.column_layout(columns)
+    n = lib.rn_format_int_rows(layout.ctypes.data, rows, w, buf.ctypes.data)
+    return buf[:n].tobytes(), buf[room:]
+
+
+def str_rows(columns) -> bytes:
+    """The rows as the ``%s`` template writes them: ``str()`` of each cell."""
+    return "".join(",".join(map(str, row)) + "\n"
+                   for row in zip(*(col.tolist() for col in columns))).encode()
+
+
+def parse_rows(lib, data: bytes, w: int, cap: int, keep):
+    """``rn_parse_int_rows`` on ``data`` with a destination for each column
+    j in ``keep`` and NULL for the others: its return value and the kept
+    columns, each of ``cap`` cells (-7 where it wrote none)."""
+    buf = np.frombuffer(data + b"\0", dtype=np.uint8)     # never empty, so it has an address
+    columns = {j: np.full(cap, -7, dtype=np.int64) for j in keep}
+    dest = np.zeros(w, dtype=np.uintp)
+    for j, column in columns.items():
+        dest[j] = column.ctypes.data
+    rows = lib.rn_parse_int_rows(buf.ctypes.data, len(data), w, cap, dest.ctypes.data)
+    return rows, columns
+
+
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
 def test_format_int_rows_matches_str():
     lib = _kernel.load()
     assert lib is not None, _kernel.error
-    i64 = np.iinfo(np.int64)
-    cells = np.array([[i64.min, i64.max, 0], [-1, 1, -10], [9, 10, -9223372036854775807]],
-                     dtype=np.int64)
-    rows, w = cells.shape
-    buf = np.empty(rows * w * 21, dtype=np.uint8)
-    n = lib.rn_format_int_rows(cells.ctypes.data, rows, w, buf.ctypes.data)
-    expected = "".join(",".join(map(str, row)) + "\n" for row in cells.tolist())
-    assert buf[:n].tobytes() == expected.encode()
-    assert n == len(expected)
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    wide = np.array([i64.min, i64.max, 0, -1, 10, -9223372036854775807], dtype=np.int64)
+    grid = np.arange(-36, 36, dtype=np.int16).reshape(6, 12) * 910    # to -32760 and 31850
+    columns = [wide, np.array([u64.max, 0, 1, 99, 100, 10**19], dtype=np.uint64),
+               wide[::-1],                                           # a negative stride
+               grid[:, 3], grid[::-1, 11],                           # strided int16
+               np.array([-128, 5, 127, 7, 0, 1, -1, 2, 9, 3, 10, 4], dtype=np.int8)[::2],
+               np.arange(250, 256, dtype=np.uint8)[::-1],
+               np.array([0, 2**32 - 1, 1, 10**9, 10**9 - 1, 42], dtype=np.uint32),
+               np.array([-2**31, 2**31 - 1, 0, -1, -10**9, 10**9], dtype=np.int32),
+               np.array([0, 2**16 - 1, 9, 10, 99, 100], dtype=np.uint16)]
+    assert any(col.strides[0] < 0 for col in columns)
+    for col in columns:
+        text, spare = format_rows(lib, [col], spare=8)
+        assert text == str_rows([col]) and (spare == 0xA5).all(), col.dtype
+    text, spare = format_rows(lib, columns, spare=8)
+    assert text == str_rows(columns) and (spare == 0xA5).all()
+    assert format_rows(lib, [wide[:0], wide[:0]])[0] == b""
 
 
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
@@ -101,17 +140,21 @@ def test_parse_int_rows_reads_what_format_int_rows_writes():
     big = 10**18 - 1                       # the most digits the parser takes
     cells = np.array([[-big, big, 0], [-1, 1, -10], [9, 10, 123456789012]], dtype=np.int64)
     rows, w = cells.shape
-    buf = np.empty(rows * w * 21, dtype=np.uint8)
-    n = lib.rn_format_int_rows(cells.ctypes.data, rows, w, buf.ctypes.data)
-    columns = np.full((w, rows + 1), 7, dtype=np.int64)     # one row of room to spare
-    assert lib.rn_parse_int_rows(buf.ctypes.data, n, w, rows + 1, columns.ctypes.data) == rows
-    assert np.array_equal(columns[:, :rows], cells.T) and np.all(columns[:, rows] == 7)
+    data = format_rows(lib, list(cells.T))[0]
+    # one row of room to spare, and column 1 checked and dropped
+    read, kept = parse_rows(lib, data, w, rows + 1, [0, 2])
+    assert read == rows
+    for j, column in kept.items():
+        assert np.array_equal(column[:rows], cells[:, j]) and column[rows] == -7
+    assert parse_rows(lib, data, w, rows, [])[0] == rows      # every column dropped
     # a table with more rows than room for them
-    assert lib.rn_parse_int_rows(buf.ctypes.data, n, w, rows - 1, columns.ctypes.data) == -1
+    assert parse_rows(lib, data, w, rows - 1, [0, 1, 2])[0] == -1
+    # a dropped column is still checked
+    assert parse_rows(lib, b"1,x,2\n", 3, 1, [0, 2])[0] == -1
     # int64's extremes have 19 digits, so loadtxt reads them instead
     for x in (np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10**18):
-        text = np.frombuffer(f"{x}\n".encode(), dtype=np.uint8)
-        assert lib.rn_parse_int_rows(text.ctypes.data, text.size, 1, 1, columns.ctypes.data) == -1
+        assert parse_rows(lib, f"{x}\n".encode(), 1, 1, [0])[0] == -1
+        assert parse_rows(lib, f"{x}\n".encode(), 1, 1, [])[0] == -1
 
 
 def _tables(n):
@@ -198,6 +241,28 @@ def test_build_keeps_only_the_newest_libraries(fresh_loader):
     _kernel._build()
     assert sorted(os.listdir(fresh_loader)) == sorted(kept + [old[-1].name]
                                                       + [p.name for p in others])
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_build_keeps_the_library_in_use(fresh_loader):
+    assert _kernel.load() is not None, _kernel.error
+    built = fresh_loader / _kernel.library_name(_kernel.source().read_bytes())
+    os.utime(built, (1e9, 1e9))         # built long ago
+    _kernel._tried = False
+    assert _kernel.load() is not None, _kernel.error      # a later process loads it
+    # then KEPT_LIBRARIES newer builds land, each from another source
+    newer = [fresh_loader / f"rn_kernel-{i:024x}.so" for i in range(_kernel.KEPT_LIBRARIES)]
+    for age, path in enumerate(newer):
+        path.write_bytes(b"a newer build")
+        os.utime(path, (1e9 + 1e6 * (age + 1), 1e9 + 1e6 * (age + 1)))
+        _kernel._prune(str(fresh_loader), str(path))
+    assert built.is_file()
+
+
+def test_machine_is_platform_machine():
+    import platform
+
+    assert _kernel._machine() == platform.machine()
 
 
 def test_missing_compiler_falls_back(fresh_loader, monkeypatch, k2_ref):
