@@ -44,15 +44,15 @@ _EXPORTS = {
     "equilibrium": ("EquilibriumSolution", "NoConvergence", "build_jstar",
                     "solve_equilibrium"),
     "simulate": ("GraphState", "ResourceLimit", "SimConfig", "Trajectory",
-                 "degree_histogram", "init_graph", "run", "step"),
+                 "init_graph", "run", "step"),
     "branching": ("EventBudgetExceeded", "JointPmfEstimate", "estimate_pkl",
                   "sample_limit_pairs", "simulate_mbi_batch"),
     "embedding": ("EnumerationTooLarge", "embedding_chains", "enumerate_graph_law",
                   "verify_equivalence"),
     "tails": ("ConditionsUnmet", "DegenerateTail", "DegreeDataset", "EmptySelection",
               "GridMismatch", "InsufficientData", "NonPositiveValues", "PeelOptions",
-              "angular_transform", "compare_pmf", "hill_estimator", "hrv_peel",
-              "ray_distance", "tail_report"),
+              "angular_transform", "compare_pmf", "degree_histogram", "hill_estimator",
+              "hrv_peel", "ray_distance", "tail_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,20 +12,22 @@
  * rn_parse_int_rows reads those bytes back as read_table's loadtxt does,
  * into one array per column that the caller asks for.
  *
- * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch,
- * rn_mbi_chunk repeats the killed jump chain of _sample_chunk (with
- * _tally_chunk's tally, or with the per-row outputs), and rn_chains
- * repeats embedding_chains, in the same way. They draw from the caller's
- * numpy Generator through its bitgen_t, with the functions numpy itself
- * calls (random_standard_exponential_fill and random_standard_uniform_fill,
- * which Generator.random calls, from libnpyrandom.a, and next_double, one
- * uniform of the same stream), in the order of the numpy code, so they
- * leave the same counts and the same generator state. The caller holds the
- * bit generator's lock.
+ * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch and
+ * rn_mbi_chunk the killed jump chain of _sample_chunk (with _tally_chunk's
+ * tally, or the per-row outputs), both around rn_event, the mirror of
+ * branching._event; rn_chains repeats embedding_chains. They draw from the
+ * caller's numpy Generator through its bitgen_t with numpy's own functions
+ * (libnpyrandom.a) in the numpy code's order, so they leave the same counts
+ * and generator state: per iteration, rn_mbi_batch takes an exponential and
+ * a uniform fill (random_standard_exponential_fill and _uniform_fill, as
+ * Generator.standard_exponential and .random do) and rn_mbi_chunk a uniform
+ * fill; next_double (one uniform of the stream) draws rn_mbi_chunk's labels
+ * and initial states, and rn_chains' labels and coins between its
+ * exponential fills per replicate and jump. The caller holds the lock.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<numpy include> _kernel.c
  * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V),
- * or c_star + w1*rho_row[g], into a fused multiply-add would change the
+ * or c + w1*rr in rn_event, into a fused multiply-add would change the
  * draws. Every exported symbol carries the rn_ prefix (--exclude-libs
  * hides numpy's), so none can clash with a symbol of another loaded
  * library.
@@ -273,19 +275,27 @@ int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
 void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 
+/* branching._event: move (*a1, *a2) by the event x = u * (c + w1 + w2) >= c picks */
+static inline void rn_event(double *a1, double *a2, double x, double c, double w1, double w2,
+                            double rr, double rc)
+{
+    int is1 = x < c + w1;
+    *a1 += (double)(is1 | (x < c + w1 + w2 * rc));
+    *a2 += (double)((!is1) | (x < c + w1 * rr));
+}
+
 /* simulate_mbi_batch on R rows. n1 and n2 hold the initial states on entry
  * and the final counts on return; events and failed are written for every
- * row. work holds 5R doubles: running row j is row idx[j] of the batch, at
- * (a1[j], a2[j]) with left[j] still to wait, and e is scratch. Every
- * running row makes one event per iteration. */
+ * row. work holds 6R doubles: running row j is row idx[j] of the batch, at
+ * (a1[j], a2[j]) with left[j] still to wait, and e and u are its wait and
+ * its event uniform. Every running row makes one event per iteration. */
 void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t_ends,
                   const double *rho_row, const double *rho_col,
                   double alpha, double gamma, double delta, double event_budget,
                   int64_t *n1, int64_t *n2, int64_t *events, uint8_t *failed, double *work)
 {
-    const double *coin[2] = {rho_col, rho_row};   /* indexed by is1 */
     int64_t *idx = (int64_t *)work, n = R;
-    double *a1 = work + R, *a2 = a1 + R, *left = a2 + R, *e = left + R;
+    double *a1 = work + R, *a2 = a1 + R, *left = a2 + R, *e = left + R, *u = e + R;
     for (int64_t i = 0; i < R; i++) {
         idx[i] = i;
         a1[i] = (double)n1[i];
@@ -294,20 +304,20 @@ void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t
     }
     for (int64_t it = 0; n > 0; it++) {
         random_standard_exponential_fill(bg, n, e);
+        random_standard_uniform_fill(bg, n, u);
         int over = (double)it >= event_budget;
         int64_t kept = 0;
         for (int64_t j = 0; j < n; j++) {
-            double w1 = alpha * (a1[j] + delta);
-            double rate = w1 + gamma * (a2[j] + delta);
+            int64_t i = idx[j], g = label[i];
+            double x1 = a1[j], x2 = a2[j];
+            double w1 = alpha * (x1 + delta), w2 = gamma * (x2 + delta), rate = w1 + w2;
             /* a rate-0 row (delta = 0 at state (0, 0)) is absorbing: its wait is inf */
             double l = left[j] - e[j] / rate;
             int go = l >= 0.0;
-            int64_t i = idx[j];
-            double x1 = a1[j], x2 = a2[j];
             /* stable compaction: row j moves down to kept, which advances
              * only if the row keeps running. Every row's outputs are
-             * written, and written again when it stops, which avoids a
-             * branch that the rows take at random. */
+             * written, and written again when it stops, and every row makes
+             * its event, which avoids a branch that the rows take at random. */
             idx[kept] = i;
             a1[kept] = x1;
             a2[kept] = x2;
@@ -316,22 +326,10 @@ void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t
             n2[i] = (int64_t)x2;
             events[i] = it;
             failed[i] = (uint8_t)(go & over);
+            rn_event(a1 + kept, a2 + kept, u[j] * rate, 0.0, w1, w2, rho_row[g], rho_col[g]);
             kept += go & !over;
         }
         n = kept;
-        /* is1 = random(n) * rate < w1 takes n uniforms, then the coins n more */
-        for (int64_t j = 0; j < n; j++)
-            e[j] = bg->next_double(bg->state);
-        for (int64_t j = 0; j < n; j++) {
-            double w1 = alpha * (a1[j] + delta);
-            double rate = w1 + gamma * (a2[j] + delta);
-            int is1 = e[j] * rate < w1;
-            double c = bg->next_double(bg->state);
-            int64_t g = label[idx[j]];
-            int rec = c < coin[is1][g];     /* c < rho_row[g] if is1 else rho_col[g] */
-            a1[j] += (double)(is1 | rec);
-            a2[j] += (double)((!is1) | rec);
-        }
     }
 }
 
@@ -372,7 +370,7 @@ void rn_mbi_chunk(bitgen_t *bg, int64_t n, const double *cum_pi, int32_t K,
             double x1 = a1[j], x2 = a2[j];
             double w1 = alpha * (x1 + delta), w2 = gamma * (x2 + delta);
             double x = u[j] * (c_star + w1 + w2);
-            int go = x >= c_star, is1 = x < c_star + w1;
+            int go = x >= c_star;
             int64_t k = (int64_t)x1, l = (int64_t)x2;
             /* every row is recorded, which avoids a branch that the rows
              * take at random: a row that keeps running adds 0 to counts,
@@ -388,8 +386,9 @@ void rn_mbi_chunk(bitgen_t *bg, int64_t n, const double *cum_pi, int32_t K,
             }
             /* stable compaction, as in rn_mbi_batch */
             idx[kept] = i;
-            a1[kept] = x1 + (double)(is1 | (x < c_star + w1 + w2 * rho_col[g]));
-            a2[kept] = x2 + (double)((!is1) | (x < c_star + w1 * rho_row[g]));
+            a1[kept] = x1;
+            a2[kept] = x2;
+            rn_event(a1 + kept, a2 + kept, x, c_star, w1, w2, rho_row[g], rho_col[g]);
             kept += go & !over;
         }
         n = kept;

@@ -2,15 +2,19 @@
 ``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
 the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
 integer tables, which read and fill the columns where they lie;
-``rn_mbi_batch``, the compiled mirror of the fixed-horizon loop of
-``branching.simulate_mbi_batch``; ``rn_mbi_chunk``, the compiled mirror
-of the killed jump chain of ``branching._sample_chunk`` and of
-``_tally_chunk``'s tally; and ``rn_chains``, the compiled mirror of
-``embedding.embedding_chains``.
+``rn_mbi_batch`` and ``rn_mbi_chunk``, the compiled mirrors of the two
+loops of ``branching`` (the fixed horizon of ``simulate_mbi_batch``, and
+the killed jump chain of ``_sample_chunk`` with ``_tally_chunk``'s tally)
+around one mirror of its event step ``_event``; and ``rn_chains``, the
+compiled mirror of ``embedding.embedding_chains``.
 
-The MBI and chain entry points draw from the caller's numpy Generator, so
-they are linked against numpy's own ``libnpyrandom.a`` (with its ``bitgen.h``);
-``--exclude-libs`` keeps numpy's symbols out of the library's exports.
+The MBI and chain entry points draw from the caller's numpy Generator
+with numpy's own fills: per iteration, ``rn_mbi_batch`` an exponential
+and a uniform fill and ``rn_mbi_chunk`` a uniform fill; ``rn_chains`` an
+exponential fill per replicate and jump, with single uniforms between.
+So they are linked against numpy's own ``libnpyrandom.a`` (with its
+``bitgen.h``); ``--exclude-libs`` keeps numpy's symbols out of the
+library's exports.
 
 The library is compiled on first use with ``cc`` into a per-user cache
 directory (``$XDG_CACHE_HOME/recipnet``, default ``~/.cache/recipnet``,

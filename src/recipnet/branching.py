@@ -19,21 +19,18 @@ over the group label.
 
 T* is memoryless, so that law is also the law of the process's jump
 chain killed in each state with probability c* / (c* + w1 + w2), w1 and
-w2 the state's two clock rates. ``_sample_chunk`` draws it so, one
-uniform per event: ``x = u * (c* + w1 + w2)`` stops the row below c*,
-makes a type-I event below c* + w1 (reciprocated below c* + w1*rho_row)
-and a type-II event above it (reciprocated below c* + w1 + w2*rho_col).
-``rn_mbi_chunk`` in ``_kernel.c`` repeats that loop line for line, with
-``_tally_chunk``'s tally or with its per-row outputs.
-
+w2 the state's two clock rates (``params.clock_rates``). ``_sample_chunk``
+draws it so, one uniform per event: x = u * (c* + w1 + w2) stops the row
+below c*, and the shared event step ``_event`` moves it otherwise.
 ``simulate_mbi_batch`` is the fixed-horizon engine: it advances
-trajectories of any mix of labels in lockstep up to given times, three
-variates per event (waiting time, clock selector, reciprocation coin).
-Its loop is the statement of the rule, and ``rn_mbi_batch`` repeats it
-line for line. Both compiled loops draw from the caller's numpy
-Generator in the numpy code's order, and they run instead whenever the
-kernel loads (see ``_kernel``), with the same counts and the same
-generator state after the call.
+trajectories of any mix of labels in lockstep up to given times, two
+variates per event (an exponential wait, then ``_event`` with c = 0).
+``rn_mbi_chunk`` (with ``_tally_chunk``'s tally or the per-row outputs)
+and ``rn_mbi_batch`` in ``_kernel.c`` repeat the two loops line for line
+around one mirror of ``_event``. They draw from the caller's numpy
+Generator in the numpy code's order and run instead whenever the kernel
+loads (see ``_kernel``), with the same counts and the same generator
+state after the call.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .params import GroupRates, ModelParams, draw_groups, group_rates
+from .params import GroupRates, ModelParams, clock_rates, draw_groups, group_rates
 from .equilibrium import EquilibriumSolution, attachment_law
 
 DEFAULT_EVENT_BUDGET = 10_000_000
@@ -70,10 +67,13 @@ class EventBudgetExceeded(RuntimeError):
                 f"{self.replicates}); there is no estimate to normalize")
 
 
-def _clock_rates(params: ModelParams, a1, a2):
-    """The type-I and type-II clock rates of processes at (a1, a2):
-    alpha * (n1 + delta) and gamma * (n2 + delta)."""
-    return params.alpha * (a1 + params.delta), params.gamma * (a2 + params.delta)
+def _event(a1, a2, x, c, w1, w2, rr, rc):
+    """Move the processes at (a1, a2) by the event that x = u * (c + w1 + w2)
+    picks, for x >= c: type I below c + w1 (reciprocated below c + w1*rr),
+    else type II (reciprocated below c + w1 + w2*rc)."""
+    is1 = x < c + w1
+    a1 += is1 | (x < c + w1 + w2 * rc)
+    a2 += ~is1 | (x < c + w1 * rr)
 
 
 def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray,
@@ -90,7 +90,6 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     The loop below is the statement of the rule; ``rn_mbi_batch`` runs
     instead, from the same generator, whenever the kernel loads.
     """
-    alpha, gamma, delta = params.alpha, params.gamma, params.delta
     inits = np.asarray(inits)
     n1 = inits[:, 0].astype(np.int64)
     n2 = inits[:, 1].astype(np.int64)
@@ -108,12 +107,12 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         rho_row, rho_col = (np.ascontiguousarray(r, dtype=float)
                             for r in (rates.rho_row, rates.rho_col))
-        work = np.empty(5 * len(n1))
+        work = np.empty(6 * len(n1))
         with rng.bit_generator.lock:
             lib.rn_mbi_batch(rng.bit_generator.ctypes.bit_generator, len(n1),
                              labels.ctypes.data, left.ctypes.data, rho_row.ctypes.data,
-                             rho_col.ctypes.data, alpha, gamma, delta, event_budget,
-                             n1.ctypes.data, n2.ctypes.data, events.ctypes.data,
+                             rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
+                             event_budget, n1.ctypes.data, n2.ctypes.data, events.ctypes.data,
                              failed.ctypes.data, work.ctypes.data)
         return n1, n2, events, failed
 
@@ -126,11 +125,12 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     rc = rates.rho_col[labels]
     it = 0
     while idx.size:
-        w1, w2 = _clock_rates(params, a1, a2)
+        w1, w2 = clock_rates(params, a1, a2)
         rate = w1 + w2
         with np.errstate(divide="ignore", invalid="ignore"):
             # a rate-0 row (delta = 0 at state (0, 0)) is absorbing: its wait is inf
             left -= rng.standard_exponential(idx.size) / rate
+        x = rng.random(idx.size) * rate
         go = left >= 0.0
         if it >= event_budget:
             failed[idx[go]] = True
@@ -142,13 +142,9 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
             n2[done] = a2[stop]
             events[done] = it
             keep = np.flatnonzero(go)
-            idx, a1, a2, left, rr, rc, w1, rate = (
-                x.take(keep) for x in (idx, a1, a2, left, rr, rc, w1, rate))
-        is1 = rng.random(idx.size) * rate < w1
-        c = rng.random(idx.size)
-        rec = (is1 & (c < rr)) | (~is1 & (c < rc))
-        a1 += is1 | rec
-        a2 += ~is1 | rec
+            idx, a1, a2, left, rr, rc, w1, w2, x = (
+                v.take(keep) for v in (idx, a1, a2, left, rr, rc, w1, w2, x))
+        _event(a1, a2, x, 0.0, w1, w2, rr, rc)
         it += 1
     return n1, n2, events, failed
 
@@ -286,7 +282,7 @@ def _sample_chunk(args):
     rc = rates.rho_col[labels]
     it = 0
     while idx.size:
-        w1, w2 = _clock_rates(params, a1, a2)
+        w1, w2 = clock_rates(params, a1, a2)
         x = rng.random(idx.size) * (c + w1 + w2)
         go = x >= c
         if it >= event_budget:
@@ -300,9 +296,7 @@ def _sample_chunk(args):
             keep = np.flatnonzero(go)
             idx, a1, a2, rr, rc, w1, w2, x = (
                 v.take(keep) for v in (idx, a1, a2, rr, rc, w1, w2, x))
-        is1 = x < c + w1
-        a1 += is1 | (x < c + w1 + w2 * rc)
-        a2 += ~is1 | (x < c + w1 * rr)
+        _event(a1, a2, x, c, w1, w2, rr, rc)
         it += 1
     return labels, n1, n2, failed
 

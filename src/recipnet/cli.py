@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -90,7 +91,8 @@ _QUANTILE = 0.999, (lambda v: _is_number(v) and 0.0 < v < 1.0), "a number in (0,
 # (section, key) -> (default, check, what the value must be): the whole
 # schema of every section but "model", in the key order of config.json
 SCHEMA = {
-    ("solver", "tol"): (1e-12, (lambda v: _is_number(v) and v > 0.0), "a number > 0"),
+    ("solver", "tol"): (1e-12, (lambda v: _is_number(v) and 0.0 < v < math.inf),
+                        "a finite number > 0"),
     ("solver", "max_iter"): _int_at_least(10_000, 1),
     ("sim", "n_steps"): _int_at_least(100_000, 1),
     ("sim", "seed"): _SEED,
@@ -207,6 +209,9 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     bad = [s for s in sim["snapshots"] if not 1 <= s <= sim["n_steps"]]
     if bad:
         raise ParseError(f"sim.snapshots must lie in [1, {sim['n_steps']}], got {bad}")
+    if sim["max_edges"] < 2 * sim["n_steps"] + 1:   # the edges n_steps can make
+        raise ParseError(f"sim.max_edges must be >= 2 * sim.n_steps + 1 = "
+                         f"{2 * sim['n_steps'] + 1}, got {sim['max_edges']}")
     _model(cfg)    # the model's checks, too, come before any output is written
     return cfg
 

@@ -8,8 +8,8 @@ moved. ``embedding_chains`` builds that family directly from the
 branching construction, never from the graph's endpoint pools. A live
 process with label m and state (n1, n2) carries two exponential clocks,
 type I at rate alpha * (n1 + delta) and type II at rate
-gamma * (n2 + delta), the clocks of the single-process engine
-``branching.simulate_mbi_batch``; they sum to the total rate
+gamma * (n2 + delta), stated once in ``params.clock_rates`` for these
+chains and for the engines of ``branching``; they sum to the total rate
 alpha * n1 + gamma * n2 + delta. The first clock to ring makes the jump:
 a child with label r ~ pi is born, and a reciprocation coin with
 probability rho[m][r] (type I) or rho[r][m] (type II) decides whether
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .params import ModelParams, draw_groups
+from .params import ModelParams, clock_rates, draw_groups
 
 MAX_ENUM_STEPS = 3
 CHUNK = 4096                # replicates per lockstep block in verify_equivalence
@@ -89,8 +89,7 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
     for j in range(1, n + 1):
         # clocks are memoryless, so every jump races fresh exponentials; the
         # first of the 2j clocks picks the jumping process and its type
-        rates = np.concatenate((alpha * (n1[:, :j] + delta), gamma * (n2[:, :j] + delta)),
-                               axis=1)
+        rates = np.concatenate(clock_rates(params, n1[:, :j], n2[:, :j]), axis=1)
         winner = np.argmin(rng.standard_exponential((replicates, 2 * j)) / rates, axis=1)
         type2 = winner >= j
         k = winner - j * type2

@@ -238,7 +238,7 @@ def write_angular_hist(path, bins: np.ndarray, counts: np.ndarray) -> None:
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(jsonable(payload), fh, indent=2)
+        json.dump(jsonable(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

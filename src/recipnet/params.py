@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
+DELTA_MAX = 1e300           # keeps every clock rate and rate sum of the model finite
 
 
 class ParameterError(ValueError):
@@ -87,6 +88,8 @@ def validate_params(alpha, delta, pi, rho, k=None) -> ModelParams:
         raise NonProbability(f"alpha must lie in (0, 1), got {alpha}")
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be > 0, got {delta}")
+    if delta > DELTA_MAX:
+        raise ParameterError(f"delta must be at most {DELTA_MAX:g}, got {delta}")
 
     if pi.ndim != 1 or pi.size == 0:
         raise BadDimensions(f"pi must be a non-empty vector, got shape {pi.shape}")
@@ -129,6 +132,12 @@ def draw_groups(cum_pi: np.ndarray, u):
     cumulative sum that ends just below 1 in the last group.
     """
     return np.minimum(np.searchsorted(cum_pi, u, side="right"), len(cum_pi) - 1)
+
+
+def clock_rates(params: ModelParams, n1, n2):
+    """The two clocks of a branching process at (n1, n2): type I at
+    alpha * (n1 + delta), type II at gamma * (n2 + delta)."""
+    return params.alpha * (n1 + params.delta), params.gamma * (n2 + params.delta)
 
 
 def group_rates(params: ModelParams) -> GroupRates:

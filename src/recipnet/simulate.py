@@ -366,31 +366,3 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
         group_out=np.array([s[3] for s in snap_rows], dtype=np.int64).reshape(-1, params.K),
     )
     return SimResult(state=state, trajectory=traj)
-
-
-@dataclass(frozen=True)
-class DegreeHistogram:
-    """Joint (in, out) degree counts N_{k,l} over all nodes."""
-
-    pairs: np.ndarray              # (M, 2) distinct (in, out) pairs
-    counts: np.ndarray             # (M,)
-    n_nodes: int
-
-    def to_pmf(self, kmax: int, lmax: int):
-        """Empirical pmf on the grid {0..kmax} x {0..lmax} plus overflow mass."""
-        pairs, counts = self.pairs, self.counts
-        grid = np.zeros((kmax + 1, lmax + 1))
-        inside = (pairs[:, 0] <= kmax) & (pairs[:, 1] <= lmax)
-        grid[pairs[inside, 0], pairs[inside, 1]] = counts[inside]
-        grid /= self.n_nodes
-        return grid, float(counts[~inside].sum()) / self.n_nodes
-
-
-def degree_histogram(state: GraphState) -> DegreeHistogram:
-    """Tally joint in/out-degree counts N_{k,l}: the state's ``tails.pair_table``."""
-    from .tails import pair_table
-
-    ind, outd, _ = state.degrees()
-    k, l, counts = pair_table(ind, outd)
-    return DegreeHistogram(pairs=np.stack([k, l], axis=1), counts=counts,
-                           n_nodes=state.n_nodes)

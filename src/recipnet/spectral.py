@@ -35,8 +35,9 @@ class GroupSpectral:
     """Spectral summary of one group's branching matrix.
 
     For degenerate groups (rho_row[m] == 0 or rho_col[m] == 0 so A_m is
-    reducible) only the eigenvalues are reported: u, v and the slope a are
-    None and ``degenerate`` is True. Such groups simulate fine but are
+    reducible, or so nearly reducible that the eigenvector ratios or their
+    product overflow) only the eigenvalues are reported: u, v and the slope
+    a are None and ``degenerate`` is True. Such groups simulate fine but are
     excluded from ray and hidden-regular-variation predictions.
     """
 
@@ -107,19 +108,20 @@ def spectral(params: ModelParams, rates: GroupRates, m: int) -> GroupSpectral:
     lam = 0.5 * (1.0 + root)
     lam_prime = 0.5 * (1.0 - root)
 
-    if rr == 0.0 or rc == 0.0 or alpha <= 0.0 or gamma <= 0.0:
-        # reducible A_m: eigenvectors are not strictly positive
+    a = w = math.inf
+    if rr > 0.0 and rc > 0.0 and alpha > 0.0 and gamma > 0.0:
+        # Left eigenvector ratio: a = (lam - alpha) / (gamma * rc), the
+        # general-slope form (gamma - alpha + sqrt(D0)) / (2 gamma rc).
+        a = (gamma - alpha + root) / (2.0 * gamma * rc)
+        # Right eigenvector ratio, written with the conjugate to stay positive
+        # for any alpha: w = (gamma - alpha + sqrt(D0)) / (2 alpha rr).
+        w = (gamma - alpha + root) / (2.0 * alpha * rr)
+    if not math.isfinite(a * w):
+        # A_m reducible, or numerically so: eigenvectors are not strictly positive
         return GroupSpectral(
             group=m, A=A, lam=lam, lam_prime=lam_prime, D0=D0,
             u=None, v=None, a=None, degenerate=True,
         )
-
-    # Left eigenvector ratio: a = (lam - alpha) / (gamma * rc), the
-    # general-slope form (gamma - alpha + sqrt(D0)) / (2 gamma rc).
-    a = (gamma - alpha + root) / (2.0 * gamma * rc)
-    # Right eigenvector ratio, written with the conjugate to stay positive
-    # for any alpha: w = (gamma - alpha + sqrt(D0)) / (2 alpha rr).
-    w = (gamma - alpha + root) / (2.0 * alpha * rr)
     u = np.array([1.0, w])
     u = u / u.sum()                      # u . 1 = 1
     v = np.array([1.0, a])

@@ -108,10 +108,19 @@ class DegreeDataset:
                             ("weight", weight), ("n", int(weight.sum()))):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_graph_state(cls, state) -> "DegreeDataset":
-        ind, outd, _ = state.degrees()
-        return cls(x=ind, y=outd)
+    def to_pmf(self, kmax: int, lmax: int):
+        """The pmf on the grid {0..kmax} x {0..lmax}, weight / n per pair,
+        and the mass outside it."""
+        inside = (self.x <= kmax) & (self.y <= lmax)
+        grid = np.zeros((kmax + 1, lmax + 1))
+        grid[self.x[inside].astype(int), self.y[inside].astype(int)] = self.weight[inside] / self.n
+        return grid, float(self.weight[~inside].sum()) / self.n
+
+
+def degree_histogram(state) -> DegreeDataset:
+    """The joint (in, out) degree counts N_{k,l} of a graph state's nodes."""
+    ind, outd, _ = state.degrees()
+    return DegreeDataset(x=ind, y=outd)
 
 
 def _order_stats(values, weights, ranks):

@@ -18,7 +18,7 @@ from recipnet import (
     validate_params,
 )
 from recipnet import io as rio
-from recipnet.branching import LimitPairSampler, _tally_chunk
+from recipnet.branching import LimitPairSampler, _event, _tally_chunk
 from recipnet.embedding import _chi_square_against
 from recipnet.params import ModelParams, draw_groups
 
@@ -79,6 +79,23 @@ def _chi_square_p(counts, law):
     exact = {s: float(p) for s, p in enumerate(law) if p > 0.0}
     observed = Counter({s: int(c) for s, c in enumerate(counts) if c})
     return _chi_square_against(exact, observed, int(counts.sum()))[2]
+
+
+@pytest.mark.parametrize("c", [0.0, 2.5], ids=["engine-c-0", "killed-chain-c-2.5"])
+def test_event_step_at_each_threshold(c):
+    w1, w2, rr, rc = 1.5, 3.0, 0.25, 0.5     # every threshold below is exact in binary
+    # x in [c, c + w1 + w2) falls in four regions, each from its threshold up
+    regions = [(c, (1, 1)),                   # type I, reciprocated
+               (c + w1 * rr, (1, 0)),         # type I
+               (c + w1, (1, 1)),              # type II, reciprocated
+               (c + w1 + w2 * rc, (0, 1))]    # type II
+    table = [(c, (1, 1)), (np.nextafter(c + w1 + w2, 0.0), (0, 1))]
+    for (below, before), (t, after) in zip(regions, regions[1:]):
+        table += [(np.nextafter(t, below), before), (t, after), (np.nextafter(t, np.inf), after)]
+    x = np.array([row[0] for row in table])
+    a1, a2 = np.full(len(x), 3.0), np.full(len(x), 7.0)
+    _event(a1, a2, x, c, *(np.full(len(x), v) for v in (w1, w2, rr, rc)))
+    assert [(d1, d2) for d1, d2 in zip(a1 - 3.0, a2 - 7.0)] == [row[1] for row in table]
 
 
 def test_t_end_zero_returns_init(k1_ref):

@@ -146,11 +146,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("diagnose", "diagnose", {"radius_quantile": 2.0}),
     ("verify", "verify", {"repetitions": 0}),
     ("verify", "verify", {"replicates": "5"}),
+    ("analyze", "solver", {"tol": float("inf")}),
+    ("simulate", "sim", {"n_steps": 10, "max_edges": 20}),
 ], ids=["n_steps-str", "seed-bool", "max_edges-float", "snapshots-str-entry",
         "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0",
         "hill_k_rule-0", "hill_k_rule-bool", "embed-replicates-str", "embed-kmax-str",
         "embed-kmax-negative", "embed-seed-float", "solver-tol-str", "diagnose-bins-str",
-        "radius_quantile-2", "verify-repetitions-0", "verify-replicates-str"])
+        "radius_quantile-2", "verify-repetitions-0", "verify-replicates-str",
+        "solver-tol-inf", "max_edges-below-2n+1"])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, value):
     out = tmp_path / "out"
     code = main([command, "--config", _k1_config(tmp_path, out, extra={section: value})])
@@ -163,8 +166,9 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, 
 
 @pytest.mark.parametrize("key, value", [
     ("alpha", "0.5"), ("rho", [[float("nan")]]), ("pi", [float("nan")]),
-    ("delta", float("inf")), ("alpha", [0.5]), ("delta", None),
-], ids=["alpha-str", "rho-nan", "pi-nan", "delta-inf", "alpha-list", "delta-null"])
+    ("delta", float("inf")), ("alpha", [0.5]), ("delta", None), ("delta", 1e301),
+], ids=["alpha-str", "rho-nan", "pi-nan", "delta-inf", "alpha-list", "delta-null",
+        "delta-huge"])
 def test_model_value_that_is_no_finite_number_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     body = {"model": {"alpha": 0.5, "delta": 1.0, "pi": [1.0], "rho": [[0.5]], key: value},

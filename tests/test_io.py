@@ -1,12 +1,16 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recipnet import SimConfig, _kernel, estimate_pkl, run, solve_equilibrium
 from recipnet import io as rio
+from recipnet.cli import main
 from conftest import run_k2, sha256s
+
+K1_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "configs" / "k1.json"
 
 
 def test_degree_snapshot_roundtrip(tmp_path, k2_ref):
@@ -249,6 +253,36 @@ def test_jsonable_handles_numpy():
     out = rio.jsonable(payload)
     assert json.dumps(out)  # serializable
     assert out["a"] == 3 and out["d"] == [True]
+
+
+def _strict_json(path):
+    """``path`` parsed as strict JSON, which has no NaN or infinity."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-finite token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        rio.write_json(tmp_path / "x.json", {"x": [1.0, np.float64(value)]})
+
+
+def test_every_json_artifact_of_k1_is_strict(tmp_path):
+    for command, *flags in (["analyze"], ["simulate", "--n-steps", "5000"],
+                            ["embed", "--replicates", "5000", "--threads", "1"],
+                            ["diagnose", "--input", str(tmp_path / "simulate" / "degrees.csv")],
+                            ["verify", "--replicates", "2000"]):
+        assert main([command, "--config", str(K1_CONFIG), "--out", str(tmp_path / command),
+                     *flags]) == 0
+    paths = sorted(tmp_path.glob("*/*.json"))
+    assert [p.name for p in paths] == ["analyze.json", "config.json", "config.json",
+                                       "report.json", "config.json", "pmf.json",
+                                       "config.json", "summary.json", "config.json",
+                                       "verify.json"]
+    for path in paths:
+        _strict_json(path)
 
 
 # sha256 of the artifacts of the two-group model at small sizes. The embed

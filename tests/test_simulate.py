@@ -215,26 +215,29 @@ def test_monotone_coupling_dominating_matrices():
         assert np.all(_recip_trajectory(hi, seed, 200) >= _recip_trajectory(lo, seed, 200))
 
 
+def _pairs(hist):
+    """The pair table as {(in, out): count}."""
+    return dict(zip(zip(hist.x.tolist(), hist.y.tolist()), hist.weight.tolist()))
+
+
 def test_degree_histogram_init(k1_ref):
     state = init_graph(k1_ref, np.random.default_rng(0))
     hist = degree_histogram(state)
-    assert hist.n_nodes == 1
-    assert [tuple(p) for p in hist.pairs] == [(1, 1)]
-    assert list(hist.counts) == [1]
+    assert hist.n == 1
+    assert _pairs(hist) == {(1, 1): 1}
 
 
 def test_degree_histogram_forced_trace(k1_ref):
     state = init_graph(k1_ref, np.random.default_rng(0))
     step(state, k1_ref, ScriptedRng([0.0, 0.0, 0.0, 0.0, 0.0]))
     hist = degree_histogram(state)
-    as_dict = {tuple(p): c for p, c in zip(hist.pairs, hist.counts)}
-    assert as_dict == {(2, 2): 1, (1, 1): 1}
+    assert _pairs(hist) == {(2, 2): 1, (1, 1): 1}
 
 
 def test_degree_histogram_conservation(k2_ref):
     result = run(k2_ref, SimConfig(n_steps=500, seed=21))
     hist = degree_histogram(result.state)
-    assert hist.counts.sum() == result.state.n + 1
+    assert hist.n == hist.weight.sum() == result.state.n + 1
     # per-group tallies: each holds its group's nodes, and together the histogram
     ind, outd, grp = result.state.degrees()
     merged = Counter()
@@ -242,9 +245,14 @@ def test_degree_histogram_conservation(k2_ref):
         k, l, group_counts = pair_table(ind[grp == g], outd[grp == g])
         assert group_counts.sum() == result.state.group_node_counts[g]
         merged.update(dict(zip(zip(k.tolist(), l.tolist()), group_counts.tolist())))
-    assert merged == dict(zip(map(tuple, hist.pairs.tolist()), hist.counts.tolist()))
+    assert merged == _pairs(hist)
     grid, overflow = hist.to_pmf(15, 15)
     assert abs(grid.sum() + overflow - 1.0) <= 1e-12
+    inside = (hist.x <= 15) & (hist.y <= 15)
+    assert overflow == hist.weight[~inside].sum() / hist.n > 0.0
+    cells = grid[hist.x[inside].astype(int), hist.y[inside].astype(int)]
+    assert np.array_equal(cells, hist.weight[inside] / hist.n)
+    assert np.count_nonzero(grid) == inside.sum()
 
 
 def test_resource_limit():

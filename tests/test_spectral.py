@@ -35,6 +35,16 @@ def test_degenerate_group_reports_eigenvalues_only():
     assert s.u is None and s.v is None and s.a is None
 
 
+def test_group_whose_eigenvector_ratio_overflows_is_degenerate():
+    # a = (gamma - alpha + sqrt(D0)) / (2 gamma rho_col) = 0.8 / 1.4e-310 and
+    # its right counterpart pass 1.8e308: A_m is reducible in floats
+    p = validate_params(alpha=0.3, delta=1.0, pi=[1.0], rho=[[1e-310]])
+    s = spectral(p, group_rates(p), 0)
+    assert s.degenerate
+    assert s.u is None and s.v is None and s.a is None and s.theta is None
+    assert math.isfinite(s.lam) and math.isfinite(s.lam_prime)
+
+
 def test_symmetric_slope_is_one():
     for rho in (0.2, 0.5, 0.9):
         p = validate_params(alpha=0.5, delta=1.0, pi=[1.0], rho=[[rho]])

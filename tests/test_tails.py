@@ -278,7 +278,7 @@ def test_tail_report_k1_reference(k1_ref):
     sol = solve_equilibrium(k1_ref)
     spectra = all_spectra(k1_ref)
     result = run(k1_ref, SimConfig(n_steps=30_000, seed=4))
-    ds = DegreeDataset.from_graph_state(result.state)
+    ds = degree_histogram(result.state)
     rep = tail_report(ds, sol, spectra)
     assert rep.predicted_first_index == pytest.approx(2.5 / 0.75, abs=1e-12)
     assert rep.hill_in is not None and rep.hill_in.index_estimate > 0
