@@ -12,18 +12,21 @@
  * rn_parse_int_rows reads those bytes back as read_table's loadtxt does,
  * into one array per column that the caller asks for.
  *
- * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch and
- * rn_mbi_chunk the killed jump chain of _sample_chunk (with _tally_chunk's
- * tally, or the per-row outputs), both around rn_event, the mirror of
- * branching._event; rn_chains repeats embedding_chains. They draw from the
- * caller's numpy Generator through its bitgen_t with numpy's own functions
- * (libnpyrandom.a) in the numpy code's order, so they leave the same counts
- * and generator state: per iteration, rn_mbi_batch takes an exponential and
- * a uniform fill (random_standard_exponential_fill and _uniform_fill, as
- * Generator.standard_exponential and .random do) and rn_mbi_chunk a uniform
- * fill; next_double (one uniform of the stream) draws rn_mbi_chunk's labels
- * and initial states, and rn_chains' labels and coins between its
- * exponential fills per replicate and jump. The caller holds the lock.
+ * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch around
+ * rn_event, the mirror of branching._event, rn_mbi_flow the binomial flow
+ * of branching._flow (with _tally_chunk's tally, or the rows of
+ * _sample_chunk in record order), and rn_chains embedding_chains. They draw
+ * from the caller's numpy Generator through its bitgen_t with numpy's own
+ * functions (libnpyrandom.a) in the numpy code's order, so they leave the
+ * same counts and generator state: per iteration, rn_mbi_batch takes an
+ * exponential and a uniform fill (random_standard_exponential_fill and
+ * _uniform_fill, as Generator.standard_exponential and .random do);
+ * rn_mbi_flow takes random_multinomial for the groups and then for each
+ * group's initial states, and per layer random_binomial for every state's
+ * kills, then type-I events, then type-I coins, then type-II coins (as
+ * Generator.multinomial and .binomial do); next_double (one uniform of the
+ * stream) draws rn_chains' labels and coins between its exponential fills
+ * per replicate and jump. The caller holds the lock.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<numpy include> _kernel.c
  * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V),
@@ -34,6 +37,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include "numpy/random/bitgen.h"
 
@@ -269,11 +273,16 @@ int64_t rn_parse_int_rows(const char *buf, int64_t len, int32_t w, int64_t cap,
 }
 
 
-/* Generator.standard_exponential's and Generator.random's fills, linked
- * from numpy's libnpyrandom.a (declared in numpy/random/distributions.h,
- * which needs Python.h) */
+/* Generator.standard_exponential's and Generator.random's fills, and the
+ * binomial and multinomial draws of Generator.binomial and .multinomial,
+ * linked from numpy's libnpyrandom.a (declared in
+ * numpy/random/distributions.h, which needs Python.h; the cache is its
+ * binomial_t) */
 void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+int64_t random_binomial(bitgen_t *bitgen_state, double p, int64_t n, void *binomial);
+void random_multinomial(bitgen_t *bitgen_state, int64_t n, int64_t *mnix, double *pix,
+                        intptr_t d, void *binomial);
 
 /* branching._event: move (*a1, *a2) by the event x = u * (c + w1 + w2) >= c picks */
 static inline void rn_event(double *a1, double *a2, double x, double c, double w1, double w2,
@@ -333,66 +342,134 @@ void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t
     }
 }
 
-/* _sample_chunk on n replicates: the labels as params.draw_groups draws
- * them, the initial states as LimitPairSampler.draw_inits does (init_probs
- * is its (K, 3) table), then the killed jump chain, one uniform per
- * running row and iteration. Each row that stops goes to counts, laid out
- * as _tally_chunk's K*(kmax+1)*(lmax+1) grid cells, then the overflow of
- * each group, then the failed count; or with counts == NULL to n1, n2 and
- * failed. label has room for n labels in both modes; work holds 4n
- * doubles. */
-void rn_mbi_chunk(bitgen_t *bg, int64_t n, const double *cum_pi, int32_t K,
-                  const double *init_probs, double c_star,
-                  const double *rho_row, const double *rho_col,
-                  double alpha, double gamma, double delta, double event_budget,
-                  int64_t kmax, int64_t lmax, int64_t *counts,
-                  int64_t *label, int64_t *n1, int64_t *n2, uint8_t *failed, double *work)
+/* A state of branching._flow's layer: group, (n1, n2) and its chain count */
+typedef struct { int64_t g, k, l, n; } rn_state;
+
+/* (a->g, a->k, a->l) < (b->g, b->k, b->l) */
+static inline int rn_before(const rn_state *a, const rn_state *b)
 {
-    int64_t cells = K * (kmax + 1) * (lmax + 1), *idx = (int64_t *)work;
-    double *a1 = work + n, *a2 = a1 + n, *u = a2 + n;
-    for (int64_t i = 0; i < n; i++)
-        label[i] = rn_draw_group(cum_pi, K, bg->next_double(bg->state));
-    for (int64_t i = 0; i < n; i++) {
-        double v = bg->next_double(bg->state);
-        double p01 = init_probs[3 * label[i]], p10 = init_probs[3 * label[i] + 1];
-        idx[i] = i;
-        a1[i] = v >= p01;
-        a2[i] = (v < p01) | (v >= p01 + p10);
+    return a->g != b->g ? a->g < b->g : a->k != b->k ? a->k < b->k : a->l < b->l;
+}
+
+/* cnt chains end at s: added to counts (_tally_chunk's K*(kmax+1)*(lmax+1)
+ * grid cells, then each group's overflow, then the failed count), or with
+ * counts == NULL written as cnt rows from *row on */
+static inline void rn_record(const rn_state *s, int64_t cnt, int fail, int32_t K,
+                             int64_t kmax, int64_t lmax, int64_t *counts, int64_t *row,
+                             int64_t *label, int64_t *n1, int64_t *n2, uint8_t *failed)
+{
+    int64_t cells = K * (kmax + 1) * (lmax + 1);
+    if (counts != NULL)
+        counts[fail ? cells + K : s->k <= kmax && s->l <= lmax
+               ? (s->g * (kmax + 1) + s->k) * (lmax + 1) + s->l : cells + s->g] += cnt;
+    for (int64_t i = *row; counts == NULL && i < *row + cnt; i++) {
+        label[i] = s->g;
+        n1[i] = s->k;
+        n2[i] = s->l;
+        failed[i] = (uint8_t)fail;
     }
-    /* running row j is row idx[j] of the chunk, at (a1[j], a2[j]); every
-     * running row makes one event per iteration */
-    for (int64_t it = 0; n > 0; it++) {
-        random_standard_uniform_fill(bg, n, u);
-        int over = (double)it >= event_budget;
-        int64_t kept = 0;
-        for (int64_t j = 0; j < n; j++) {
-            int64_t i = idx[j], g = label[i];
-            double x1 = a1[j], x2 = a2[j];
-            double w1 = alpha * (x1 + delta), w2 = gamma * (x2 + delta);
-            double x = u[j] * (c_star + w1 + w2);
-            int go = x >= c_star;
-            int64_t k = (int64_t)x1, l = (int64_t)x2;
-            /* every row is recorded, which avoids a branch that the rows
-             * take at random: a row that keeps running adds 0 to counts,
-             * and its per-row outputs are written again when it stops */
-            if (counts == NULL) {
-                n1[i] = k;
-                n2[i] = l;
-                failed[i] = (uint8_t)(go & over);
-            } else {
-                int64_t cell = (k <= kmax) & (l <= lmax)
-                    ? (g * (kmax + 1) + k) * (lmax + 1) + l : cells + g;
-                counts[go & over ? cells + K : cell] += (!go) | over;
+    *row += cnt;
+}
+
+/* Bytes per state of room: the layer, its successors and three draws */
+#define RN_ROOM (2 * sizeof(rn_state) + 3 * sizeof(int64_t))
+
+/* branching._flow on a chunk of n chains, its records passed to rn_record.
+ * The room grows with the states of a layer, which are far fewer than
+ * the chains. Returns 0, or -1 when an allocation fails. */
+int64_t rn_mbi_flow(bitgen_t *bg, int64_t n, const double *pi, int32_t K,
+                    const double *init_probs, double c_star,
+                    const double *rho_row, const double *rho_col,
+                    double alpha, double gamma, double delta, double event_budget,
+                    int64_t kmax, int64_t lmax, int64_t *counts,
+                    int64_t *label, int64_t *n1, int64_t *n2, uint8_t *failed)
+{
+    /* random_binomial's cache, numpy's binomial_t (17 fields of at most 8
+     * bytes, 136 in all). It keeps what it derives from (n, p) and derives
+     * it again whenever they change, so the draws do not depend on it. */
+    double cache[32] = {0};
+    int64_t cap = 3 * (int64_t)K, S = 0, row = 0;
+    int64_t *start = calloc(4 * (size_t)K, sizeof *start);
+    rn_state *cur = malloc(cap * RN_ROOM);
+    if (start == NULL || cur == NULL) {
+        free(start);
+        free(cur);
+        return -1;
+    }
+    random_multinomial(bg, n, start + 3 * K, (double *)pi, K, cache);
+    for (int32_t g = 0; g < K; g++)
+        random_multinomial(bg, start[3 * K + g], start + 3 * g, (double *)init_probs + 3 * g, 3,
+                           cache);
+    /* (0, 1), (1, 0) and (1, 1) per group, the order of init_probs' columns */
+    for (int64_t i = 0; i < 3 * K; i++)
+        if (start[i] > 0)
+            cur[S++] = (rn_state){i / 3, i % 3 > 0, i % 3 != 1, start[i]};
+    free(start);
+    for (int64_t e = 0; S > 0; e++) {
+        if (3 * S > cap) {          /* room for every successor */
+            rn_state *grown = realloc(cur, 3 * S * RN_ROOM);
+            if (grown == NULL) {
+                free(cur);
+                return -1;
             }
-            /* stable compaction, as in rn_mbi_batch */
-            idx[kept] = i;
-            a1[kept] = x1;
-            a2[kept] = x2;
-            rn_event(a1 + kept, a2 + kept, x, c_star, w1, w2, rho_row[g], rho_col[g]);
-            kept += go & !over;
+            cur = grown;
+            cap = 3 * S;
         }
-        n = kept;
+        /* d[0], d[1], d[2] of state s: its survivors, type-I events and
+         * type-I coins, then its successors (k+1, l), (k, l+1), (k+1, l+1) */
+        rn_state *nxt = cur + cap;
+        int64_t *d = (int64_t *)(nxt + cap);
+        for (int64_t s = 0; s < S; s++) {
+            double w1 = alpha * ((double)cur[s].k + delta), w2 = gamma * ((double)cur[s].l + delta);
+            int64_t kill = random_binomial(bg, c_star / (c_star + w1 + w2), cur[s].n, cache);
+            rn_record(cur + s, kill, 0, K, kmax, lmax, counts, &row, label, n1, n2, failed);
+            d[3 * s] = cur[s].n - kill;
+        }
+        if ((double)e >= event_budget) {
+            for (int64_t s = 0; s < S; s++)
+                rn_record(cur + s, d[3 * s], 1, K, kmax, lmax, counts, &row, label, n1, n2, failed);
+            break;
+        }
+        for (int64_t s = 0; s < S; s++) {
+            double w1 = alpha * ((double)cur[s].k + delta), w2 = gamma * ((double)cur[s].l + delta);
+            d[3 * s + 1] = random_binomial(bg, w1 / (w1 + w2), d[3 * s], cache);
+        }
+        for (int64_t s = 0; s < S; s++)
+            d[3 * s + 2] = random_binomial(bg, rho_row[cur[s].g], d[3 * s + 1], cache);
+        for (int64_t s = 0; s < S; s++) {
+            int64_t *x = d + 3 * s, r2 = random_binomial(bg, rho_col[cur[s].g], x[0] - x[1], cache);
+            int64_t live = x[0], t1 = x[1], r1 = x[2];
+            x[0] = t1 - r1;
+            x[1] = live - t1 - r2;
+            x[2] = r1 + r2;
+        }
+        /* the three successor sequences are each sorted as the layer is:
+         * merge them, summing equal states and dropping zeros */
+        int64_t at[3] = {0, 0, 0}, m = 0;
+        for (;;) {
+            rn_state head[3], best = {INT64_MAX, 0, 0, 0};
+            for (int q = 0; q < 3; q++)
+                if (at[q] < S) {
+                    const rn_state *s = cur + at[q];
+                    head[q] = (rn_state){s->g, s->k + (q != 1), s->l + (q != 0), d[3 * at[q] + q]};
+                    best = rn_before(head + q, &best) ? head[q] : best;
+                }
+            if (best.g == INT64_MAX)
+                break;
+            best.n = 0;
+            for (int q = 0; q < 3; q++)
+                if (at[q] < S && !rn_before(&best, head + q)) {
+                    best.n += head[q].n;
+                    at[q]++;
+                }
+            if (best.n > 0)
+                nxt[m++] = best;
+        }
+        memcpy(cur, nxt, m * sizeof *cur);
+        S = m;
     }
+    free(cur);
+    return 0;
 }
 
 /* embedding.embedding_chains on R replicates of n jumps, for alpha * delta

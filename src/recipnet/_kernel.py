@@ -2,19 +2,25 @@
 ``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
 the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
 integer tables, which read and fill the columns where they lie;
-``rn_mbi_batch`` and ``rn_mbi_chunk``, the compiled mirrors of the two
-loops of ``branching`` (the fixed horizon of ``simulate_mbi_batch``, and
-the killed jump chain of ``_sample_chunk`` with ``_tally_chunk``'s tally)
-around one mirror of its event step ``_event``; and ``rn_chains``, the
-compiled mirror of ``embedding.embedding_chains``.
+``rn_mbi_batch``, the compiled mirror of the fixed-horizon loop of
+``branching.simulate_mbi_batch`` around one mirror of its event step
+``_event``; ``rn_mbi_flow``, the compiled mirror of the limit law's
+binomial flow ``branching._flow`` with ``_tally_chunk``'s tally or the
+rows of ``_sample_chunk``; and ``rn_chains``, the compiled mirror of
+``embedding.embedding_chains``.
 
 The MBI and chain entry points draw from the caller's numpy Generator
-with numpy's own fills: per iteration, ``rn_mbi_batch`` an exponential
-and a uniform fill and ``rn_mbi_chunk`` a uniform fill; ``rn_chains`` an
+with numpy's own functions: per iteration, ``rn_mbi_batch`` an
+exponential and a uniform fill; ``rn_mbi_flow`` ``random_multinomial``
+for the group counts, then once per group for the initial states, then
+per layer one ``random_binomial`` per state for the kills, the type-I
+events, their coins and the type-II coins, in that order, as
+``Generator.multinomial`` and ``.binomial`` do; ``rn_chains`` an
 exponential fill per replicate and jump, with single uniforms between.
 So they are linked against numpy's own ``libnpyrandom.a`` (with its
-``bitgen.h``); ``--exclude-libs`` keeps numpy's symbols out of the
-library's exports.
+``bitgen.h``, and no Python headers: the C declares the numpy functions
+it calls); ``--exclude-libs`` keeps numpy's symbols out of the library's
+exports.
 
 The library is compiled on first use with ``cc`` into a per-user cache
 directory (``$XDG_CACHE_HOME/recipnet``, default ``~/.cache/recipnet``,
@@ -203,10 +209,11 @@ def load():
         lib.rn_parse_int_rows.argtypes = [p, i64, i32, i64, p]
         lib.rn_parse_int_rows.restype = i64
         lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
-        lib.rn_mbi_chunk.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
-                                     i64, i64, p, p, p, p, p, p]
+        lib.rn_mbi_flow.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
+                                    i64, i64, p, p, p, p, p]
+        lib.rn_mbi_flow.restype = i64
         lib.rn_chains.argtypes = [p, i64, i64, p, i32, p, f64, f64, f64, p, p, p, p]
-        lib.rn_mbi_batch.restype = lib.rn_mbi_chunk.restype = lib.rn_chains.restype = None
+        lib.rn_mbi_batch.restype = lib.rn_chains.restype = None
         _lib = lib
     except (OSError, AttributeError) as exc:   # the Python code runs instead
         error = f"{type(exc).__name__}: {exc}"

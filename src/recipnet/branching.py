@@ -19,22 +19,25 @@ over the group label.
 
 T* is memoryless, so that law is also the law of the process's jump
 chain killed in each state with probability c* / (c* + w1 + w2), w1 and
-w2 the state's two clock rates (``params.clock_rates``). ``_sample_chunk``
-draws it so, one uniform per event: x = u * (c* + w1 + w2) stops the row
-below c*, and the shared event step ``_event`` moves it otherwise.
-``simulate_mbi_batch`` is the fixed-horizon engine: it advances
-trajectories of any mix of labels in lockstep up to given times, two
-variates per event (an exponential wait, then ``_event`` with c = 0).
-``rn_mbi_chunk`` (with ``_tally_chunk``'s tally or the per-row outputs)
-and ``rn_mbi_batch`` in ``_kernel.c`` repeat the two loops line for line
-around one mirror of ``_event``. They draw from the caller's numpy
-Generator in the numpy code's order and run instead whenever the kernel
-loads (see ``_kernel``), with the same counts and the same generator
-state after the call.
+w2 the state's two clock rates (``params.clock_rates``). i.i.d. chains on
+the (group, n1, n2) states can be moved as counts, so ``_flow`` draws a
+chunk of them as a binomial flow: the chains in a state split into
+killed, type I and type II, and each event is reciprocated by the
+state's coin, so the work is the states visited, not the chains times
+their events. ``simulate_mbi_batch`` is the fixed-horizon engine: it
+advances trajectories of any mix of labels in lockstep up to given
+times, two variates per event (an exponential wait, then the event step
+``_event``). ``rn_mbi_flow`` (with ``_tally_chunk``'s tally or the rows
+in record order) and ``rn_mbi_batch`` in ``_kernel.c`` repeat the flow
+and the loop line for line. They draw from the caller's numpy Generator
+in the numpy code's order and run instead whenever the kernel loads (see
+``_kernel``), with the same counts and the same generator state after
+the call.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .params import GroupRates, ModelParams, clock_rates, draw_groups, group_rates
+from .params import GroupRates, ModelParams, clock_rates, group_rates
 from .equilibrium import EquilibriumSolution, attachment_law
 
 DEFAULT_EVENT_BUDGET = 10_000_000
@@ -177,12 +180,6 @@ class LimitPairSampler:
         init_probs.setflags(write=False)
         return cls(c_star=sol.c_star, init_probs=init_probs)
 
-    def draw_inits(self, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(R, 2) initial states for the given labels, one uniform each."""
-        p01 = self.init_probs[labels, 0]
-        p10 = self.init_probs[labels, 1]
-        return np.stack([u >= p01, (u < p01) | (u >= p01 + p10)], axis=1).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class JointPmfEstimate:
@@ -227,97 +224,114 @@ class JointPmfEstimate:
         return self.group_counts[m] / self._normalizer()
 
 
-def _kernel_chunk(job, counts=None, kmax=0, lmax=0):
-    """``rn_mbi_chunk`` on one job: the chunk's rows added to ``counts``
-    (laid out as ``_tally_chunk``'s), or with no ``counts`` its (labels,
-    n1, n2, failed). None when the kernel is not loaded or the model's
-    arrays lack the shapes it indexes memory with."""
-    params, rates, sampler, j, size, seed, event_budget = job
-    K = params.K
-    cum_pi, probs, rho_row, rho_col = (
+def _chunk_rng(job):
+    """Chunk j's generator, seeded with SeedSequence([seed, j])."""
+    return np.random.default_rng(np.random.SeedSequence([job[5], job[3]]))
+
+
+def _merge(g, k, l, n):
+    """The states with positive counts n, sorted by (g, k, l), equal states summed."""
+    pos = n > 0
+    order = np.lexsort((l[pos], k[pos], g[pos]))
+    g, k, l, n = (v[pos][order] for v in (g, k, l, n))
+    first = np.flatnonzero(np.diff(g, prepend=-1) | np.diff(k, prepend=-1) | np.diff(l, prepend=-1))
+    return g[first], k[first], l[first], np.add.reduceat(n, first)
+
+
+def _flow(job, rng):
+    """One chunk's killed jump chains moved as counts: the terminal records
+    (labels, n1, n2, count, failed) in record order.
+
+    Layer e holds the chains that have made e events. In each state a
+    binomial share is killed, and recorded there; at the event budget the
+    rest fail there. Otherwise the rest split into type-I and type-II
+    events, each reciprocated by the state's coin. Each draw is one call
+    over the whole layer."""
+    params, rates, sampler, _, size, _, event_budget = job
+    c, K = sampler.c_star, params.K
+    start = rng.multinomial(rng.multinomial(size, params.pi), sampler.init_probs)
+    # (0, 1), (1, 0) and (1, 1) per group, the order of init_probs' columns
+    layer = (np.repeat(np.arange(K), 3), np.tile([0, 1, 1], K), np.tile([1, 0, 1], K),
+             start.ravel())
+    records = [(*(np.zeros(0, dtype=np.int64) for _ in range(4)), np.zeros(0, dtype=bool))]
+    for e in itertools.count():
+        g, k, l, n = _merge(*layer)
+        if not n.size:
+            break
+        w1, w2 = clock_rates(params, k, l)
+        kill = rng.binomial(n, c / (c + w1 + w2))
+        records.append((g, k, l, kill, np.zeros(n.size, dtype=bool)))
+        live = n - kill
+        if e >= event_budget:
+            records.append((g, k, l, live, np.ones(n.size, dtype=bool)))
+            break
+        t1 = rng.binomial(live, w1 / (w1 + w2))
+        r1 = rng.binomial(t1, rates.rho_row[g])
+        r2 = rng.binomial(live - t1, rates.rho_col[g])
+        layer = (np.tile(g, 3), np.concatenate([k + 1, k, k + 1]),
+                 np.concatenate([l, l + 1, l + 1]),
+                 np.concatenate([t1 - r1, live - t1 - r2, r1 + r2]))
+    return tuple(np.concatenate(v) for v in zip(*records))
+
+
+def _kernel_flow(job, rng, counts=None, kmax=0, lmax=0):
+    """``rn_mbi_flow`` on one job: the terminal records added to ``counts``
+    (laid out as ``_tally_chunk``'s), or with no ``counts`` expanded to
+    (labels, n1, n2, failed) rows in record order. None when the kernel is
+    not loaded or the model's arrays lack the shapes it indexes memory with."""
+    params, rates, sampler, _, size, _, event_budget = job
+    pi, probs, rho_row, rho_col = (
         np.ascontiguousarray(a, dtype=float)
-        for a in (np.cumsum(params.pi), sampler.init_probs, rates.rho_row, rates.rho_col))
+        for a in (params.pi, sampler.init_probs, rates.rho_row, rates.rho_col))
     lib = _kernel.load()
-    if (lib is None or min(kmax, lmax) < 0 or probs.shape != (K, 3)
-            or not cum_pi.shape == rho_row.shape == rho_col.shape == (K,)):
+    if (lib is None or min(kmax, lmax) < 0 or probs.shape != (params.K, 3)
+            or not pi.shape == rho_row.shape == rho_col.shape == (params.K,)):
         return None
-    labels = np.empty(size, dtype=np.int64)
-    rows = () if counts is not None else (np.empty(size, dtype=np.int64),
-                                          np.empty(size, dtype=np.int64),
+    rows = () if counts is not None else (*(np.empty(size, dtype=np.int64) for _ in range(3)),
                                           np.empty(size, dtype=bool))
-    work = np.empty(4 * size)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
     with rng.bit_generator.lock:
-        lib.rn_mbi_chunk(rng.bit_generator.ctypes.bit_generator, size, cum_pi.ctypes.data,
-                         K, probs.ctypes.data, sampler.c_star, rho_row.ctypes.data,
-                         rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
-                         event_budget, kmax, lmax,
-                         None if counts is None else counts.ctypes.data, labels.ctypes.data,
-                         *([r.ctypes.data for r in rows] or [None] * 3), work.ctypes.data)
-    return counts if counts is not None else (labels, *rows)
+        status = lib.rn_mbi_flow(rng.bit_generator.ctypes.bit_generator, size, pi.ctypes.data,
+                                 params.K, probs.ctypes.data, sampler.c_star, rho_row.ctypes.data,
+                                 rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
+                                 event_budget, kmax, lmax,
+                                 None if counts is None else counts.ctypes.data,
+                                 *([r.ctypes.data for r in rows] or [None] * 4))
+    if status != 0:
+        raise MemoryError("rn_mbi_flow could not allocate its layers")
+    return counts if counts is not None else rows
 
 
 def _sample_chunk(args):
-    """Raw limit pairs (labels, n1, n2, failed) for one replicate chunk;
-    top-level so pools can pickle it.
-
-    The numpy code below is the statement of the killed jump chain;
-    ``rn_mbi_chunk`` runs instead whenever the kernel loads."""
-    rows = _kernel_chunk(args)
-    if rows is not None:
-        return rows
-    params, rates, sampler, j, size, seed, event_budget = args
-    rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-    labels = draw_groups(np.cumsum(params.pi), rng.random(size))
-    inits = sampler.draw_inits(labels, rng.random(size))
-    n1, n2 = inits[:, 0].copy(), inits[:, 1].copy()
-    failed = np.zeros(size, dtype=bool)
-    c = sampler.c_star
-    # the running rows, compacted whenever some of them stop; every running
-    # row makes one event per iteration, so each has made ``it`` events
-    idx = np.arange(size)
-    a1 = n1.astype(float)
-    a2 = n2.astype(float)
-    rr = rates.rho_row[labels]
-    rc = rates.rho_col[labels]
-    it = 0
-    while idx.size:
-        w1, w2 = clock_rates(params, a1, a2)
-        x = rng.random(idx.size) * (c + w1 + w2)
-        go = x >= c
-        if it >= event_budget:
-            failed[idx[go]] = True
-            go[:] = False
-        if not go.all():
-            stop = np.flatnonzero(~go)
-            done = idx[stop]
-            n1[done] = a1[stop]
-            n2[done] = a2[stop]
-            keep = np.flatnonzero(go)
-            idx, a1, a2, rr, rc, w1, w2, x = (
-                v.take(keep) for v in (idx, a1, a2, rr, rc, w1, w2, x))
-        _event(a1, a2, x, c, w1, w2, rr, rc)
-        it += 1
-    return labels, n1, n2, failed
+    """Raw limit pairs (labels, n1, n2, failed) for one replicate chunk:
+    the records of ``_flow`` (``rn_mbi_flow`` whenever the kernel loads)
+    expanded in record order, then permuted, so the rows are i.i.d. draws."""
+    rng = _chunk_rng(args)
+    rows = _kernel_flow(args, rng)
+    if rows is None:
+        labels, n1, n2, n, failed = _flow(args, rng)
+        rows = tuple(np.repeat(v, n) for v in (labels, n1, n2, failed))
+    order = rng.permutation(len(rows[0]))
+    return tuple(v[order] for v in rows)
 
 
 def _tally_chunk(args):
     """One chunk's count vector: the (K, kmax+1, lmax+1) grid cells flat,
     then the overflow count of each group, then the failed count.
 
-    ``rn_mbi_chunk`` draws and tallies the chunk whenever the kernel loads;
+    ``rn_mbi_flow`` draws and tallies the chunk whenever the kernel loads;
     the numpy code below is the statement it mirrors."""
     job, kmax, lmax = args
     K = job[0].K
     cells = K * (kmax + 1) * (lmax + 1)
-    counts = _kernel_chunk(job, np.zeros(cells + K + 1, dtype=np.int64), kmax, lmax)
-    if counts is not None:
-        return counts
-    labels, n1, n2, failed = _sample_chunk(job)
-    code = np.where((n1 <= kmax) & (n2 <= lmax),
-                    (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
-    code[failed] = cells + K
-    return np.bincount(code, minlength=cells + K + 1)
+    counts = np.zeros(cells + K + 1, dtype=np.int64)
+    rng = _chunk_rng(job)
+    if _kernel_flow(job, rng, counts, kmax, lmax) is None:
+        labels, n1, n2, n, failed = _flow(job, rng)
+        code = np.where((n1 <= kmax) & (n2 <= lmax),
+                        (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
+        code[failed] = cells + K
+        np.add.at(counts, code, n)
+    return counts
 
 
 def _tally_slice(jobs):
@@ -345,9 +359,10 @@ def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
                        chunk_size: int = CHUNK):
     """Raw draws from the limiting joint degree law.
 
-    Returns (labels, n1, n2, failed) arrays of length ``replicates``; draws
-    follow the same chunked streams as ``estimate_pkl``, so the two agree
-    replicate for replicate at equal seeds.
+    Returns (labels, n1, n2, failed) arrays of length ``replicates``. Each
+    chunk's rows are the terminal records of ``estimate_pkl``'s flow at
+    equal seeds, put in the order of one permutation drawn after the flow,
+    so the rows are i.i.d. draws and ``estimate_pkl`` is their tally.
     """
     parts = list(map(_sample_chunk,
                      _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size)))
@@ -363,8 +378,9 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     Replicates are processed in chunks of ``chunk_size``; chunk j uses the
     generator seeded with SeedSequence([seed, j]), so the result is
     independent of scheduling and identical for any worker count. Within
-    a chunk the label and initialization vectors are drawn first, then the
-    killed jump chains of all groups run together in lockstep. Each chunk is
+    a chunk the group and initial-state counts are drawn first (two
+    multinomials), then the killed jump chains of all groups move as one
+    binomial flow over their states (``_flow``). Each chunk is
     tallied where it was drawn into K*(kmax+1)*(lmax+1) + K + 1 counts
     (grid cells, overflow per group, failed); a pool task sums the vectors
     of its slice of chunks, and the parent adds one vector per task, so its

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import sys
 from collections import Counter
 
@@ -21,6 +22,7 @@ from recipnet import io as rio
 from recipnet.branching import LimitPairSampler, _event, _tally_chunk
 from recipnet.embedding import _chi_square_against
 from recipnet.params import ModelParams, draw_groups
+from conftest import run_k2
 
 
 def _raw_params(alpha, delta, pi, rho):
@@ -247,6 +249,13 @@ def _two_sample_p(a, b):
     return float(chi2.sf(stat, len(pair) - 1))
 
 
+def _draw_inits(init_probs, labels, u):
+    """(R, 2) initial states for the given labels, one uniform each, by the
+    columns of ``LimitPairSampler.init_probs``: (0,1), (1,0), (1,1)."""
+    p01, p10 = init_probs[labels, 0], init_probs[labels, 1]
+    return np.stack([u >= p01, (u < p01) | (u >= p01 + p10)], axis=1).astype(np.int64)
+
+
 def _k3_zero_pi_binary_coins():
     # group 1 is never drawn, and every coin but one is certain
     return validate_params(alpha=0.35, delta=0.7, pi=[0.6, 0.0, 0.4],
@@ -256,8 +265,8 @@ def _k3_zero_pi_binary_coins():
 @pytest.mark.filterwarnings("ignore:.*contraction:RuntimeWarning")   # k3
 @pytest.mark.parametrize("model", ["k1", "k2", "k3"])
 def test_killed_chain_matches_engine_at_exponential_times(request, model):
-    # the limit law two ways: the killed jump chain of sample_limit_pairs,
-    # and the fixed-horizon engine run to an explicit T* ~ Exp(c*) per row
+    # the limit law two ways: the binomial flow of sample_limit_pairs' killed
+    # chains, and the fixed-horizon engine run to an explicit T* ~ Exp(c*) per row
     # from the same initialization law; their (group, n1, n2) tallies must
     # pass a two-sample chi-square at p > 1e-3
     params = (_k3_zero_pi_binary_coins() if model == "k3"
@@ -268,7 +277,7 @@ def test_killed_chain_matches_engine_at_exponential_times(request, model):
     labels, n1, n2, failed = sample_limit_pairs(params, sol, replicates=reps, seed=41)
     rng = np.random.default_rng(43)
     t_labels = draw_groups(np.cumsum(params.pi), rng.random(reps))
-    inits = sampler.draw_inits(t_labels, rng.random(reps))
+    inits = _draw_inits(sampler.init_probs, t_labels, rng.random(reps))
     t_star = rng.standard_exponential(reps) / sol.c_star
     t1, t2, _, t_failed = simulate_mbi_batch(t_labels, inits, t_star, params,
                                              group_rates(params), rng)
@@ -317,7 +326,8 @@ def test_limit_sampler_init_distribution_k1(k1_ref):
     # q_in = q_out = 0.5 at x = y = 1.5, so (0,1) w.p. 0.25, (1,0) w.p.
     # 0.25, (1,1) w.p. 0.5
     assert np.allclose(sampler.init_probs[0], [0.25, 0.25, 0.5], atol=1e-12)
-    inits = sampler.draw_inits(np.zeros(3, dtype=np.int64), np.array([0.10, 0.30, 0.90]))
+    inits = _draw_inits(sampler.init_probs, np.zeros(3, dtype=np.int64),
+                        np.array([0.10, 0.30, 0.90]))
     assert inits.tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
@@ -422,6 +432,19 @@ def test_embed_pool_forks_on_linux(k2_ref, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     _check_against_per_chunk_tally(k2_ref, 2050, 100, workers=(2,))
     assert methods == ["fork" if sys.platform == "linux" else None]
+
+
+def test_pools_leave_no_process(k2_ref, tmp_path):
+    # a pool that is never shut down leaves its workers running;
+    # active_children() reaps the ones that have exited
+    sol = solve_equilibrium(k2_ref)
+    estimate_pkl(k2_ref, sol, replicates=300, kmax=4, lmax=4, seed=1, chunk_size=100,
+                 workers=2)
+    assert multiprocessing.active_children() == []
+    # three chunks of the CLI's size, in-process
+    run_k2(tmp_path, "embed", {"embed": {"replicates": 140_000, "kmax": 4, "lmax": 4}},
+           "--threads", "2")
+    assert multiprocessing.active_children() == []
 
 
 def test_estimate_pkl_failed_accounting(k1_ref):

@@ -3,8 +3,8 @@
 Hypothesis draws the inputs: models and blocks of uniforms for
 ``rn_advance`` against the loop of ``simulate._advance``; models for
 ``rn_chains`` against the numpy loop of ``embedding.embedding_chains``,
-for ``rn_mbi_chunk`` against ``branching._sample_chunk`` and
-``_tally_chunk`` and for ``rn_mbi_batch`` against the numpy loop of
+for ``rn_mbi_flow`` against the numpy flow of ``branching._sample_chunk``
+and ``_tally_chunk`` and for ``rn_mbi_batch`` against the numpy loop of
 ``simulate_mbi_batch``; integer columns of every width and sign, strided
 and reversed, for ``rn_format_int_rows`` against ``str()``; and integer
 tables and raw bytes, with some columns dropped, for ``rn_parse_int_rows``
@@ -22,8 +22,8 @@ import pytest
 
 from recipnet import _kernel, branching, simulate
 from recipnet.params import group_rates, validate_params
-from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy, format_rows,
-                         parse_rows, str_rows)
+from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy, assert_same_run,
+                         format_rows, parse_rows, str_rows)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -105,31 +105,6 @@ def test_advance_matches_python_loop_on_generated_models(params, blocks, seed):
     compiled.check_invariants()
 
 
-def _run_with(load, fn):
-    """``fn()`` with ``_kernel.load`` returning ``load``: its outputs, then
-    the state of the one numpy Generator it made and four uniforms drawn
-    from it after the call."""
-    made = []
-    real = np.random.default_rng
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.random, "default_rng", lambda *args: made.append(real(*args)) or made[-1])
-        patch.setattr(_kernel, "load", lambda: load)
-        out = fn()
-    assert len(made) == 1
-    return (*out, made[0].random(4)), made[0].bit_generator.state
-
-
-def _assert_same_run(load, fn):
-    """``fn`` through ``load``'s entry points and through numpy: the same
-    arrays, dtypes and generator state."""
-    compiled, compiled_state = _run_with(load, fn)
-    numpy_side, numpy_state = _run_with(None, fn)
-    assert len(compiled) == len(numpy_side)
-    for a, b in zip(compiled, numpy_side):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert compiled_state == numpy_state
-
-
 @st.composite
 def chunk_jobs(draw):
     """A ``_sample_chunk`` job on a generated model, with an initialization
@@ -153,13 +128,13 @@ def test_mbi_chunk_matches_numpy_on_generated_models(job, kmax, lmax):
     assert lib is not None, _kernel.error
     modes = []
 
-    def rn_mbi_chunk(*args):
+    def rn_mbi_flow(*args):
         modes.append("rows" if args[14] is None else "counts")
-        return lib.rn_mbi_chunk(*args)
+        return lib.rn_mbi_flow(*args)
 
-    kernel = SimpleNamespace(rn_mbi_chunk=rn_mbi_chunk)
-    _assert_same_run(kernel, lambda: branching._sample_chunk(job))
-    _assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
+    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow)
+    assert_same_run(kernel, lambda: branching._sample_chunk(job))
+    assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
     assert modes == ["rows", "counts"]      # the compiled side ran the kernel
 
 
@@ -197,7 +172,7 @@ def test_mbi_batch_matches_numpy_loop_on_generated_rows(batch_input):
         return branching.simulate_mbi_batch(labels, inits, t_ends, params, group_rates(params),
                                             rng, event_budget=budget)
 
-    _assert_same_run(SimpleNamespace(rn_mbi_batch=rn_mbi_batch), batch)
+    assert_same_run(SimpleNamespace(rn_mbi_batch=rn_mbi_batch), batch)
     assert calls == [len(labels)]
 
 

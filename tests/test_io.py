@@ -286,15 +286,16 @@ def test_every_json_artifact_of_k1_is_strict(tmp_path):
 
 
 # sha256 of the artifacts of the two-group model at small sizes. The embed
-# digests were recorded when the limit law became a killed jump chain (one
-# uniform per event), with the compiled kernel; the numpy statements write
-# the same bytes, which CI checks with a cache directory the loader refuses
+# digests were recorded when the killed jump chains of the limit law began
+# to move as binomial counts over their states, with the compiled kernel;
+# the numpy statements write the same bytes, which CI checks with a cache
+# directory the loader refuses
 PARENT_TABLE_DIGESTS = {
     "embed": {
-        "pmf.csv": "1816f3ac91f9f31ce93ef6335feabe32651505734ee0539f469f485aba28ef19",
-        "pmf_group_1.csv": "bcba34af724347533725b5887e83009d1df2b5f65f954def565f9d687334278a",
-        "pmf_group_2.csv": "d1a572efd588d0e60963db388524330e5270a9485cde823a0398889e7713359a",
-        "pmf.json": "3e1e85f19d76b50ab85396605d58853ca90fc9d2a498cf43f26d4eaf86a4f136",
+        "pmf.csv": "9e989ff071a8bb992b32f3cdd717622d3edb328f49ff9ea0be3151c741c6f358",
+        "pmf_group_1.csv": "78e8ea721232de6d2111573846a918e076c7c129eace2d2727cd4d011a144eed",
+        "pmf_group_2.csv": "7fa1b0bf90efcacfe83162eb49f2a3a6dbc2184f3ac031895ca0906be6c708ae",
+        "pmf.json": "6eb1a1128482c8ef7f705798024ad19f21ff5047a38df3ea52781f56d9f11b52",
     },
     "analyze": {
         "analyze.json": "bdad9599ccb362dde8c65d2e1d10407c1bdd5f32a1889ae4ccacda2647649e82",

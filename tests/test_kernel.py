@@ -3,8 +3,8 @@
 ``simulate._advance`` runs ``_kernel.c`` on large blocks when it builds
 and its own loop otherwise, ``io._write_chunks`` formats all-integer
 chunks with it instead of its ``%s`` template, ``branching`` runs its
-fixed-horizon MBI loop and its limit-law chunks (the killed jump chain,
-tallied or per row) with it instead of numpy, and
+fixed-horizon MBI loop and its limit-law chunks (the binomial flow of
+the killed chains, tallied or as rows) with it instead of numpy, and
 ``embedding.embedding_chains`` runs its linked chains with it. Each must
 leave the same state, the same counts and the same generator state, and
 write the same bytes; any failure to build or load falls back to the
@@ -462,6 +462,64 @@ def test_estimate_pkl_chunk_edges_match_numpy_tally(monkeypatch, k2_ref, replica
     _assert_same(*_compiled_and_numpy(monkeypatch, lambda: _estimate(k2_ref, sol, **draw)))
 
 
+def run_with(load, fn):
+    """``fn()`` with ``_kernel.load`` returning ``load``: its outputs, then
+    the state of the one numpy Generator it made and four uniforms drawn
+    from it after the call."""
+    made = []
+    real = np.random.default_rng
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda *args: made.append(real(*args)) or made[-1])
+        patch.setattr(_kernel, "load", lambda: load)
+        out = fn()
+    assert len(made) == 1
+    return (*out, made[0].random(4)), made[0].bit_generator.state
+
+
+def assert_same_run(load, fn):
+    """``fn`` through ``load``'s entry points and through numpy: the same
+    arrays, dtypes and generator state."""
+    compiled, compiled_state = run_with(load, fn)
+    numpy_side, numpy_state = run_with(None, fn)
+    assert len(compiled) == len(numpy_side)
+    for a, b in zip(compiled, numpy_side):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert compiled_state == numpy_state
+
+
+def _flow_job(model, size, budget):
+    params = _chains_model(model)
+    sampler = branching.LimitPairSampler.from_solution(params, solve_equilibrium(params))
+    return (params, group_rates(params), sampler, 2, size, 31, budget)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.filterwarnings("ignore:.*contraction:RuntimeWarning")     # k3
+@pytest.mark.parametrize("size, budget", [
+    (0, branching.DEFAULT_EVENT_BUDGET), (1, 0), (1, branching.DEFAULT_EVENT_BUDGET),
+    (5000, 1), (5000, 2), (5000, 5), (200_000, branching.DEFAULT_EVENT_BUDGET),
+], ids=["size-0", "size-1-budget-0", "size-1", "budget-1", "budget-2", "budget-5", "size-2e5"])
+@pytest.mark.parametrize("model", ["k1", "k2", "k3-zero-pi-binary-rho"])
+def test_mbi_flow_matches_numpy_statement(model, size, budget):
+    # both modes, with the generator's state after the call; at 2e5 chains
+    # the first layers' binomials have n*p far above 30, so BTPE runs, and
+    # the grids of kmax 0 and lmax 0 send most chains to the overflow
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    modes = []
+
+    def rn_mbi_flow(*args):
+        modes.append(args[14] is None)
+        return lib.rn_mbi_flow(*args)
+
+    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow)
+    job = _flow_job(model, size, budget)
+    assert_same_run(kernel, lambda: branching._sample_chunk(job))
+    for kmax, lmax in ((0, 3), (4, 0), (6, 9)):
+        assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
+    assert modes == [True, False, False, False]
+
+
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_embed_artifacts_match_without_kernel(tmp_path, monkeypatch, threads):
@@ -544,11 +602,12 @@ def test_library_exports_only_rn_symbols():
     lib = _kernel.load()
     assert lib is not None, _kernel.error
     for name in ("rn_advance", "rn_format_int_rows", "rn_parse_int_rows", "rn_mbi_batch",
-                 "rn_mbi_chunk", "rn_chains"):
+                 "rn_mbi_flow", "rn_chains"):
         assert hasattr(lib, name), name
     # --exclude-libs keeps libnpyrandom.a's symbols out of the dynamic table
     for name in ("random_standard_exponential_fill", "random_standard_uniform_fill",
-                 "random_standard_exponential", "rn_draw_group"):
+                 "random_standard_exponential", "random_binomial", "random_multinomial",
+                 "rn_draw_group", "rn_record"):
         assert not hasattr(lib, name), name
 
 
