@@ -1,6 +1,6 @@
 /* Compiled mirrors of recipnet.simulate._advance, of the integer cells
  * of recipnet.io._write_chunks and io.read_table, of recipnet.branching's
- * MBI engine and limit-law chain, and of recipnet.embedding.embedding_chains.
+ * MBI engine and limit-law flow, and of recipnet.embedding.embedding_chains.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
  * repeats it line for line on the same arrays: the same branch order, the
@@ -14,23 +14,23 @@
  *
  * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch around
  * rn_event, the mirror of branching._event, rn_mbi_flow the binomial flow
- * of branching._flow (with _tally_chunk's tally, or the rows of
- * _sample_chunk in record order), and rn_chains embedding_chains. They draw
- * from the caller's numpy Generator through its bitgen_t with numpy's own
- * functions (libnpyrandom.a) in the numpy code's order, so they leave the
- * same counts and generator state: per iteration, rn_mbi_batch takes an
- * exponential and a uniform fill (random_standard_exponential_fill and
- * _uniform_fill, as Generator.standard_exponential and .random do);
- * rn_mbi_flow takes random_multinomial for the groups and then for each
- * group's initial states, and per layer random_binomial for every state's
- * kills, then type-I events, then type-I coins, then type-II coins (as
+ * of branching._flow with _tally_chunk's tally (it writes no rows), and
+ * rn_chains embedding_chains. They draw from the caller's numpy Generator
+ * through its bitgen_t with numpy's own functions (libnpyrandom.a) in the
+ * numpy code's order, so they leave the same counts and generator state:
+ * per iteration, rn_mbi_batch takes an exponential and a uniform fill
+ * (random_standard_exponential_fill and _uniform_fill, as
+ * Generator.standard_exponential and .random do); rn_mbi_flow takes
+ * random_multinomial for the groups and then for each group's initial
+ * states, and per layer random_binomial for every state's kills, then
+ * type-I events, then type-I coins, then type-II coins (as
  * Generator.multinomial and .binomial do); next_double (one uniform of the
  * stream) draws rn_chains' labels and coins between its exponential fills
  * per replicate and jump. The caller holds the lock.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<numpy include> _kernel.c
  * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V),
- * or c + w1*rr in rn_event, into a fused multiply-add would change the
+ * or w1 + w2*rc in rn_event, into a fused multiply-add would change the
  * draws. Every exported symbol carries the rn_ prefix (--exclude-libs
  * hides numpy's), so none can clash with a symbol of another loaded
  * library.
@@ -284,13 +284,13 @@ int64_t random_binomial(bitgen_t *bitgen_state, double p, int64_t n, void *binom
 void random_multinomial(bitgen_t *bitgen_state, int64_t n, int64_t *mnix, double *pix,
                         intptr_t d, void *binomial);
 
-/* branching._event: move (*a1, *a2) by the event x = u * (c + w1 + w2) >= c picks */
-static inline void rn_event(double *a1, double *a2, double x, double c, double w1, double w2,
+/* branching._event: move (*a1, *a2) by the event x = u * (w1 + w2) picks */
+static inline void rn_event(double *a1, double *a2, double x, double w1, double w2,
                             double rr, double rc)
 {
-    int is1 = x < c + w1;
-    *a1 += (double)(is1 | (x < c + w1 + w2 * rc));
-    *a2 += (double)((!is1) | (x < c + w1 * rr));
+    int is1 = x < w1;
+    *a1 += (double)(is1 | (x < w1 + w2 * rc));
+    *a2 += (double)((!is1) | (x < w1 * rr));
 }
 
 /* simulate_mbi_batch on R rows. n1 and n2 hold the initial states on entry
@@ -335,7 +335,7 @@ void rn_mbi_batch(bitgen_t *bg, int64_t R, const int64_t *label, const double *t
             n2[i] = (int64_t)x2;
             events[i] = it;
             failed[i] = (uint8_t)(go & over);
-            rn_event(a1 + kept, a2 + kept, u[j] * rate, 0.0, w1, w2, rho_row[g], rho_col[g]);
+            rn_event(a1 + kept, a2 + kept, u[j] * rate, w1, w2, rho_row[g], rho_col[g]);
             kept += go & !over;
         }
         n = kept;
@@ -351,44 +351,33 @@ static inline int rn_before(const rn_state *a, const rn_state *b)
     return a->g != b->g ? a->g < b->g : a->k != b->k ? a->k < b->k : a->l < b->l;
 }
 
-/* cnt chains end at s: added to counts (_tally_chunk's K*(kmax+1)*(lmax+1)
- * grid cells, then each group's overflow, then the failed count), or with
- * counts == NULL written as cnt rows from *row on */
+/* cnt chains end at s: added to counts, _tally_chunk's K*(kmax+1)*(lmax+1)
+ * grid cells, then each group's overflow, then the failed count */
 static inline void rn_record(const rn_state *s, int64_t cnt, int fail, int32_t K,
-                             int64_t kmax, int64_t lmax, int64_t *counts, int64_t *row,
-                             int64_t *label, int64_t *n1, int64_t *n2, uint8_t *failed)
+                             int64_t kmax, int64_t lmax, int64_t *counts)
 {
     int64_t cells = K * (kmax + 1) * (lmax + 1);
-    if (counts != NULL)
-        counts[fail ? cells + K : s->k <= kmax && s->l <= lmax
-               ? (s->g * (kmax + 1) + s->k) * (lmax + 1) + s->l : cells + s->g] += cnt;
-    for (int64_t i = *row; counts == NULL && i < *row + cnt; i++) {
-        label[i] = s->g;
-        n1[i] = s->k;
-        n2[i] = s->l;
-        failed[i] = (uint8_t)fail;
-    }
-    *row += cnt;
+    counts[fail ? cells + K : s->k <= kmax && s->l <= lmax
+           ? (s->g * (kmax + 1) + s->k) * (lmax + 1) + s->l : cells + s->g] += cnt;
 }
 
 /* Bytes per state of room: the layer, its successors and three draws */
 #define RN_ROOM (2 * sizeof(rn_state) + 3 * sizeof(int64_t))
 
-/* branching._flow on a chunk of n chains, its records passed to rn_record.
+/* branching._flow on a chunk of n chains, its records tallied by rn_record.
  * The room grows with the states of a layer, which are far fewer than
  * the chains. Returns 0, or -1 when an allocation fails. */
 int64_t rn_mbi_flow(bitgen_t *bg, int64_t n, const double *pi, int32_t K,
                     const double *init_probs, double c_star,
                     const double *rho_row, const double *rho_col,
                     double alpha, double gamma, double delta, double event_budget,
-                    int64_t kmax, int64_t lmax, int64_t *counts,
-                    int64_t *label, int64_t *n1, int64_t *n2, uint8_t *failed)
+                    int64_t kmax, int64_t lmax, int64_t *counts)
 {
     /* random_binomial's cache, numpy's binomial_t (17 fields of at most 8
      * bytes, 136 in all). It keeps what it derives from (n, p) and derives
      * it again whenever they change, so the draws do not depend on it. */
     double cache[32] = {0};
-    int64_t cap = 3 * (int64_t)K, S = 0, row = 0;
+    int64_t cap = 3 * (int64_t)K, S = 0;
     int64_t *start = calloc(4 * (size_t)K, sizeof *start);
     rn_state *cur = malloc(cap * RN_ROOM);
     if (start == NULL || cur == NULL) {
@@ -422,12 +411,12 @@ int64_t rn_mbi_flow(bitgen_t *bg, int64_t n, const double *pi, int32_t K,
         for (int64_t s = 0; s < S; s++) {
             double w1 = alpha * ((double)cur[s].k + delta), w2 = gamma * ((double)cur[s].l + delta);
             int64_t kill = random_binomial(bg, c_star / (c_star + w1 + w2), cur[s].n, cache);
-            rn_record(cur + s, kill, 0, K, kmax, lmax, counts, &row, label, n1, n2, failed);
+            rn_record(cur + s, kill, 0, K, kmax, lmax, counts);
             d[3 * s] = cur[s].n - kill;
         }
         if ((double)e >= event_budget) {
             for (int64_t s = 0; s < S; s++)
-                rn_record(cur + s, d[3 * s], 1, K, kmax, lmax, counts, &row, label, n1, n2, failed);
+                rn_record(cur + s, d[3 * s], 1, K, kmax, lmax, counts);
             break;
         }
         for (int64_t s = 0; s < S; s++) {

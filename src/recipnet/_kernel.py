@@ -5,9 +5,9 @@ integer tables, which read and fill the columns where they lie;
 ``rn_mbi_batch``, the compiled mirror of the fixed-horizon loop of
 ``branching.simulate_mbi_batch`` around one mirror of its event step
 ``_event``; ``rn_mbi_flow``, the compiled mirror of the limit law's
-binomial flow ``branching._flow`` with ``_tally_chunk``'s tally or the
-rows of ``_sample_chunk``; and ``rn_chains``, the compiled mirror of
-``embedding.embedding_chains``.
+binomial flow ``branching._flow`` with ``_tally_chunk``'s tally (the raw
+rows of ``_sample_chunk`` are drawn by numpy alone); and ``rn_chains``,
+the compiled mirror of ``embedding.embedding_chains``.
 
 The MBI and chain entry points draw from the caller's numpy Generator
 with numpy's own functions: per iteration, ``rn_mbi_batch`` an
@@ -210,7 +210,7 @@ def load():
         lib.rn_parse_int_rows.restype = i64
         lib.rn_mbi_batch.argtypes = [p, i64, p, p, p, p, f64, f64, f64, f64, p, p, p, p, p]
         lib.rn_mbi_flow.argtypes = [p, i64, p, i32, p, f64, p, p, f64, f64, f64, f64,
-                                    i64, i64, p, p, p, p, p]
+                                    i64, i64, p]
         lib.rn_mbi_flow.restype = i64
         lib.rn_chains.argtypes = [p, i64, i64, p, i32, p, f64, f64, f64, p, p, p, p]
         lib.rn_mbi_batch.restype = lib.rn_chains.restype = None

@@ -27,12 +27,13 @@ state's coin, so the work is the states visited, not the chains times
 their events. ``simulate_mbi_batch`` is the fixed-horizon engine: it
 advances trajectories of any mix of labels in lockstep up to given
 times, two variates per event (an exponential wait, then the event step
-``_event``). ``rn_mbi_flow`` (with ``_tally_chunk``'s tally or the rows
-in record order) and ``rn_mbi_batch`` in ``_kernel.c`` repeat the flow
-and the loop line for line. They draw from the caller's numpy Generator
-in the numpy code's order and run instead whenever the kernel loads (see
-``_kernel``), with the same counts and the same generator state after
-the call.
+``_event``, which reads the clock and the coin from one x = u * (w1 + w2)).
+``rn_mbi_flow`` (the flow with ``_tally_chunk``'s tally) and
+``rn_mbi_batch`` in ``_kernel.c`` repeat the flow and the loop line for
+line. They draw from the caller's numpy Generator in the numpy code's
+order and run instead whenever the kernel loads (see ``_kernel``), with
+the same counts and the same generator state after the call. The raw
+rows of ``sample_limit_pairs`` come from ``_flow`` in numpy alone.
 """
 
 from __future__ import annotations
@@ -70,13 +71,13 @@ class EventBudgetExceeded(RuntimeError):
                 f"{self.replicates}); there is no estimate to normalize")
 
 
-def _event(a1, a2, x, c, w1, w2, rr, rc):
-    """Move the processes at (a1, a2) by the event that x = u * (c + w1 + w2)
-    picks, for x >= c: type I below c + w1 (reciprocated below c + w1*rr),
-    else type II (reciprocated below c + w1 + w2*rc)."""
-    is1 = x < c + w1
-    a1 += is1 | (x < c + w1 + w2 * rc)
-    a2 += ~is1 | (x < c + w1 * rr)
+def _event(a1, a2, x, w1, w2, rr, rc):
+    """Move the processes at (a1, a2) by the event that x = u * (w1 + w2)
+    picks: type I below w1 (reciprocated below w1*rr), else type II
+    (reciprocated below w1 + w2*rc)."""
+    is1 = x < w1
+    a1 += is1 | (x < w1 + w2 * rc)
+    a2 += ~is1 | (x < w1 * rr)
 
 
 def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray,
@@ -147,7 +148,7 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
             keep = np.flatnonzero(go)
             idx, a1, a2, left, rr, rc, w1, w2, x = (
                 v.take(keep) for v in (idx, a1, a2, left, rr, rc, w1, w2, x))
-        _event(a1, a2, x, 0.0, w1, w2, rr, rc)
+        _event(a1, a2, x, w1, w2, rr, rc)
         it += 1
     return n1, n2, events, failed
 
@@ -274,63 +275,49 @@ def _flow(job, rng):
     return tuple(np.concatenate(v) for v in zip(*records))
 
 
-def _kernel_flow(job, rng, counts=None, kmax=0, lmax=0):
-    """``rn_mbi_flow`` on one job: the terminal records added to ``counts``
-    (laid out as ``_tally_chunk``'s), or with no ``counts`` expanded to
-    (labels, n1, n2, failed) rows in record order. None when the kernel is
-    not loaded or the model's arrays lack the shapes it indexes memory with."""
-    params, rates, sampler, _, size, _, event_budget = job
-    pi, probs, rho_row, rho_col = (
-        np.ascontiguousarray(a, dtype=float)
-        for a in (params.pi, sampler.init_probs, rates.rho_row, rates.rho_col))
-    lib = _kernel.load()
-    if (lib is None or min(kmax, lmax) < 0 or probs.shape != (params.K, 3)
-            or not pi.shape == rho_row.shape == rho_col.shape == (params.K,)):
-        return None
-    rows = () if counts is not None else (*(np.empty(size, dtype=np.int64) for _ in range(3)),
-                                          np.empty(size, dtype=bool))
-    with rng.bit_generator.lock:
-        status = lib.rn_mbi_flow(rng.bit_generator.ctypes.bit_generator, size, pi.ctypes.data,
-                                 params.K, probs.ctypes.data, sampler.c_star, rho_row.ctypes.data,
-                                 rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
-                                 event_budget, kmax, lmax,
-                                 None if counts is None else counts.ctypes.data,
-                                 *([r.ctypes.data for r in rows] or [None] * 4))
-    if status != 0:
-        raise MemoryError("rn_mbi_flow could not allocate its layers")
-    return counts if counts is not None else rows
-
-
 def _sample_chunk(args):
     """Raw limit pairs (labels, n1, n2, failed) for one replicate chunk:
-    the records of ``_flow`` (``rn_mbi_flow`` whenever the kernel loads)
-    expanded in record order, then permuted, so the rows are i.i.d. draws."""
+    the records of ``_flow`` expanded in record order, then permuted, so
+    the rows are i.i.d. draws."""
     rng = _chunk_rng(args)
-    rows = _kernel_flow(args, rng)
-    if rows is None:
-        labels, n1, n2, n, failed = _flow(args, rng)
-        rows = tuple(np.repeat(v, n) for v in (labels, n1, n2, failed))
-    order = rng.permutation(len(rows[0]))
-    return tuple(v[order] for v in rows)
+    labels, n1, n2, n, failed = _flow(args, rng)
+    record = np.repeat(np.arange(n.size), n)[rng.permutation(n.sum())]
+    return tuple(v[record] for v in (labels, n1, n2, failed))
 
 
 def _tally_chunk(args):
     """One chunk's count vector: the (K, kmax+1, lmax+1) grid cells flat,
     then the overflow count of each group, then the failed count.
 
-    ``rn_mbi_flow`` draws and tallies the chunk whenever the kernel loads;
-    the numpy code below is the statement it mirrors."""
+    ``rn_mbi_flow`` draws and tallies the chunk whenever the kernel loads
+    and the model's arrays have the shapes it indexes memory with; the
+    numpy code below is the statement it mirrors."""
     job, kmax, lmax = args
-    K = job[0].K
+    params, rates, sampler, _, size, _, event_budget = job
+    K = params.K
     cells = K * (kmax + 1) * (lmax + 1)
     counts = np.zeros(cells + K + 1, dtype=np.int64)
     rng = _chunk_rng(job)
-    if _kernel_flow(job, rng, counts, kmax, lmax) is None:
-        labels, n1, n2, n, failed = _flow(job, rng)
-        code = np.where((n1 <= kmax) & (n2 <= lmax),
-                        (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
-        code[failed] = cells + K
-        np.add.at(counts, code, n)
+    pi, probs, rho_row, rho_col = (
+        np.ascontiguousarray(a, dtype=float)
+        for a in (params.pi, sampler.init_probs, rates.rho_row, rates.rho_col))
+    lib = _kernel.load()
+    if (lib is not None and min(kmax, lmax) >= 0 and probs.shape == (K, 3)
+            and pi.shape == rho_row.shape == rho_col.shape == (K,)):
+        with rng.bit_generator.lock:
+            status = lib.rn_mbi_flow(rng.bit_generator.ctypes.bit_generator, size,
+                                     pi.ctypes.data, K, probs.ctypes.data, sampler.c_star,
+                                     rho_row.ctypes.data, rho_col.ctypes.data, params.alpha,
+                                     params.gamma, params.delta, event_budget, kmax, lmax,
+                                     counts.ctypes.data)
+        if status != 0:
+            raise MemoryError("rn_mbi_flow could not allocate its layers")
+        return counts
+    labels, n1, n2, n, failed = _flow(job, rng)
+    code = np.where((n1 <= kmax) & (n2 <= lmax),
+                    (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
+    code[failed] = cells + K
+    np.add.at(counts, code, n)
     return counts
 
 
@@ -344,6 +331,8 @@ def _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size):
     from SeedSequence([seed, j])."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     rates = group_rates(params)
     sampler = LimitPairSampler.from_solution(params, sol)
     return [

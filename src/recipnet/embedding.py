@@ -61,6 +61,8 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
     The loop below is the statement of the rule; ``rn_chains`` runs
     instead, from the same generator, whenever the kernel loads.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0 jumps, got {n}")
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
     cum_pi = np.cumsum(params.pi)
     labels = np.zeros((replicates, n + 1), dtype=np.int64)
@@ -157,6 +159,8 @@ def enumerate_graph_law(params: ModelParams, n: int) -> dict:
     for n <= 3. Keys are (edge count, sorted multiset of (group, in, out))
     with 0-based groups.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0 graph steps, got {n}")
     if n > MAX_ENUM_STEPS:
         raise EnumerationTooLarge(f"exact enumeration supports n <= {MAX_ENUM_STEPS}, got {n}")
     alpha, gamma, delta = params.alpha, params.gamma, params.delta

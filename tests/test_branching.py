@@ -83,20 +83,21 @@ def _chi_square_p(counts, law):
     return _chi_square_against(exact, observed, int(counts.sum()))[2]
 
 
-@pytest.mark.parametrize("c", [0.0, 2.5], ids=["engine-c-0", "killed-chain-c-2.5"])
-def test_event_step_at_each_threshold(c):
-    w1, w2, rr, rc = 1.5, 3.0, 0.25, 0.5     # every threshold below is exact in binary
-    # x in [c, c + w1 + w2) falls in four regions, each from its threshold up
-    regions = [(c, (1, 1)),                   # type I, reciprocated
-               (c + w1 * rr, (1, 0)),         # type I
-               (c + w1, (1, 1)),              # type II, reciprocated
-               (c + w1 + w2 * rc, (0, 1))]    # type II
-    table = [(c, (1, 1)), (np.nextafter(c + w1 + w2, 0.0), (0, 1))]
+# the id names the engine's event step, whose regions start at x = 0
+@pytest.mark.parametrize("w1, w2, rr, rc", [(1.5, 3.0, 0.25, 0.5)], ids=["engine-c-0"])
+def test_event_step_at_each_threshold(w1, w2, rr, rc):
+    # every threshold below is exact in binary; x in [0, w1 + w2) falls in
+    # four regions, each from its threshold up
+    regions = [(0.0, (1, 1)),                 # type I, reciprocated
+               (w1 * rr, (1, 0)),             # type I
+               (w1, (1, 1)),                  # type II, reciprocated
+               (w1 + w2 * rc, (0, 1))]        # type II
+    table = [(0.0, (1, 1)), (np.nextafter(w1 + w2, 0.0), (0, 1))]
     for (below, before), (t, after) in zip(regions, regions[1:]):
         table += [(np.nextafter(t, below), before), (t, after), (np.nextafter(t, np.inf), after)]
     x = np.array([row[0] for row in table])
     a1, a2 = np.full(len(x), 3.0), np.full(len(x), 7.0)
-    _event(a1, a2, x, c, *(np.full(len(x), v) for v in (w1, w2, rr, rc)))
+    _event(a1, a2, x, *(np.full(len(x), v) for v in (w1, w2, rr, rc)))
     assert [(d1, d2) for d1, d2 in zip(a1 - 3.0, a2 - 7.0)] == [row[1] for row in table]
 
 
@@ -460,6 +461,17 @@ def test_estimate_pkl_rejects_bad_replicates(k1_ref):
     sol = solve_equilibrium(k1_ref)
     with pytest.raises(ValueError):
         estimate_pkl(k1_ref, sol, replicates=0, kmax=5, lmax=5)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5])
+@pytest.mark.parametrize("sampler", [
+    lambda p, sol, **kw: estimate_pkl(p, sol, replicates=10, kmax=5, lmax=5, **kw),
+    lambda p, sol, **kw: sample_limit_pairs(p, sol, replicates=10, **kw),
+], ids=["estimate_pkl", "sample_limit_pairs"])
+def test_limit_law_rejects_bad_chunk_size(k1_ref, sampler, chunk_size):
+    # unchecked, 0 divides by zero and -5 fails inside the chunk loop
+    with pytest.raises(ValueError, match="chunk_size"):
+        sampler(k1_ref, solve_equilibrium(k1_ref), chunk_size=chunk_size)
 
 
 def test_estimate_pkl_warns_without_regularity():

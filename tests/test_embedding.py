@@ -97,6 +97,19 @@ def test_enumeration_too_large(k1_ref):
         enumerate_graph_law(k1_ref, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: enumerate_graph_law(p, -1),
+    lambda p: verify_equivalence(p, -1, 100),
+    lambda p: embedding_chains(p, -1, 5, np.random.default_rng(0)),
+], ids=["enumerate_graph_law", "verify_equivalence", "embedding_chains"])
+def test_negative_n_is_a_named_error(k1_ref, call):
+    # unchecked, n = -1 recurses without end in the enumeration and indexes
+    # an empty axis of the chains
+    with pytest.raises(ValueError, match="n must be >= 0") as err:
+        call(k1_ref)
+    assert not isinstance(err.value, EnumerationTooLarge)
+
+
 def test_verify_equivalence_one_step_k1(k1_ref):
     report = verify_equivalence(k1_ref, n=1, replicates=20_000, seed=1)
     assert not report.impossible_support

@@ -3,12 +3,13 @@
 Hypothesis draws the inputs: models and blocks of uniforms for
 ``rn_advance`` against the loop of ``simulate._advance``; models for
 ``rn_chains`` against the numpy loop of ``embedding.embedding_chains``,
-for ``rn_mbi_flow`` against the numpy flow of ``branching._sample_chunk``
-and ``_tally_chunk`` and for ``rn_mbi_batch`` against the numpy loop of
-``simulate_mbi_batch``; integer columns of every width and sign, strided
-and reversed, for ``rn_format_int_rows`` against ``str()``; and integer
-tables and raw bytes, with some columns dropped, for ``rn_parse_int_rows``
-against ``np.loadtxt``. Every comparison is exact, and those of the
+for ``rn_mbi_flow`` against the numpy tally of ``branching._tally_chunk``
+and the tally of the numpy rows of ``_sample_chunk``, and for
+``rn_mbi_batch`` against the numpy loop of ``simulate_mbi_batch``; integer
+columns of every width and sign, strided and reversed, for
+``rn_format_int_rows`` against ``str()``; and integer tables and raw
+bytes, with some columns dropped, for ``rn_parse_int_rows`` against
+``np.loadtxt``. Every comparison is exact, and those of the
 sampling mirrors include the generator's state after the call. The runs
 are derandomized, so every run tries the same examples.
 """
@@ -22,8 +23,9 @@ import pytest
 
 from recipnet import _kernel, branching, simulate
 from recipnet.params import group_rates, validate_params
-from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy, assert_same_run,
-                         format_rows, parse_rows, str_rows)
+from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy,
+                         assert_flow_matches_numpy, assert_same_run, format_rows,
+                         parse_rows, str_rows)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -126,16 +128,7 @@ def chunk_jobs(draw):
 def test_mbi_chunk_matches_numpy_on_generated_models(job, kmax, lmax):
     lib = _kernel.load()
     assert lib is not None, _kernel.error
-    modes = []
-
-    def rn_mbi_flow(*args):
-        modes.append("rows" if args[14] is None else "counts")
-        return lib.rn_mbi_flow(*args)
-
-    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow)
-    assert_same_run(kernel, lambda: branching._sample_chunk(job))
-    assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
-    assert modes == ["rows", "counts"]      # the compiled side ran the kernel
+    assert_flow_matches_numpy(lib, job, [(kmax, lmax)])
 
 
 @st.composite

@@ -3,14 +3,15 @@
 ``simulate._advance`` runs ``_kernel.c`` on large blocks when it builds
 and its own loop otherwise, ``io._write_chunks`` formats all-integer
 chunks with it instead of its ``%s`` template, ``branching`` runs its
-fixed-horizon MBI loop and its limit-law chunks (the binomial flow of
-the killed chains, tallied or as rows) with it instead of numpy, and
+fixed-horizon MBI loop and its limit-law tallies (the binomial flow of
+the killed chains) with it instead of numpy, and
 ``embedding.embedding_chains`` runs its linked chains with it. Each must
 leave the same state, the same counts and the same generator state, and
 write the same bytes; any failure to build or load falls back to the
-Python code.
-The Python side of each comparison runs with ``_kernel.load`` patched to
-return None.
+Python code. The raw limit-law rows of ``branching._sample_chunk`` are
+numpy's alone; the compiled tally of a chunk must equal the tally of its
+rows. The Python side of each comparison runs with ``_kernel.load``
+patched to return None.
 """
 
 import os
@@ -478,13 +479,41 @@ def run_with(load, fn):
 
 def assert_same_run(load, fn):
     """``fn`` through ``load``'s entry points and through numpy: the same
-    arrays, dtypes and generator state."""
+    arrays, dtypes and generator state. Returns the compiled outputs."""
     compiled, compiled_state = run_with(load, fn)
     numpy_side, numpy_state = run_with(None, fn)
     assert len(compiled) == len(numpy_side)
     for a, b in zip(compiled, numpy_side):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert compiled_state == numpy_state
+    return compiled
+
+
+def assert_flow_matches_numpy(lib, job, grids):
+    """``_tally_chunk`` on ``job`` for each (kmax, lmax) of ``grids``, through
+    ``lib``'s ``rn_mbi_flow`` and through numpy, and against the raw rows of
+    ``_sample_chunk`` for the same chunk, tallied by ``_tally_chunk``'s rule:
+    grid cell, else the group's overflow, and failed rows apart. The rows
+    are drawn by numpy alone, so this holds the compiled flow to the numpy
+    flow record for record. The kernel runs once per compiled tally."""
+    calls = []
+
+    def rn_mbi_flow(*args):
+        calls.append(args[12:14])
+        return lib.rn_mbi_flow(*args)
+
+    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow)
+    labels, n1, n2, failed = run_with(kernel, lambda: branching._sample_chunk(job))[0][:4]
+    assert calls == []
+    K = job[0].K
+    for kmax, lmax in grids:
+        counts = assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])[0]
+        cells = K * (kmax + 1) * (lmax + 1)
+        code = np.where((n1 <= kmax) & (n2 <= lmax),
+                        (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
+        code[failed] = cells + K
+        assert np.array_equal(counts, np.bincount(code, minlength=cells + K + 1))
+    assert calls == list(grids)
 
 
 def _flow_job(model, size, budget):
@@ -501,23 +530,12 @@ def _flow_job(model, size, budget):
 ], ids=["size-0", "size-1-budget-0", "size-1", "budget-1", "budget-2", "budget-5", "size-2e5"])
 @pytest.mark.parametrize("model", ["k1", "k2", "k3-zero-pi-binary-rho"])
 def test_mbi_flow_matches_numpy_statement(model, size, budget):
-    # both modes, with the generator's state after the call; at 2e5 chains
-    # the first layers' binomials have n*p far above 30, so BTPE runs, and
-    # the grids of kmax 0 and lmax 0 send most chains to the overflow
+    # at 2e5 chains the first layers' binomials have n*p far above 30, so
+    # BTPE runs, and the grids of kmax 0 and lmax 0 send most chains to the
+    # overflow
     lib = _kernel.load()
     assert lib is not None, _kernel.error
-    modes = []
-
-    def rn_mbi_flow(*args):
-        modes.append(args[14] is None)
-        return lib.rn_mbi_flow(*args)
-
-    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow)
-    job = _flow_job(model, size, budget)
-    assert_same_run(kernel, lambda: branching._sample_chunk(job))
-    for kmax, lmax in ((0, 3), (4, 0), (6, 9)):
-        assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
-    assert modes == [True, False, False, False]
+    assert_flow_matches_numpy(lib, _flow_job(model, size, budget), [(0, 3), (4, 0), (6, 9)])
 
 
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
