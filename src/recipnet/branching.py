@@ -39,6 +39,9 @@ rows of ``sample_limit_pairs`` come from ``_flow`` in numpy alone.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -50,7 +53,7 @@ from .params import GroupRates, ModelParams, clock_rates, group_rates
 from .equilibrium import EquilibriumSolution, attachment_law
 
 DEFAULT_EVENT_BUDGET = 10_000_000
-CHUNK = 1 << 16
+CHUNK = 1 << 20
 
 
 class EventBudgetExceeded(RuntimeError):
@@ -322,8 +325,57 @@ def _tally_chunk(args):
 
 
 def _tally_slice(jobs):
-    """The summed ``_tally_chunk`` counts of a slice of chunks: a pool task, or every chunk."""
+    """The summed ``_tally_chunk`` counts of a slice of chunks: a child's share, or every chunk."""
     return sum(map(_tally_chunk, jobs))
+
+
+def _fork_slices(slices):
+    """The summed counts of ``slices``, one forked child per slice. Each child
+    pickles its counts, or the exception that stopped them, into a pipe; the
+    parent draws nothing, re-raises a child's exception, and raises
+    ``ChildProcessError`` for a child that died without a result. On any
+    error or interrupt the parent kills and reaps the children still running."""
+    _kernel.load()    # built once here; the children inherit the library
+    pipes, running = [], []   # the parent's open pipe ends; the children not yet reaped
+    try:
+        for jobs in slices:
+            r, w = os.pipe()
+            pipes += r, w
+            pid = os.fork()
+            if pid == 0:    # the child leaves through os._exit on every path
+                code = 1
+                try:
+                    with open(w, "wb") as f:
+                        try:
+                            out = _tally_slice(jobs)
+                        except BaseException as exc:
+                            out = exc
+                        pickle.dump(out, f)
+                    code = 0
+                finally:
+                    os._exit(code)
+            running.append(pid)
+            os.close(pipes.pop())
+        total = 0
+        for pid, r in zip(list(running), pipes):
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code:
+                raise ChildProcessError(f"limit-law worker {pid} died without a result: "
+                                        + (f"signal {-code}" if code < 0 else f"exit code {code}"))
+            out = pickle.loads(data)
+            if isinstance(out, BaseException):
+                raise out
+            total += out
+        return total
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in pipes:
+            os.close(fd)
 
 
 def _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size):
@@ -331,8 +383,8 @@ def _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size):
     from SeedSequence([seed, j])."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+        raise ValueError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     rates = group_rates(params)
     sampler = LimitPairSampler.from_solution(params, sol)
     return [
@@ -371,27 +423,23 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     multinomials), then the killed jump chains of all groups move as one
     binomial flow over their states (``_flow``). Each chunk is
     tallied where it was drawn into K*(kmax+1)*(lmax+1) + K + 1 counts
-    (grid cells, overflow per group, failed); a pool task sums the vectors
-    of its slice of chunks, and the parent adds one vector per task, so its
-    memory does not grow with ``replicates``. Integer sums do not depend on
-    the order, so the counts are the same for any ``workers``.
+    (grid cells, overflow per group, failed). On Linux, with ``workers`` > 1
+    and more than one chunk, min(workers, chunks) forked children each sum
+    the vectors of one contiguous slice of chunks, and the parent adds one
+    vector per child (``_fork_slices``), so its memory does not grow with
+    ``replicates``; elsewhere every chunk is tallied in-process, in order.
+    Integer sums do not depend on the order, so the counts are the same for
+    any ``workers``.
     """
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)
     jobs = [(job, kmax, lmax)
             for job in _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size)]
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        _kernel.load()    # built once here; forked workers inherit the library
-        n = min(len(jobs), 4 * workers)
-        slices = [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n] for i in range(n)]
-        # fork on Linux whatever the default (forkserver from Python 3.14)
-        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=min(workers, n), mp_context=ctx) as pool:
-            counts = sum(pool.map(_tally_slice, slices))
+    if workers > 1 and len(jobs) > 1 and sys.platform == "linux":
+        n = min(workers, len(jobs))
+        counts = _fork_slices([jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n]
+                               for i in range(n)])
     else:
         counts = _tally_slice(jobs)
     K = params.K

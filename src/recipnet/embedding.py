@@ -63,6 +63,8 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0 jumps, got {n}")
+    if replicates < 0:
+        raise ValueError(f"replicates must be >= 0, got {replicates}")
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
     cum_pi = np.cumsum(params.pi)
     labels = np.zeros((replicates, n + 1), dtype=np.int64)

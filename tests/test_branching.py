@@ -1,7 +1,8 @@
-import concurrent.futures
 import math
-import multiprocessing
+import os
+import signal
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from recipnet import (
     solve_equilibrium,
     validate_params,
 )
+from recipnet import branching
 from recipnet import io as rio
 from recipnet.branching import LimitPairSampler, _event, _tally_chunk
 from recipnet.embedding import _chi_square_against
@@ -421,31 +423,66 @@ def test_sliced_fan_out_matches_per_chunk_tally(k2_ref, replicates, chunk_size):
 
 
 def test_embed_pool_forks_on_linux(k2_ref, monkeypatch):
-    # the pool forks on Linux whatever the platform default, so the workers
-    # inherit the loaded kernel; elsewhere it keeps the default context
-    methods = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, mp_context=None, **kwargs):
-            methods.append(mp_context and mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    _check_against_per_chunk_tally(k2_ref, 2050, 100, workers=(2,))
-    assert methods == ["fork" if sys.platform == "linux" else None]
+    # on Linux one os.fork per slice, min(workers, chunks) slices, so the
+    # children inherit the loaded kernel; no fork on one worker, on a single
+    # chunk, or elsewhere
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    _check_against_per_chunk_tally(k2_ref, 2050, 100, workers=(1, 2, 3))
+    _check_against_per_chunk_tally(k2_ref, 80, 100, workers=(3,))
+    assert forks == [os.getpid()] * (5 if sys.platform == "linux" else 0)
 
 
-def test_pools_leave_no_process(k2_ref, tmp_path):
-    # a pool that is never shut down leaves its workers running;
-    # active_children() reaps the ones that have exited
+def _assert_no_child_left(fds):
+    # os.waitpid(-1) finds any child not yet reaped, running or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks and reads /proc")
+def test_pools_leave_no_process(k2_ref, tmp_path, monkeypatch):
+    # every child is reaped and every pipe end closed: after a normal run,
+    # after a child that raises while the others still run, and after a
+    # child killed by a signal
     sol = solve_equilibrium(k2_ref)
-    estimate_pkl(k2_ref, sol, replicates=300, kmax=4, lmax=4, seed=1, chunk_size=100,
-                 workers=2)
-    assert multiprocessing.active_children() == []
-    # three chunks of the CLI's size, in-process
-    run_k2(tmp_path, "embed", {"embed": {"replicates": 140_000, "kmax": 4, "lmax": 4}},
+    fan_out = dict(replicates=300, kmax=4, lmax=4, seed=1, chunk_size=100, workers=3)
+    fds = len(os.listdir("/proc/self/fd"))
+    estimate_pkl(k2_ref, sol, **fan_out)
+    _assert_no_child_left(fds)
+    # four chunks of the CLI's size
+    run_k2(tmp_path, "embed", {"embed": {"replicates": 3_200_000, "kmax": 4, "lmax": 4}},
            "--threads", "2")
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left(fds)
+
+    def first_slice_raises(jobs):
+        if jobs[0][0][3] == 0:
+            raise ValueError("the first slice fails")
+        time.sleep(60)    # the others run until the parent kills them
+
+    monkeypatch.setattr(branching, "_tally_slice", first_slice_raises)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the first slice fails"):
+        estimate_pkl(k2_ref, sol, **fan_out)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left(fds)
+    monkeypatch.setattr(branching, "_tally_slice",
+                        lambda jobs: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match=f"signal {int(signal.SIGKILL)}"):
+        estimate_pkl(k2_ref, sol, **fan_out)
+    _assert_no_child_left(fds)
+
+
+def test_worker_memory_error_reaches_the_caller(k2_ref, monkeypatch):
+    # rn_mbi_flow's failed allocation, raised in a child, keeps its type and message
+    def fails(jobs):
+        raise MemoryError("rn_mbi_flow could not allocate its layers")
+
+    monkeypatch.setattr(branching, "_tally_slice", fails)
+    with pytest.raises(MemoryError, match="could not allocate its layers"):
+        estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=300, kmax=4, lmax=4,
+                     chunk_size=100, workers=2)
 
 
 def test_estimate_pkl_failed_accounting(k1_ref):
@@ -463,13 +500,14 @@ def test_estimate_pkl_rejects_bad_replicates(k1_ref):
         estimate_pkl(k1_ref, sol, replicates=0, kmax=5, lmax=5)
 
 
-@pytest.mark.parametrize("chunk_size", [0, -5])
+@pytest.mark.parametrize("chunk_size", [0, -5, 2.5])
 @pytest.mark.parametrize("sampler", [
     lambda p, sol, **kw: estimate_pkl(p, sol, replicates=10, kmax=5, lmax=5, **kw),
     lambda p, sol, **kw: sample_limit_pairs(p, sol, replicates=10, **kw),
 ], ids=["estimate_pkl", "sample_limit_pairs"])
 def test_limit_law_rejects_bad_chunk_size(k1_ref, sampler, chunk_size):
-    # unchecked, 0 divides by zero and -5 fails inside the chunk loop
+    # unchecked, 0 divides by zero, -5 fails inside the chunk loop and 2.5
+    # raises a TypeError from range()
     with pytest.raises(ValueError, match="chunk_size"):
         sampler(k1_ref, solve_equilibrium(k1_ref), chunk_size=chunk_size)
 

@@ -620,12 +620,14 @@ def test_numpy_imported_first_is_left_alone():
 
 @linux_only
 def test_embed_forks_its_pool_from_one_thread(tmp_path):
-    # 200000 replicates are 4 chunks, so 2 workers fork
-    forks = _fresh(
-        "import json, os; forks = []; "
+    # 3200000 replicates are 4 chunks, so 2 workers fork, one child each, and
+    # the fan-out imports no process pool
+    got = _fresh(
+        "import json, os, sys; forks = []; "
         "os.register_at_fork(before=lambda: forks.append(len(os.listdir('/proc/self/task')))); "
         "from recipnet import cli; "
         f"code = cli.main(['embed', '--config', {str(CONFIGS / 'k1.json')!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}, '--threads', '2', '--replicates', '200000']); "
-        "assert code == 0, code; print(json.dumps(forks))")
-    assert forks and set(forks) == {1}, forks
+        f"'--out', {str(tmp_path / 'out')!r}, '--threads', '2', '--replicates', '3200000']); "
+        "assert code == 0, code; print(json.dumps([forks, "
+        "[m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]]))")
+    assert got == [[1, 1], []], got

@@ -110,6 +110,12 @@ def test_negative_n_is_a_named_error(k1_ref, call):
     assert not isinstance(err.value, EnumerationTooLarge)
 
 
+def test_negative_replicates_is_a_named_error(k1_ref):
+    # unchecked, numpy refuses the negative dimension without naming it
+    with pytest.raises(ValueError, match="replicates must be >= 0"):
+        embedding_chains(k1_ref, 1, -5, np.random.default_rng(0))
+
+
 def test_verify_equivalence_one_step_k1(k1_ref):
     report = verify_equivalence(k1_ref, n=1, replicates=20_000, seed=1)
     assert not report.impossible_support

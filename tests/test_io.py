@@ -286,16 +286,16 @@ def test_every_json_artifact_of_k1_is_strict(tmp_path):
 
 
 # sha256 of the artifacts of the two-group model at small sizes. The embed
-# digests were recorded when the killed jump chains of the limit law began
-# to move as binomial counts over their states, with the compiled kernel;
-# the numpy statements write the same bytes, which CI checks with a cache
-# directory the loader refuses
+# digests were recorded when the limit law's chunks grew to 2^20 chains, at
+# four chunks so that two threads fork, with the compiled kernel; the numpy
+# statements write the same bytes, which CI checks with a cache directory
+# the loader refuses
 PARENT_TABLE_DIGESTS = {
     "embed": {
-        "pmf.csv": "9e989ff071a8bb992b32f3cdd717622d3edb328f49ff9ea0be3151c741c6f358",
-        "pmf_group_1.csv": "78e8ea721232de6d2111573846a918e076c7c129eace2d2727cd4d011a144eed",
-        "pmf_group_2.csv": "7fa1b0bf90efcacfe83162eb49f2a3a6dbc2184f3ac031895ca0906be6c708ae",
-        "pmf.json": "6eb1a1128482c8ef7f705798024ad19f21ff5047a38df3ea52781f56d9f11b52",
+        "pmf.csv": "972755a212f86508c80d7c207f0ca9f41f7233fd76082f45b2528bf0ff59f68e",
+        "pmf_group_1.csv": "e9f86ed0f2f8185cb18dbf794396da344f7114e6386983e4096c6b01f10aec82",
+        "pmf_group_2.csv": "427a9dd4d8c0019f855da0922f8d19d4a77e2b579bf5887848d4f770ca29a322",
+        "pmf.json": "cb8187ed5aea9c21090f9fc855c120f943090be39570d5e8e95d4bdce06ad9e6",
     },
     "analyze": {
         "analyze.json": "bdad9599ccb362dde8c65d2e1d10407c1bdd5f32a1889ae4ccacda2647649e82",
@@ -311,7 +311,7 @@ PARENT_TABLE_DIGESTS = {
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_embed_artifacts_match_parent_digests(tmp_path, threads):
     out = run_k2(tmp_path, "embed",
-                 {"embed": {"replicates": 140000, "kmax": 12, "lmax": 12, "seed": 3}},
+                 {"embed": {"replicates": 3_200_000, "kmax": 12, "lmax": 12, "seed": 3}},
                  "--threads", threads)
     assert sha256s(out, PARENT_TABLE_DIGESTS["embed"]) == PARENT_TABLE_DIGESTS["embed"]
 

@@ -217,7 +217,7 @@ def _assert_falls_back(match, k2_ref):
     assert _kernel.error is not None and match in _kernel.error, _kernel.error
     result = run(k2_ref, SimConfig(n_steps=300, seed=4))  # blocks big enough for the kernel
     result.state.check_invariants()
-    # three chunks on two workers: the pool forks with no library loaded
+    # three chunks on two workers: the children fork with no library loaded
     est = estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=3000, kmax=5, lmax=5,
                        seed=2, chunk_size=1000, workers=2)
     assert est.group_counts.sum() + est.group_overflow_counts.sum() + est.failed == 3000
