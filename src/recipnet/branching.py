@@ -329,12 +329,31 @@ def _tally_slice(jobs):
     return sum(map(_tally_chunk, jobs))
 
 
+def _child_result(jobs):
+    """A child's pickled counts, or its exception and traceback text; an
+    exception that does not survive pickling goes as a RuntimeError of its repr."""
+    try:
+        return pickle.dumps(_tally_slice(jobs))
+    except BaseException as exc:
+        import traceback    # only a failing child pays for the import
+
+        tb = traceback.format_exc()
+        try:
+            data = pickle.dumps((exc, tb))
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((RuntimeError(repr(exc)), tb))
+
+
 def _fork_slices(slices):
     """The summed counts of ``slices``, one forked child per slice. Each child
-    pickles its counts, or the exception that stopped them, into a pipe; the
-    parent draws nothing, re-raises a child's exception, and raises
-    ``ChildProcessError`` for a child that died without a result. On any
-    error or interrupt the parent kills and reaps the children still running."""
+    writes ``_child_result`` into a pipe. The parent draws nothing, so the
+    library pages a first tally touches (about 5 MB) stay out of its RSS; it
+    re-raises a child's exception from a ``ChildProcessError`` holding the child's
+    traceback, and raises ``ChildProcessError`` for a child that died without
+    a result. On any error or interrupt the parent kills and reaps the
+    children still running."""
     _kernel.load()    # built once here; the children inherit the library
     pipes, running = [], []   # the parent's open pipe ends; the children not yet reaped
     try:
@@ -346,11 +365,7 @@ def _fork_slices(slices):
                 code = 1
                 try:
                     with open(w, "wb") as f:
-                        try:
-                            out = _tally_slice(jobs)
-                        except BaseException as exc:
-                            out = exc
-                        pickle.dump(out, f)
+                        f.write(_child_result(jobs))
                     code = 0
                 finally:
                     os._exit(code)
@@ -366,8 +381,8 @@ def _fork_slices(slices):
                 raise ChildProcessError(f"limit-law worker {pid} died without a result: "
                                         + (f"signal {-code}" if code < 0 else f"exit code {code}"))
             out = pickle.loads(data)
-            if isinstance(out, BaseException):
-                raise out
+            if isinstance(out, tuple):    # the child's exception and its traceback's text
+                raise out[0] from ChildProcessError(f"in limit-law worker {pid}:\n{out[1]}")
             total += out
         return total
     finally:

@@ -146,8 +146,9 @@ FLAGS = {
     "--replicates": (("embed", "verify"), (("embed", "replicates"), ("verify", "replicates")),
                      {"type": int}),
     "--kmax": (("embed",), (("embed", "kmax"), ("embed", "lmax")), {"type": int}),
-    "--threads": (("embed",), (), {"type": int, "help": "worker cap for replicate fan-out "
-                                                        "(default: the CPUs this process may use)"}),
+    "--threads": (("embed",), (), {"type": int, "help": "worker cap for replicate fan-out, "
+                                                        "which forks on Linux only (default: "
+                                                        "the CPUs this process may use)"}),
     "--input": (("diagnose",), (("diagnose", "input"),), {"help": "degree snapshot CSV"}),
 }
 

@@ -475,14 +475,42 @@ def test_pools_leave_no_process(k2_ref, tmp_path, monkeypatch):
 
 
 def test_worker_memory_error_reaches_the_caller(k2_ref, monkeypatch):
-    # rn_mbi_flow's failed allocation, raised in a child, keeps its type and message
+    # rn_mbi_flow's failed allocation, raised in a child, keeps its type and
+    # message, and its cause holds the child's traceback
     def fails(jobs):
         raise MemoryError("rn_mbi_flow could not allocate its layers")
 
     monkeypatch.setattr(branching, "_tally_slice", fails)
-    with pytest.raises(MemoryError, match="could not allocate its layers"):
+    with pytest.raises(MemoryError, match="could not allocate its layers") as err:
         estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=300, kmax=4, lmax=4,
                      chunk_size=100, workers=2)
+    if sys.platform == "linux":
+        assert isinstance(err.value.__cause__, ChildProcessError)
+        assert ", in fails\n" in str(err.value.__cause__)
+
+
+class NeedsTwoArgs(Exception):
+    # pickles, but unpickling calls NeedsTwoArgs(a) and fails
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks")
+def test_worker_exception_that_does_not_pickle_keeps_its_text(k2_ref, monkeypatch):
+    class Local(Exception):    # a local class does not pickle
+        pass
+
+    for exc, text in [(Local("the slice failed"), "Local('the slice failed')"),
+                      (NeedsTwoArgs("the slice failed", 2), "NeedsTwoArgs('the slice failed')")]:
+        def fails(jobs, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(branching, "_tally_slice", fails)
+        with pytest.raises(RuntimeError) as err:
+            estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=300, kmax=4, lmax=4,
+                         chunk_size=100, workers=2)
+        assert type(err.value) is RuntimeError and str(err.value) == text
+        assert ", in fails\n" in str(err.value.__cause__)
 
 
 def test_estimate_pkl_failed_accounting(k1_ref):
