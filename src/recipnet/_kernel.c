@@ -3,9 +3,11 @@
  * MBI engine and limit-law flow, and of recipnet.embedding.embedding_chains.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
- * repeats it line for line on the same arrays: the same branch order, the
- * same double comparisons and the same truncations, so both produce the
- * same graph from the same uniforms, bit for bit. Change the two together.
+ * repeats it line for line on the same arrays: one body for both
+ * scenarios, whose sides (pool, degrees, group counter of the old
+ * endpoint and of the new node) the first uniform selects, the same double
+ * comparisons and the same truncations, so both produce the same graph
+ * from the same uniforms, bit for bit. Change the two together.
  * rn_format_int_rows writes the bytes that the %s row template of
  * _write_chunks writes for integer cells, str() of each, reading every
  * column where it lies (any item size, sign and stride), and
@@ -100,62 +102,38 @@ void rn_advance(const double *u, int64_t m, double alpha, double delta,
         }
         int32_t r = rn_draw_group(cum_pi, K, row[3]);
 
+        /* scenario 1: new node w sends (w, v), v by in-degree preference;
+         * scenario 2: w receives (v, w), v by out-degree preference */
+        int s1 = row[0] < alpha;
+        int32_t *v_pool = s1 ? in_pool : out_pool, *w_pool = s1 ? out_pool : in_pool;
+        int32_t *v_deg = s1 ? in_deg : out_deg, *w_deg = s1 ? out_deg : in_deg;
+        int64_t *v_edges = s1 ? g_in : g_out, *w_edges = s1 ? g_out : g_in;
         int64_t w = V + 1;
         int64_t v;
-        int32_t mg;
-        if (row[0] < alpha) {
-            /* new node w sends (w, v); v by in-degree preference */
-            if (row[1] * ((double)E + delta * (double)V) < (double)E)
-                v = in_pool[(int64_t)(row[2] * (double)E)];
-            else
-                v = (int64_t)(row[2] * (double)V) + 1;
-            mg = rn_group(node_group, wide, v);
-            in_deg[v] += 1;
-            in_pool[E] = (int32_t)v;
-            out_pool[E] = (int32_t)w;
-            g_in[mg] += 1;
-            g_out[r] += 1;
+        if (row[1] * ((double)E + delta * (double)V) < (double)E)
+            v = v_pool[(int64_t)(row[2] * (double)E)];
+        else
+            v = (int64_t)(row[2] * (double)V) + 1;
+        int32_t mg = rn_group(node_group, wide, v);
+        v_deg[v] += 1;
+        v_pool[E] = (int32_t)v;
+        w_pool[E] = (int32_t)w;
+        v_edges[mg] += 1;
+        w_edges[r] += 1;
+        E += 1;
+        if (row[4] < rho[s1 ? (int64_t)mg * K + r : (int64_t)r * K + mg]) {
+            w_deg[v] += 1;
+            v_pool[E] = (int32_t)w;
+            w_pool[E] = (int32_t)v;
+            v_edges[r] += 1;
+            w_edges[mg] += 1;
             E += 1;
-            if (row[4] < rho[(int64_t)mg * K + r]) {
-                out_deg[v] += 1;
-                in_pool[E] = (int32_t)w;
-                out_pool[E] = (int32_t)v;
-                g_in[r] += 1;
-                g_out[mg] += 1;
-                E += 1;
-                rc += 1;
-                in_deg[w] = 1;
-            } else {
-                in_deg[w] = 0;
-            }
-            out_deg[w] = 1;
+            rc += 1;
+            v_deg[w] = 1;
         } else {
-            /* new node w receives (v, w); v by out-degree preference */
-            if (row[1] * ((double)E + delta * (double)V) < (double)E)
-                v = out_pool[(int64_t)(row[2] * (double)E)];
-            else
-                v = (int64_t)(row[2] * (double)V) + 1;
-            mg = rn_group(node_group, wide, v);
-            out_deg[v] += 1;
-            in_pool[E] = (int32_t)w;
-            out_pool[E] = (int32_t)v;
-            g_in[r] += 1;
-            g_out[mg] += 1;
-            E += 1;
-            if (row[4] < rho[(int64_t)r * K + mg]) {
-                in_deg[v] += 1;
-                in_pool[E] = (int32_t)v;
-                out_pool[E] = (int32_t)w;
-                g_in[mg] += 1;
-                g_out[r] += 1;
-                E += 1;
-                rc += 1;
-                out_deg[w] = 1;
-            } else {
-                out_deg[w] = 0;
-            }
-            in_deg[w] = 1;
+            v_deg[w] = 0;
         }
+        w_deg[w] = 1;
         rn_set_group(node_group, wide, w, r);
         g_nodes[r] += 1;
         V += 1;
@@ -500,10 +478,10 @@ void rn_chains(bitgen_t *bg, int64_t n, int64_t R, const double *cum_pi, int32_t
             int64_t type2 = winner[i] >= j, k = winner[i] - j * type2;
             int64_t m = labels[i * w + k], r = labels[i * w + j];
             int64_t rec = bg->next_double(bg->state) < (type2 ? rho[r * K + m] : rho[m * K + r]);
-            n1[i * w + k] += !type2 | rec;
+            n1[i * w + k] += (!type2) | rec;
             n2[i * w + k] += type2 | rec;
             n1[i * w + j] = type2 | rec;
-            n2[i * w + j] = !type2 | rec;
+            n2[i * w + j] = (!type2) | rec;
         }
     }
 }

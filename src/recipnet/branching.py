@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .params import GroupRates, ModelParams, clock_rates, group_rates
+from .params import GroupRates, ModelParams, check_count, clock_rates, group_rates
 from .equilibrium import EquilibriumSolution, attachment_law
 
 DEFAULT_EVENT_BUDGET = 10_000_000
@@ -396,10 +396,8 @@ def _fork_slices(slices):
 def _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size):
     """One ``_sample_chunk`` job per chunk, in chunk order; chunk j draws
     from SeedSequence([seed, j])."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
-        raise ValueError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+    check_count("replicates", replicates, 1)
+    check_count("chunk_size", chunk_size, 1)
     rates = group_rates(params)
     sampler = LimitPairSampler.from_solution(params, sol)
     return [
@@ -446,6 +444,8 @@ def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
     Integer sums do not depend on the order, so the counts are the same for
     any ``workers``.
     """
+    check_count("kmax", kmax, 0)
+    check_count("lmax", lmax, 0)
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)

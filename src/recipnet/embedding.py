@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .params import ModelParams, clock_rates, draw_groups
+from .params import ModelParams, check_count, clock_rates, draw_groups
 
 MAX_ENUM_STEPS = 3
 CHUNK = 4096                # replicates per lockstep block in verify_equivalence
@@ -165,9 +165,11 @@ def enumerate_graph_law(params: ModelParams, n: int) -> dict:
         raise ValueError(f"n must be >= 0 graph steps, got {n}")
     if n > MAX_ENUM_STEPS:
         raise EnumerationTooLarge(f"exact enumeration supports n <= {MAX_ENUM_STEPS}, got {n}")
-    alpha, gamma, delta = params.alpha, params.gamma, params.delta
-    pi = params.pi
-    rho = params.rho
+    delta, pi = params.delta, params.pi
+    # scenario 1 (new node sends to vi) grows vi's in-degree, side 1 of a
+    # (group, in, out) node, and scenario 2 (vi sends to the new node) its
+    # out-degree, side 2; each with its rate and reply matrix
+    scenarios = ((params.alpha, 1, params.rho), (params.gamma, 2, params.rho.T))
     dist: dict = defaultdict(float)
 
     def expand(nodes: tuple, e: int, steps_left: int, prob: float):
@@ -181,35 +183,21 @@ def enumerate_graph_law(params: ModelParams, n: int) -> dict:
             pr = pi[r]
             if pr == 0.0:
                 continue
-            for vi, (g, din, dout) in enumerate(nodes):
-                # scenario 1: new node sends to vi
-                p_t = alpha * (din + delta) / denom * pr
-                if p_t > 0.0:
-                    rec = rho[g, r]
-                    if rec > 0.0:
-                        nxt = list(nodes)
-                        nxt[vi] = (g, din + 1, dout + 1)
-                        nxt.append((r, 1, 1))
-                        expand(tuple(nxt), e + 2, steps_left - 1, prob * p_t * rec)
-                    if rec < 1.0:
-                        nxt = list(nodes)
-                        nxt[vi] = (g, din + 1, dout)
-                        nxt.append((r, 0, 1))
-                        expand(tuple(nxt), e + 1, steps_left - 1, prob * p_t * (1.0 - rec))
-                # scenario 2: vi sends to new node
-                p_t = gamma * (dout + delta) / denom * pr
-                if p_t > 0.0:
-                    rec = rho[r, g]
-                    if rec > 0.0:
-                        nxt = list(nodes)
-                        nxt[vi] = (g, din + 1, dout + 1)
-                        nxt.append((r, 1, 1))
-                        expand(tuple(nxt), e + 2, steps_left - 1, prob * p_t * rec)
-                    if rec < 1.0:
-                        nxt = list(nodes)
-                        nxt[vi] = (g, din, dout + 1)
-                        nxt.append((r, 1, 0))
-                        expand(tuple(nxt), e + 1, steps_left - 1, prob * p_t * (1.0 - rec))
+            for vi, node in enumerate(nodes):
+                for rate, side, rho in scenarios:
+                    p_t = rate * (node[side] + delta) / denom * pr
+                    rec = rho[node[0], r]
+                    # reciprocated (both gain the other side too), then not
+                    for back, q in ((1, rec), (0, 1.0 - rec)):
+                        if p_t > 0.0 and q > 0.0:
+                            old, new = list(node), [r, back, back]
+                            old[side] += 1
+                            old[3 - side] += back
+                            new[3 - side] = 1
+                            nxt = list(nodes)
+                            nxt[vi] = tuple(old)
+                            nxt.append(tuple(new))
+                            expand(tuple(nxt), e + 1 + back, steps_left - 1, prob * p_t * q)
 
     for g in range(params.K):
         if pi[g] > 0.0:
@@ -328,8 +316,7 @@ def verify_equivalence(params: ModelParams, n: int, replicates: int,
     each row, tallies and decodes the distinct keys of all chunks once, and
     chi-square-tests the frequencies against the enumerated distribution.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    check_count("replicates", replicates, 1)
     _code_width(params.K, n)
     exact = enumerate_graph_law(params, n)
     rng = np.random.default_rng(seed)

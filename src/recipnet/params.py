@@ -125,6 +125,13 @@ def _finite(name, value, scalar=False):
     return float(a) if scalar else a.astype(float)   # a copy: the caller keeps theirs
 
 
+def check_count(name, value, least):
+    """Refuse ``value`` with a ValueError naming ``name`` unless it is an
+    integer (a Python or numpy int, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def draw_groups(cum_pi: np.ndarray, u):
     """Inverse-CDF draw of a group from pi for each uniform in ``u``.
 

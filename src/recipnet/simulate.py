@@ -6,7 +6,9 @@ an edge to a target drawn by in-degree preference, otherwise it receives
 an edge from a source drawn by out-degree preference. The old endpoint
 (group m) and the new node (group r) then flip a coin to add the reverse
 edge instantaneously: probability rho[m][r] when the group-m node is the
-replier, rho[r][m] when the new node is.
+replier, rho[r][m] when the new node is. The two scenarios mirror each
+other: scenario 2 is scenario 1 with in and out swapped and rho
+transposed, so ``_advance`` states the step once for both.
 
 Degree-proportional sampling uses endpoint pools: every edge appends its
 target to ``in_pool`` and its source to ``out_pool``, so a uniform pool
@@ -210,6 +212,11 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
     uniform node id; the mixture equals (D_v + delta)/(|E| + delta*|V|).
     Mutates ``state`` in place.
 
+    One body serves both scenarios. In scenario 1 the old endpoint v's
+    side is the in-pool, in-degrees and group in-edge counts, the new node
+    w's side the out-side, and v replies with rho[m][r]; scenario 2 swaps
+    the two sides and uses rho transposed.
+
     The loop below is the statement of the rule. ``_kernel.c`` repeats it
     line for line and runs instead on blocks of COMPILED_MIN_ROWS or more
     rows whenever it builds; the two produce the same state from the same
@@ -223,65 +230,45 @@ def _advance(state: GraphState, params: ModelParams, u: np.ndarray) -> None:
         return
 
     alpha, delta = params.alpha, params.delta
-    rho = params.rho.tolist()
     grp = draw_groups(cum_pi, u[:, 3])
     # memoryviews index and assign Python ints into the arrays
-    in_pool, out_pool = memoryview(state._in_pool), memoryview(state._out_pool)
-    in_deg, out_deg = memoryview(state._in_deg), memoryview(state._out_deg)
+    in_side = (memoryview(state._in_pool), memoryview(state._in_deg),
+               memoryview(state.group_in_edges))
+    out_side = (memoryview(state._out_pool), memoryview(state._out_deg),
+                memoryview(state.group_out_edges))
+    # (v's side, w's side, reply matrix) of scenario 1, then of scenario 2
+    scenarios = ((*in_side, *out_side, params.rho.tolist()),
+                 (*out_side, *in_side, params.rho.T.tolist()))
     node_group = memoryview(state._groups)
-    g_in = memoryview(state.group_in_edges)
-    g_out = memoryview(state.group_out_edges)
     g_nodes = memoryview(state.group_node_counts)
 
     E, V, rc = state.edge_count, state.n_nodes, state.reciprocal_count
     for row, r in zip(u.tolist(), grp.tolist()):
+        # scenario 1: new node w sends (w, v), v by in-degree preference;
+        # scenario 2: w receives (v, w), v by out-degree preference
+        v_pool, v_deg, v_edges, w_pool, w_deg, w_edges, rho = scenarios[row[0] >= alpha]
         w = V + 1
-        if row[0] < alpha:
-            # new node w sends (w, v); v by in-degree preference
-            if row[1] * (E + delta * V) < E:
-                v = in_pool[int(row[2] * E)]
-            else:
-                v = int(row[2] * V) + 1
-            m = node_group[v]
-            in_deg[v] += 1
-            in_pool[E], out_pool[E] = v, w
-            g_in[m] += 1
-            g_out[r] += 1
-            E += 1
-            if row[4] < rho[m][r]:
-                out_deg[v] += 1
-                in_pool[E], out_pool[E] = w, v
-                g_in[r] += 1
-                g_out[m] += 1
-                E += 1
-                rc += 1
-                in_deg[w] = 1
-            else:
-                in_deg[w] = 0
-            out_deg[w] = 1
+        if row[1] * (E + delta * V) < E:
+            v = v_pool[int(row[2] * E)]
         else:
-            # new node w receives (v, w); v by out-degree preference
-            if row[1] * (E + delta * V) < E:
-                v = out_pool[int(row[2] * E)]
-            else:
-                v = int(row[2] * V) + 1
-            m = node_group[v]
-            out_deg[v] += 1
-            in_pool[E], out_pool[E] = w, v
-            g_in[r] += 1
-            g_out[m] += 1
+            v = int(row[2] * V) + 1
+        m = node_group[v]
+        v_deg[v] += 1
+        v_pool[E], w_pool[E] = v, w
+        v_edges[m] += 1
+        w_edges[r] += 1
+        E += 1
+        if row[4] < rho[m][r]:
+            w_deg[v] += 1
+            v_pool[E], w_pool[E] = w, v
+            v_edges[r] += 1
+            w_edges[m] += 1
             E += 1
-            if row[4] < rho[r][m]:
-                in_deg[v] += 1
-                in_pool[E], out_pool[E] = v, w
-                g_in[m] += 1
-                g_out[r] += 1
-                E += 1
-                rc += 1
-                out_deg[w] = 1
-            else:
-                out_deg[w] = 0
-            in_deg[w] = 1
+            rc += 1
+            v_deg[w] = 1
+        else:
+            v_deg[w] = 0
+        w_deg[w] = 1
         node_group[w] = r
         g_nodes[r] += 1
         V += 1

@@ -18,6 +18,7 @@ from recipnet import (
     simulate_mbi_batch,
     solve_equilibrium,
     validate_params,
+    verify_equivalence,
 )
 from recipnet import branching
 from recipnet import io as rio
@@ -526,6 +527,30 @@ def test_estimate_pkl_rejects_bad_replicates(k1_ref):
     sol = solve_equilibrium(k1_ref)
     with pytest.raises(ValueError):
         estimate_pkl(k1_ref, sol, replicates=0, kmax=5, lmax=5)
+
+
+def _pkl(p, **kw):
+    return estimate_pkl(p, solve_equilibrium(p), **{"replicates": 10, "kmax": 5, "lmax": 5, **kw})
+
+
+def _pairs(p, **kw):
+    return sample_limit_pairs(p, solve_equilibrium(p), **{"replicates": 10, **kw})
+
+
+def _verify(p, **kw):
+    return verify_equivalence(p, 1, **{"replicates": 10, **kw})
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (_pkl, "replicates", 2.5), (_pkl, "replicates", True), (_pkl, "kmax", -1),
+    (_pkl, "lmax", -1), (_pairs, "replicates", 2.5), (_pairs, "replicates", True),
+    (_verify, "replicates", 2.5), (_verify, "replicates", True),
+])
+def test_sampler_counts_are_named_errors(k1_ref, call, name, value):
+    # unchecked, 2.5 replicates raised a TypeError from range(), True ran as
+    # one replicate and kmax -1 counted all mass as overflow
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        call(k1_ref, **{name: value})
 
 
 @pytest.mark.parametrize("chunk_size", [0, -5, 2.5])

@@ -1,4 +1,5 @@
 import copy
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from recipnet import (
     step,
     validate_params,
 )
+from recipnet import simulate
 from recipnet.embedding import _chi_square_against
 from recipnet.tails import pair_table
 from conftest import random_params, run_k2, sha256s
@@ -164,6 +166,64 @@ def test_step_law_chi_square_against_enumeration(k2_ref):
             enumerate_graph_law(k2_ref, n), observed, replicates)
         assert not impossible
         assert p_value > 1e-3
+
+
+MIRROR_MODELS = {
+    "k2": dict(alpha=0.5, delta=1.0, pi=[0.5, 0.5], rho=[[0.9, 0.9], [0.45, 0.45]]),
+    # a group that is never drawn, and coins that always or never reciprocate
+    "k3": dict(alpha=0.3, delta=0.7, pi=[0.6, 0.0, 0.4],
+               rho=[[0.0, 1.0, 0.35], [1.0, 0.5, 0.0], [0.2, 1.0, 1.0]]),
+}
+
+
+def _mirror(model):
+    """The model with the two scenarios swapped: 1 - alpha and rho transposed."""
+    return validate_params(**dict(model, alpha=1.0 - model["alpha"],
+                                  rho=np.array(model["rho"]).T))
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+@pytest.mark.parametrize("model", sorted(MIRROR_MODELS))
+def test_growth_step_is_mirror_symmetric(model, compiled, monkeypatch):
+    # swapping the scenarios (alpha with 1 - alpha, rho with its transpose,
+    # u0 with 1 - u0) swaps in with out throughout the graph
+    params, mirror = validate_params(**MIRROR_MODELS[model]), _mirror(MIRROR_MODELS[model])
+    if compiled:
+        if shutil.which(simulate._kernel.CC) is None:
+            pytest.skip(f"no C compiler ({simulate._kernel.CC}) to build the kernel")
+        assert simulate._kernel.load() is not None, simulate._kernel.error
+    else:
+        monkeypatch.setattr(simulate._kernel, "load", lambda: None)
+    u = np.random.default_rng(17).random((4000, 5))
+    # 1 - u0 must stay below 1, and must not round across the scenario threshold
+    u = u[(u[:, 0] > 0.0) & (np.abs(u[:, 0] - params.alpha) >= 1e-9)]
+    flipped = u.copy()
+    flipped[:, 0] = 1.0 - u[:, 0]
+    a = init_graph(params, np.random.default_rng(3), steps=len(u))
+    b = init_graph(mirror, np.random.default_rng(3), steps=len(u))
+    simulate._advance(a, params, u)
+    simulate._advance(b, mirror, flipped)
+    for x, y in (("in_pool", "out_pool"), ("in_deg", "out_deg"),
+                 ("group_in_edges", "group_out_edges")):
+        assert np.array_equal(getattr(a, x), getattr(b, y)), x
+        assert np.array_equal(getattr(a, y), getattr(b, x)), y
+    assert np.array_equal(a.node_group, b.node_group)
+    assert np.array_equal(a.group_node_counts, b.group_node_counts)
+    assert (a.n, a.n_nodes, a.edge_count, a.reciprocal_count) == (
+        b.n, b.n_nodes, b.edge_count, b.reciprocal_count)
+    assert 0 < a.reciprocal_count < a.n
+
+
+@pytest.mark.parametrize("model", sorted(MIRROR_MODELS))
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_graph_law_is_mirror_symmetric(model, n):
+    law = enumerate_graph_law(validate_params(**MIRROR_MODELS[model]), n)
+    mirrored = {(e, tuple(sorted((g, dout, din) for g, din, dout in cells))): prob
+                for (e, cells), prob in enumerate_graph_law(_mirror(MIRROR_MODELS[model]),
+                                                            n).items()}
+    assert mirrored.keys() == law.keys()
+    for key, prob in law.items():
+        assert mirrored[key] == pytest.approx(prob, rel=1e-12, abs=0.0), key
 
 
 def _recip_trajectory(params, seed, n):
