@@ -1,6 +1,7 @@
 /* Compiled mirrors of recipnet.simulate._advance, of the integer cells
  * of recipnet.io._write_chunks and io.read_table, of recipnet.branching's
- * MBI engine and limit-law flow, and of recipnet.embedding.embedding_chains.
+ * MBI engine and limit-law flow, of recipnet.embedding.embedding_chains,
+ * and of numpy's PCG64, which draws for them without numpy.random.
  *
  * _advance (Python) is the statement of the graph transition; rn_advance
  * repeats it line for line on the same arrays: one body for both
@@ -17,9 +18,10 @@
  * rn_mbi_batch repeats the fixed-horizon loop of simulate_mbi_batch around
  * rn_event, the mirror of branching._event, rn_mbi_flow the binomial flow
  * of branching._flow with _tally_chunk's tally (it writes no rows), and
- * rn_chains embedding_chains. They draw from the caller's numpy Generator
- * through its bitgen_t with numpy's own functions (libnpyrandom.a) in the
- * numpy code's order, so they leave the same counts and generator state:
+ * rn_chains embedding_chains. They draw from the caller's bitgen_t, that
+ * of rn_pcg64 (numpy's PCG64, below) or of a numpy Generator, with numpy's
+ * own functions (libnpyrandom.a) in the numpy code's order, so they leave
+ * the same counts and the same state as the numpy code on that stream:
  * per iteration, rn_mbi_batch takes an exponential and a uniform fill
  * (random_standard_exponential_fill and _uniform_fill, as
  * Generator.standard_exponential and .random do); rn_mbi_flow takes
@@ -28,7 +30,7 @@
  * type-I events, then type-I coins, then type-II coins (as
  * Generator.multinomial and .binomial do); next_double (one uniform of the
  * stream) draws rn_chains' labels and coins between its exponential fills
- * per replicate and jump. The caller holds the lock.
+ * per replicate and jump. The caller holds a Generator's lock.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -I<numpy include> _kernel.c
  * libnpyrandom.a -Wl,--exclude-libs,ALL -lm. Contracting u1*(E + delta*V),
@@ -261,6 +263,76 @@ void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *
 int64_t random_binomial(bitgen_t *bitgen_state, double p, int64_t n, void *binomial);
 void random_multinomial(bitgen_t *bitgen_state, int64_t n, int64_t *mnix, double *pix,
                         intptr_t d, void *binomial);
+
+/* numpy's PCG64 (numpy/random/src/pcg64/pcg64.h with 128-bit arithmetic)
+ * behind its bitgen_t, which points at the struct: XSL-RR output of the
+ * stepped 128-bit LCG state, the upper half of a 64-bit draw buffered for
+ * the next 32-bit one. rn_pcg64_seed is pcg64_set_seed: initstate
+ * (w0 << 64) + w1 and initseq (w2 << 64) + w3 are the four words of
+ * SeedSequence.generate_state(4, uint64), which _kernel.seed_words
+ * mirrors, so a PCG64 seeded here draws the stream of
+ * default_rng(SeedSequence(entropy)). The caller keeps the struct at a
+ * 16-byte boundary, in the room that _kernel.PCG64 sets aside. */
+typedef struct {
+    bitgen_t bg;
+    unsigned __int128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} rn_pcg64;
+
+_Static_assert(sizeof(rn_pcg64) <= 96, "_kernel.PCG64 sets aside 96 bytes");
+
+static inline void rn_pcg64_step(rn_pcg64 *p)
+{
+    p->state = p->state * (((unsigned __int128)2549297995355413924ULL << 64)
+                           + 4865540595714422341ULL) + p->inc;
+}
+
+static uint64_t rn_pcg64_next64(void *st)
+{
+    rn_pcg64 *p = st;
+    rn_pcg64_step(p);
+    uint64_t x = (uint64_t)(p->state >> 64) ^ (uint64_t)p->state;
+    unsigned rot = (unsigned)(p->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t rn_pcg64_next32(void *st)
+{
+    rn_pcg64 *p = st;
+    if (p->has_uint32) {
+        p->has_uint32 = 0;
+        return p->uinteger;
+    }
+    uint64_t x = rn_pcg64_next64(p);
+    p->has_uint32 = 1;
+    p->uinteger = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+static double rn_pcg64_next_double(void *st)
+{
+    return (double)(rn_pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+void rn_pcg64_seed(rn_pcg64 *p, uint64_t w0, uint64_t w1, uint64_t w2, uint64_t w3)
+{
+    p->bg = (bitgen_t){p, rn_pcg64_next64, rn_pcg64_next32, rn_pcg64_next_double,
+                       rn_pcg64_next64};
+    p->state = 0;
+    p->inc = ((unsigned __int128)w2 << 64 | w3) << 1 | 1;
+    rn_pcg64_step(p);
+    p->state += (unsigned __int128)w0 << 64 | w1;
+    rn_pcg64_step(p);
+    p->has_uint32 = 0;
+    p->uinteger = 0;
+}
+
+/* Generator.random's fill, for any bitgen_t */
+void rn_uniform_fill(bitgen_t *bg, int64_t n, double *out)
+{
+    random_standard_uniform_fill(bg, n, out);
+}
 
 /* branching._event: move (*a1, *a2) by the event x = u * (w1 + w2) picks */
 static inline void rn_event(double *a1, double *a2, double x, double w1, double w2,

@@ -6,18 +6,25 @@ integer tables, which read and fill the columns where they lie;
 ``branching.simulate_mbi_batch`` around one mirror of its event step
 ``_event``; ``rn_mbi_flow``, the compiled mirror of the limit law's
 binomial flow ``branching._flow`` with ``_tally_chunk``'s tally (the raw
-rows of ``_sample_chunk`` are drawn by numpy alone); and ``rn_chains``,
-the compiled mirror of ``embedding.embedding_chains``.
+rows of ``_sample_chunk`` are drawn by numpy alone); ``rn_chains``,
+the compiled mirror of ``embedding.embedding_chains``; and
+``rn_pcg64_seed``, a pinned mirror of numpy's PCG64 seeded with the words
+of ``seed_words``, the pinned mirror of
+``SeedSequence(entropy).generate_state(4, np.uint64)``.
 
-The MBI and chain entry points draw from the caller's numpy Generator
-with numpy's own functions: per iteration, ``rn_mbi_batch`` an
-exponential and a uniform fill; ``rn_mbi_flow`` ``random_multinomial``
-for the group counts, then once per group for the initial states, then
-per layer one ``random_binomial`` per state for the kills, the type-I
-events, their coins and the type-II coins, in that order, as
-``Generator.multinomial`` and ``.binomial`` do; ``rn_chains`` an
-exponential fill per replicate and jump, with single uniforms between.
-So they are linked against numpy's own ``libnpyrandom.a`` (with its
+The MBI and chain entry points and ``rn_uniform_fill`` draw from a
+``bitgen_t``: a ``PCG64``'s, which draws the stream of
+``np.random.default_rng(entropy)`` without importing ``numpy.random``
+(whose extension modules cost a process about 5 MB), or a numpy
+Generator's. They draw with numpy's own functions: per iteration,
+``rn_mbi_batch`` an exponential and a uniform fill; ``rn_mbi_flow``
+``random_multinomial`` for the group counts, then once per group for the
+initial states, then per layer one ``random_binomial`` per state for the
+kills, the type-I events, their coins and the type-II coins, in that
+order, as ``Generator.multinomial`` and ``.binomial`` do; ``rn_chains``
+an exponential fill per replicate and jump, with single uniforms
+between; ``rn_uniform_fill`` the fill of ``Generator.random``. So they
+are linked against numpy's own ``libnpyrandom.a`` (with its
 ``bitgen.h``, and no Python headers: the C declares the numpy functions
 it calls); ``--exclude-libs`` keeps numpy's symbols out of the library's
 exports.
@@ -41,6 +48,8 @@ and chains and writes the same bytes. Nothing here runs at import time.
 
 from __future__ import annotations
 
+import contextlib
+import operator
 import os
 
 CC = "cc"
@@ -185,6 +194,115 @@ def column_layout(columns):
                      for col in columns], dtype=np.int64)
 
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx)
+POOL_SIZE = 4
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+MASK32 = 0xFFFFFFFF
+
+
+def _coerce_to_uint32_array(entropy) -> list:
+    """SeedSequence's 32-bit words of a non-negative int, low word first, or
+    of each entry of a list or tuple in turn."""
+    if isinstance(entropy, (list, tuple)):
+        return [w for x in entropy for w in _coerce_to_uint32_array(x)]
+    n = operator.index(entropy)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & MASK32]
+    while n > MASK32:
+        n >>= 32
+        words.append(n & MASK32)
+    return words
+
+
+def seed_words(entropy) -> list:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` as Python ints:
+    the entropy hashed into a pool of 4 words, the pool mixed, then 8 words
+    drawn from it and paired low word first."""
+    entropy = _coerce_to_uint32_array(entropy)
+    const = INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * MULT_A & MASK32
+        value = value * const & MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(POOL_SIZE)]
+    for i_src in range(POOL_SIZE):
+        for i_dst in range(POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for value in entropy[POOL_SIZE:]:
+        for i_dst in range(POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(value))
+    const, words = INIT_B, []
+    for i in range(8):
+        value = pool[i % POOL_SIZE] ^ const
+        const = const * MULT_B & MASK32
+        value = value * const & MASK32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class PCG64:
+    """The stream of ``np.random.default_rng(entropy)``, drawn by ``lib``'s
+    compiled PCG64 without importing ``numpy.random``. ``bitgen`` is the
+    address of its ``bitgen_t``, which the kernel's entry points take in
+    place of a Generator's; ``random`` is ``Generator.random``, one float or
+    a C-contiguous float64 ``out`` filled."""
+
+    def __init__(self, lib, entropy):
+        import numpy as np
+
+        self._lib = lib
+        # rn_pcg64 holds two 128-bit integers: 96 bytes from a 16-byte boundary
+        self._room = np.zeros(14, dtype=np.uint64)
+        self.bitgen = -(-self._room.ctypes.data // 16) * 16
+        lib.rn_pcg64_seed(self.bitgen, *seed_words(entropy))
+
+    def random(self, *, out=None):
+        import numpy as np
+
+        fill = np.empty(()) if out is None else out
+        if fill.dtype != np.float64 or not fill.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 array")
+        self._lib.rn_uniform_fill(self.bitgen, fill.size, fill.ctypes.data)
+        return float(fill) if out is None else fill
+
+
+def default_rng(lib, entropy):
+    """``np.random.default_rng(entropy)``'s stream: a ``PCG64`` of ``lib``
+    where it loaded and ``seed_words`` takes the entropy (a non-negative int
+    or a list of them), else numpy's Generator, which decides any other
+    entropy (None, an array, a negative int) as it always has."""
+    if lib is not None:
+        try:
+            return PCG64(lib, entropy)
+        except (TypeError, ValueError):
+            pass
+    import numpy as np
+
+    return np.random.default_rng(entropy)
+
+
+@contextlib.contextmanager
+def bitgen(rng):
+    """The address of the ``bitgen_t`` that ``rng`` draws from: a PCG64's
+    own, or a numpy Generator's, held under the Generator's lock."""
+    if isinstance(rng, PCG64):
+        yield rng.bitgen
+    else:
+        with rng.bit_generator.lock:
+            yield rng.bit_generator.ctypes.bit_generator
+
+
 def load():
     """The ctypes library with its entry points typed, or None with the
     reason in ``error``."""
@@ -202,6 +320,7 @@ def load():
             pass
         lib = ctypes.CDLL(path)
         p, i32, i64, f64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+        u64 = ctypes.c_uint64
         lib.rn_advance.argtypes = [p, i64, f64, f64, p, p, i32, p, p, p, p, p, i32, p, p, p, p]
         lib.rn_advance.restype = None
         lib.rn_format_int_rows.argtypes = [p, i64, i32, p]
@@ -213,7 +332,10 @@ def load():
                                     i64, i64, p]
         lib.rn_mbi_flow.restype = i64
         lib.rn_chains.argtypes = [p, i64, i64, p, i32, p, f64, f64, f64, p, p, p, p]
+        lib.rn_pcg64_seed.argtypes = [p, u64, u64, u64, u64]
+        lib.rn_uniform_fill.argtypes = [p, i64, p]
         lib.rn_mbi_batch.restype = lib.rn_chains.restype = None
+        lib.rn_pcg64_seed.restype = lib.rn_uniform_fill.restype = None
         _lib = lib
     except (OSError, AttributeError) as exc:   # the Python code runs instead
         error = f"{type(exc).__name__}: {exc}"

@@ -30,10 +30,12 @@ times, two variates per event (an exponential wait, then the event step
 ``_event``, which reads the clock and the coin from one x = u * (w1 + w2)).
 ``rn_mbi_flow`` (the flow with ``_tally_chunk``'s tally) and
 ``rn_mbi_batch`` in ``_kernel.c`` repeat the flow and the loop line for
-line. They draw from the caller's numpy Generator in the numpy code's
-order and run instead whenever the kernel loads (see ``_kernel``), with
-the same counts and the same generator state after the call. The raw
-rows of ``sample_limit_pairs`` come from ``_flow`` in numpy alone.
+line. They draw in the numpy code's order and run instead whenever the
+kernel loads (see ``_kernel``), with the same counts and the same
+generator state after the call: ``rn_mbi_batch`` from the caller's
+generator, ``rn_mbi_flow`` from the kernel's PCG64, seeded as
+``_chunk_rng`` seeds numpy's, so a tally never imports ``numpy.random``.
+The raw rows of ``sample_limit_pairs`` come from ``_flow`` in numpy alone.
 """
 
 from __future__ import annotations
@@ -106,8 +108,11 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
     labels = np.asarray(labels)
     lib = _kernel.load()
     # the compiled loop indexes memory with the labels, so it takes in-range
-    # integer labels, one per row, and numpy's own Generator only
-    if (lib is not None and isinstance(rng, np.random.Generator)
+    # integer labels, one per row, and the kernel's PCG64 or numpy's own
+    # Generator only (tested in that order: naming np.random.Generator
+    # imports numpy.random)
+    if (lib is not None
+            and (isinstance(rng, _kernel.PCG64) or isinstance(rng, np.random.Generator))
             and labels.dtype.kind in "iu" and labels.shape == left.shape == n1.shape
             and np.all((labels >= 0)
                        & (labels < min(rates.rho_row.size, rates.rho_col.size)))):
@@ -115,12 +120,12 @@ def simulate_mbi_batch(labels: np.ndarray, inits: np.ndarray, t_ends: np.ndarray
         rho_row, rho_col = (np.ascontiguousarray(r, dtype=float)
                             for r in (rates.rho_row, rates.rho_col))
         work = np.empty(6 * len(n1))
-        with rng.bit_generator.lock:
-            lib.rn_mbi_batch(rng.bit_generator.ctypes.bit_generator, len(n1),
-                             labels.ctypes.data, left.ctypes.data, rho_row.ctypes.data,
-                             rho_col.ctypes.data, params.alpha, params.gamma, params.delta,
-                             event_budget, n1.ctypes.data, n2.ctypes.data, events.ctypes.data,
-                             failed.ctypes.data, work.ctypes.data)
+        with _kernel.bitgen(rng) as bitgen:
+            lib.rn_mbi_batch(bitgen, len(n1), labels.ctypes.data, left.ctypes.data,
+                             rho_row.ctypes.data, rho_col.ctypes.data, params.alpha,
+                             params.gamma, params.delta, event_budget, n1.ctypes.data,
+                             n2.ctypes.data, events.ctypes.data, failed.ctypes.data,
+                             work.ctypes.data)
         return n1, n2, events, failed
 
     # the running rows, compacted whenever some of them stop; every running
@@ -293,30 +298,29 @@ def _tally_chunk(args):
     then the overflow count of each group, then the failed count.
 
     ``rn_mbi_flow`` draws and tallies the chunk whenever the kernel loads
-    and the model's arrays have the shapes it indexes memory with; the
-    numpy code below is the statement it mirrors."""
+    and the model's arrays have the shapes it indexes memory with, from the
+    kernel's PCG64 on the stream of ``_chunk_rng(job)``; the numpy code
+    below is the statement it mirrors."""
     job, kmax, lmax = args
-    params, rates, sampler, _, size, _, event_budget = job
+    params, rates, sampler, j, size, seed, event_budget = job
     K = params.K
     cells = K * (kmax + 1) * (lmax + 1)
     counts = np.zeros(cells + K + 1, dtype=np.int64)
-    rng = _chunk_rng(job)
     pi, probs, rho_row, rho_col = (
         np.ascontiguousarray(a, dtype=float)
         for a in (params.pi, sampler.init_probs, rates.rho_row, rates.rho_col))
     lib = _kernel.load()
     if (lib is not None and min(kmax, lmax) >= 0 and probs.shape == (K, 3)
             and pi.shape == rho_row.shape == rho_col.shape == (K,)):
-        with rng.bit_generator.lock:
-            status = lib.rn_mbi_flow(rng.bit_generator.ctypes.bit_generator, size,
-                                     pi.ctypes.data, K, probs.ctypes.data, sampler.c_star,
-                                     rho_row.ctypes.data, rho_col.ctypes.data, params.alpha,
-                                     params.gamma, params.delta, event_budget, kmax, lmax,
-                                     counts.ctypes.data)
+        rng = _kernel.PCG64(lib, [seed, j])     # the stream of _chunk_rng(job)
+        status = lib.rn_mbi_flow(rng.bitgen, size, pi.ctypes.data, K, probs.ctypes.data,
+                                 sampler.c_star, rho_row.ctypes.data, rho_col.ctypes.data,
+                                 params.alpha, params.gamma, params.delta, event_budget,
+                                 kmax, lmax, counts.ctypes.data)
         if status != 0:
             raise MemoryError("rn_mbi_flow could not allocate its layers")
         return counts
-    labels, n1, n2, n, failed = _flow(job, rng)
+    labels, n1, n2, n, failed = _flow(job, _chunk_rng(job))
     code = np.where((n1 <= kmax) & (n2 <= lmax),
                     (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
     code[failed] = cells + K
@@ -348,12 +352,14 @@ def _child_result(jobs):
 
 def _fork_slices(slices):
     """The summed counts of ``slices``, one forked child per slice. Each child
-    writes ``_child_result`` into a pipe. The parent draws nothing, so the
-    library pages a first tally touches (about 5 MB) stay out of its RSS; it
-    re-raises a child's exception from a ``ChildProcessError`` holding the child's
-    traceback, and raises ``ChildProcessError`` for a child that died without
-    a result. On any error or interrupt the parent kills and reaps the
-    children still running."""
+    writes ``_child_result`` into a pipe. The parent draws nothing, so its
+    memory does not grow with the chunks; a tally imports no
+    ``numpy.random``, so the forks buy parallel workers, not a lower peak
+    RSS than a tally in-process. The parent re-raises a child's exception
+    from a ``ChildProcessError`` holding the child's traceback, and raises
+    ``ChildProcessError`` for a child that died without a result. On any
+    error or interrupt the parent kills and reaps the children still
+    running."""
     _kernel.load()    # built once here; the children inherit the library
     pipes, running = [], []   # the parent's open pipe ends; the children not yet reaped
     try:

@@ -17,7 +17,9 @@ parent and child both gain the other particle type.
 
 All replicates run in lockstep as (replicates, n + 1) arrays: one jump
 draws a (replicates, 2j) block of exponentials and takes the argmin.
-``rn_chains`` in ``_kernel.c`` mirrors that loop draw for draw.
+``rn_chains`` in ``_kernel.c`` mirrors that loop draw for draw, and
+``verify_equivalence`` hands it the kernel's PCG64 on the stream of
+``default_rng(seed)``, so a compiled run never imports ``numpy.random``.
 ``verify_equivalence`` compares chain Monte Carlo against exact
 enumeration of the graph law on the observable
 
@@ -49,6 +51,20 @@ class EnumerationTooLarge(ValueError):
     """Exact expansion of the graph law is only supported for n <= 3."""
 
 
+def _chains_kernel(params: ModelParams):
+    """The loaded kernel if ``rn_chains`` takes ``params``, else None.
+
+    The compiled loop indexes rho with labels it draws from cumsum(pi), so
+    both must have K entries per axis, and it needs positive rates, so that
+    no clock's time is 0 / 0 (NaN, which np.argmin would pick)."""
+    lib = _kernel.load()
+    if (lib is not None and np.size(params.pi) == params.K
+            and np.shape(params.rho) == (params.K, params.K)
+            and min(params.alpha, params.gamma) * params.delta > 0.0):
+        return lib
+    return None
+
+
 def embedding_chains(params: ModelParams, n: int, replicates: int,
                      rng: np.random.Generator):
     """Run ``replicates`` independent linked chains for ``n`` jumps in lockstep.
@@ -63,29 +79,24 @@ def embedding_chains(params: ModelParams, n: int, replicates: int,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0 jumps, got {n}")
-    if replicates < 0:
-        raise ValueError(f"replicates must be >= 0, got {replicates}")
+    check_count("replicates", replicates, 0)
     alpha, gamma, delta = params.alpha, params.gamma, params.delta
     cum_pi = np.cumsum(params.pi)
     labels = np.zeros((replicates, n + 1), dtype=np.int64)
     n1 = np.zeros((replicates, n + 1), dtype=np.int64)
     n2 = np.zeros((replicates, n + 1), dtype=np.int64)
     n1[:, 0] = n2[:, 0] = 1
-    lib = _kernel.load()
-    # the compiled loop indexes rho with labels it draws from cum_pi, so
-    # both must have K entries per axis; it takes numpy's Generator only, and
-    # positive rates, so that no clock's time is 0 / 0 (NaN, which np.argmin
-    # would pick)
-    if (lib is not None and isinstance(rng, np.random.Generator)
-            and cum_pi.shape == (params.K,) and np.shape(params.rho) == (params.K, params.K)
-            and min(alpha, gamma) * delta > 0.0):
+    lib = _chains_kernel(params)
+    # it takes the kernel's PCG64 or numpy's Generator only (tested in that
+    # order: naming np.random.Generator imports numpy.random)
+    if lib is not None and (isinstance(rng, _kernel.PCG64)
+                            or isinstance(rng, np.random.Generator)):
         cum_pi, rho = (np.ascontiguousarray(a, dtype=float) for a in (cum_pi, params.rho))
         work = np.empty(replicates + 2 * n)
-        with rng.bit_generator.lock:
-            lib.rn_chains(rng.bit_generator.ctypes.bit_generator, n, replicates,
-                          cum_pi.ctypes.data, params.K, rho.ctypes.data, alpha, gamma, delta,
-                          labels.ctypes.data, n1.ctypes.data, n2.ctypes.data,
-                          work.ctypes.data)
+        with _kernel.bitgen(rng) as bitgen:
+            lib.rn_chains(bitgen, n, replicates, cum_pi.ctypes.data, params.K,
+                          rho.ctypes.data, alpha, gamma, delta, labels.ctypes.data,
+                          n1.ctypes.data, n2.ctypes.data, work.ctypes.data)
         return labels, n1, n2
 
     rows = np.arange(replicates)
@@ -312,14 +323,17 @@ def verify_equivalence(params: ModelParams, n: int, replicates: int,
     """Exact graph law vs chain Monte Carlo on the degree observable.
 
     Runs ``replicates`` independent chains for n jumps (n <= 3) from one
-    ``default_rng(seed)`` stream, ``CHUNK`` replicates at a time, keys
+    ``default_rng(seed)`` stream (the kernel's PCG64 draws it whenever
+    ``rn_chains`` runs), ``CHUNK`` replicates at a time, keys
     each row, tallies and decodes the distinct keys of all chunks once, and
     chi-square-tests the frequencies against the enumerated distribution.
     """
     check_count("replicates", replicates, 1)
     _code_width(params.K, n)
     exact = enumerate_graph_law(params, n)
-    rng = np.random.default_rng(seed)
+    # one stream for every chunk: the kernel's PCG64 only if rn_chains takes
+    # the model, since the numpy loop draws from a Generator
+    rng = _kernel.default_rng(_chains_kernel(params), seed)
     chunk_keys = [_row_keys(*embedding_chains(params, n, min(CHUNK, replicates - start), rng),
                             params.K)
                   for start in range(0, replicates, CHUNK)]

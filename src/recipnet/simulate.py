@@ -38,6 +38,8 @@ ResourceLimit and before allocating, any n with 2n+1 > 2**31 - 1.
 COMPILED_MIN_ROWS or more rows it hands the work to ``_kernel.c``, its
 compiled line-for-line mirror, whenever that builds (see ``_kernel``),
 and otherwise runs its own loop; the state is the same either way.
+Whenever it builds, ``run`` also draws ``default_rng(seed)``'s stream
+from the kernel's PCG64, which never imports ``numpy.random``.
 
 Node ids are 1-based (node 1 is the root); group indices are 0-based.
 """
@@ -333,7 +335,7 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
     if snaps and (snaps[0] < 1 or snaps[-1] > config.n_steps):
         raise ValueError("snapshot steps must lie in [1, n_steps]")
 
-    rng = np.random.default_rng(config.seed)
+    rng = _kernel.default_rng(_kernel.load(), config.seed)
     state = init_graph(params, rng, config.n_steps)
     block = np.empty((min(BLOCK, config.n_steps), 5))
     snap_rows = []

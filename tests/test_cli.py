@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import recipnet
+from recipnet import _kernel
 from recipnet.cli import DEFAULTS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -562,6 +564,47 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
         assert done.returncode == 0, (command, done.stderr)
         loaded = {m.split(".", 1)[1] for m in json.loads(done.stdout.splitlines()[-1])}
         assert "cli" in loaded and not loaded & forbidden, (command, sorted(loaded))
+
+
+# exits 77 where a plain ``import numpy`` already loads numpy.random
+WITHOUT_NUMPY_RANDOM = """
+import os, sys
+import numpy
+if "numpy.random" in sys.modules:
+    sys.exit(77)
+sys.modules["numpy.random"] = None
+from recipnet import _kernel, cli
+if _kernel.load() is None:
+    sys.exit(f"no compiled kernel: {_kernel.error}")
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+for argv in ARGVS:
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+sys.exit(0 if forks else "embed did not fork")
+"""
+
+
+@pytest.mark.skipif(shutil.which(_kernel.CC) is None,
+                    reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_drawing_subcommands_never_import_numpy_random(tmp_path):
+    # with the kernel loaded every draw comes from its PCG64, so numpy.random
+    # blocked in a fresh interpreter fails no subcommand that draws; embed's
+    # 3200000 replicates are 4 chunks of 2^20, so two children fork and
+    # inherit the block
+    cfg = str(CONFIGS / "k1.json")
+    argvs = [["simulate", "--config", cfg, "--out", str(tmp_path / "simulate"),
+              "--n-steps", "20000"],
+             ["verify", "--config", cfg, "--out", str(tmp_path / "verify")],
+             ["embed", "--config", cfg, "--out", str(tmp_path / "embed"), "--threads", "2",
+              "--replicates", "3200000"]]
+    src = str(Path(recipnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", f"ARGVS = {argvs!r}\n{WITHOUT_NUMPY_RANDOM}"],
+                          capture_output=True, text=True, env=env)
+    if done.returncode == 77:
+        pytest.skip("import numpy loads numpy.random")
+    assert done.returncode == 0, done.stderr
 
 
 # the variables OpenBLAS reads its thread count from, in its order

@@ -112,8 +112,16 @@ def test_negative_n_is_a_named_error(k1_ref, call):
 
 def test_negative_replicates_is_a_named_error(k1_ref):
     # unchecked, numpy refuses the negative dimension without naming it
-    with pytest.raises(ValueError, match="replicates must be >= 0"):
+    with pytest.raises(ValueError, match="replicates must be an integer >= 0"):
         embedding_chains(k1_ref, 1, -5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("replicates", [2.5, True])
+def test_replicates_that_is_no_integer_is_a_named_error(k1_ref, replicates):
+    # unchecked, numpy raises a TypeError that names neither replicates nor
+    # the value, and a bool is no count
+    with pytest.raises(ValueError, match="replicates must be an integer >= 0"):
+        embedding_chains(k1_ref, 1, replicates, np.random.default_rng(0))
 
 
 def test_verify_equivalence_one_step_k1(k1_ref):

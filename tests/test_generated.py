@@ -24,8 +24,8 @@ import pytest
 from recipnet import _kernel, branching, simulate
 from recipnet.params import group_rates, validate_params
 from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy,
-                         assert_flow_matches_numpy, assert_same_run, format_rows,
-                         parse_rows, str_rows)
+                         assert_flow_matches_numpy, assert_pcg64_matches_numpy,
+                         assert_same_run, format_rows, parse_rows, str_rows)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -54,6 +54,17 @@ def test_chains_match_numpy_loop_on_generated_models(params, n, replicates, seed
     assert lib is not None, _kernel.error
     with pytest.MonkeyPatch.context() as patch:
         assert_chains_match_numpy(patch, lib, params, n, replicates, seed)
+
+
+ENTROPY_INTS = st.integers(0, 2**130 - 1)
+
+
+@GENERATED
+@given(st.one_of(ENTROPY_INTS, st.lists(ENTROPY_INTS, max_size=5)))
+def test_pcg64_matches_numpy_on_generated_entropy(entropy):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    assert_pcg64_matches_numpy(lib, entropy)
 
 
 @st.composite

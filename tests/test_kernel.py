@@ -14,6 +14,7 @@ rows. The Python side of each comparison runs with ``_kernel.load``
 patched to return None.
 """
 
+import ctypes
 import os
 import shutil
 from importlib import resources
@@ -464,29 +465,41 @@ def test_estimate_pkl_chunk_edges_match_numpy_tally(monkeypatch, k2_ref, replica
 
 
 def run_with(load, fn):
-    """``fn()`` with ``_kernel.load`` returning ``load``: its outputs, then
-    the state of the one numpy Generator it made and four uniforms drawn
-    from it after the call."""
+    """``fn()`` with ``_kernel.load`` returning ``load``: its outputs and
+    four uniforms drawn after the call from the one stream it made, a numpy
+    Generator or the kernel's PCG64, then that Generator's state, or None
+    for a PCG64."""
     made = []
     real = np.random.default_rng
+
+    class RecordedPCG64(_kernel.PCG64):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.random, "default_rng", lambda *args: made.append(real(*args)) or made[-1])
+        patch.setattr(_kernel, "PCG64", RecordedPCG64)
         patch.setattr(_kernel, "load", lambda: load)
         out = fn()
     assert len(made) == 1
-    return (*out, made[0].random(4)), made[0].bit_generator.state
+    state = made[0].bit_generator.state if isinstance(made[0], np.random.Generator) else None
+    return (*out, made[0].random(out=np.empty(4))), state
 
 
 def assert_same_run(load, fn):
     """``fn`` through ``load``'s entry points and through numpy: the same
-    arrays, dtypes and generator state. Returns the compiled outputs."""
+    arrays, dtypes and generator state. Where the compiled side drew from
+    the kernel's PCG64, the four uniforms that each side draws after the
+    call hold the two streams to the same state. Returns the compiled
+    outputs and whether the compiled side drew from a PCG64."""
     compiled, compiled_state = run_with(load, fn)
     numpy_side, numpy_state = run_with(None, fn)
     assert len(compiled) == len(numpy_side)
     for a, b in zip(compiled, numpy_side):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert compiled_state == numpy_state
-    return compiled
+    assert numpy_state is not None and compiled_state in (None, numpy_state)
+    return compiled, compiled_state is None
 
 
 def assert_flow_matches_numpy(lib, job, grids):
@@ -495,19 +508,23 @@ def assert_flow_matches_numpy(lib, job, grids):
     ``_sample_chunk`` for the same chunk, tallied by ``_tally_chunk``'s rule:
     grid cell, else the group's overflow, and failed rows apart. The rows
     are drawn by numpy alone, so this holds the compiled flow to the numpy
-    flow record for record. The kernel runs once per compiled tally."""
+    flow record for record. The kernel runs once per compiled tally, from
+    its own PCG64 seeded as ``_chunk_rng`` seeds the numpy Generator."""
     calls = []
 
     def rn_mbi_flow(*args):
         calls.append(args[12:14])
         return lib.rn_mbi_flow(*args)
 
-    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow)
+    kernel = SimpleNamespace(rn_mbi_flow=rn_mbi_flow, rn_pcg64_seed=lib.rn_pcg64_seed,
+                             rn_uniform_fill=lib.rn_uniform_fill)
     labels, n1, n2, failed = run_with(kernel, lambda: branching._sample_chunk(job))[0][:4]
     assert calls == []
     K = job[0].K
     for kmax, lmax in grids:
-        counts = assert_same_run(kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])[0]
+        (counts, _), pcg64 = assert_same_run(
+            kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
+        assert pcg64
         cells = K * (kmax + 1) * (lmax + 1)
         code = np.where((n1 <= kmax) & (n2 <= lmax),
                         (labels * (kmax + 1) + n1) * (lmax + 1) + n2, cells + labels)
@@ -615,17 +632,92 @@ def test_chains_leave_zero_rates_to_numpy(monkeypatch):
     assert (n1.sum(axis=1) == n2.sum(axis=1)).all() and (n1[:, 1:] == 0).any()
 
 
+ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7, [0, 0], [11, 7], [2**40, 3]]
+
+
+class BitGen(ctypes.Structure):
+    """numpy's bitgen_t: a state and the functions that draw from it."""
+    _fields_ = [("state", ctypes.c_void_p),
+                ("next_uint64", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+                ("next_uint32", ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)),
+                ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
+                ("next_raw", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p))]
+
+
+def draws(address, kinds):
+    """One draw of each kind ("next_uint64", ...) in turn from the bitgen_t at ``address``."""
+    bg = BitGen.from_address(address)
+    return [getattr(bg, kind)(bg.state) for kind in kinds]
+
+
+# 1000 of each kind, then the 32-bit buffer between 64-bit and double draws
+KINDS = (["next_uint64"] * 1000 + ["next_uint32"] * 1001 + ["next_double"] * 1000
+         + ["next_raw", "next_uint32", "next_uint32", "next_uint32", "next_double"] * 200)
+
+
+def assert_pcg64_matches_numpy(lib, entropy):
+    """The kernel's PCG64 against numpy's PCG64 and Generator, seeded from
+    ``entropy``: SeedSequence's words, every kind of draw and the uniform fill."""
+    words = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    assert _kernel.seed_words(entropy) == words.tolist()
+    ours = _kernel.PCG64(lib, entropy)
+    theirs = np.random.PCG64(np.random.SeedSequence(entropy))
+    assert draws(ours.bitgen, KINDS) == draws(theirs.ctypes.bit_generator.value, KINDS)
+    generator = np.random.Generator(theirs)
+    assert np.array_equal(ours.random(out=np.empty(1000)), generator.random(1000))
+    assert ours.random() == generator.random()
+    out, expected = np.empty((7, 5)), np.empty((7, 5))
+    assert ours.random(out=out) is out
+    assert np.array_equal(out, generator.random(out=expected))
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=str)
+def test_pcg64_matches_numpy(entropy):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    assert_pcg64_matches_numpy(lib, entropy)
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+@pytest.mark.parametrize("entropy", [-1, [3, -1], 2.5], ids=str)
+def test_pcg64_refuses_what_seed_sequence_refuses(entropy):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    error = ValueError if entropy != 2.5 else TypeError
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy)
+    with pytest.raises(error):
+        _kernel.PCG64(lib, entropy)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _kernel.PCG64(lib, 0).random(out=np.empty((4, 5))[:, ::2])
+
+
+@pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
+def test_default_rng_leaves_other_entropy_to_numpy(k2_ref):
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    assert isinstance(_kernel.default_rng(lib, [3, 4]), _kernel.PCG64)
+    assert isinstance(_kernel.default_rng(None, 3), np.random.Generator)
+    for entropy in (None, np.array([3, 4], dtype=np.uint32), range(3)):
+        assert isinstance(_kernel.default_rng(lib, entropy), np.random.Generator)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _kernel.default_rng(lib, -1)
+    # seed None draws fresh entropy from numpy, as without the kernel
+    run(k2_ref, SimConfig(n_steps=100, seed=None)).state.check_invariants()
+
+
 @pytest.mark.skipif(NO_CC, reason=f"no C compiler ({_kernel.CC}) to build the kernel")
 def test_library_exports_only_rn_symbols():
     lib = _kernel.load()
     assert lib is not None, _kernel.error
     for name in ("rn_advance", "rn_format_int_rows", "rn_parse_int_rows", "rn_mbi_batch",
-                 "rn_mbi_flow", "rn_chains"):
+                 "rn_mbi_flow", "rn_chains", "rn_pcg64_seed", "rn_uniform_fill"):
         assert hasattr(lib, name), name
     # --exclude-libs keeps libnpyrandom.a's symbols out of the dynamic table
     for name in ("random_standard_exponential_fill", "random_standard_uniform_fill",
                  "random_standard_exponential", "random_binomial", "random_multinomial",
-                 "rn_draw_group", "rn_record"):
+                 "rn_draw_group", "rn_record", "rn_pcg64_next64"):
         assert not hasattr(lib, name), name
 
 
