@@ -35,7 +35,7 @@ P_THRESHOLD = 0.001
 # wrapper set with setattr is the one that runs.
 _LAZY = {"build_jstar", "solve_equilibrium", "all_spectra", "order_groups", "SimConfig",
          "run", "estimate_pkl", "verify_equivalence", "DegreeDataset", "PeelOptions",
-         "tail_report"}
+         "tail_report", "EmptySelection"}
 
 
 def __getattr__(name):
@@ -221,6 +221,23 @@ def _model(cfg):
     return validate_params(**cfg["model"])
 
 
+def _check_embed_memory(cfg) -> None:
+    """Refuse an embed whose count vector, K*(kmax+1)*(lmax+1) int64s, exceeds
+    the address-space limit (RLIMIT_AS) when one is set, else physical memory."""
+    try:
+        import resource
+    except ImportError:     # not Unix: no limit to read
+        return
+    emb = cfg["embed"]
+    need = _model(cfg).K * (emb["kmax"] + 1) * (emb["lmax"] + 1) * 8
+    limit, what = resource.getrlimit(resource.RLIMIT_AS)[0], "RLIMIT_AS"
+    if limit == resource.RLIM_INFINITY:
+        limit, what = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    if need > limit:
+        raise ConfigError(f"embed.kmax={emb['kmax']} and embed.lmax={emb['lmax']} need a "
+                          f"{need}-byte count vector, over the {limit} bytes of {what}")
+
+
 def _spectra_payload(spectra, order):
     rows = []
     for s in spectra:
@@ -339,9 +356,10 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     if src is None:
         raise ParseError("diagnose requires an input degree CSV "
                          "(--input or diagnose.input)")
-    _load("solve_equilibrium", "all_spectra", "DegreeDataset", "PeelOptions", "tail_report")
+    _load("solve_equilibrium", "all_spectra", "DegreeDataset", "PeelOptions", "tail_report",
+          "EmptySelection")
     params = _model(cfg)
-    ind, outd, _ = rio.read_degree_snapshot(src, params.K)
+    ind, outd = rio.read_degree_snapshot(src, params.K)[:2]
     dataset = DegreeDataset(x=ind, y=outd)
     del ind, outd   # the statistics read only the pair table
     sol = solve_equilibrium(params, tol=cfg["solver"]["tol"],
@@ -350,9 +368,12 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     opts = PeelOptions(radius_quantile=cfg["diagnose"]["radius_quantile"],
                        distance_quantile=cfg["diagnose"]["distance_quantile"])
     rule = cfg["diagnose"]["hill_k_rule"]
-    report = tail_report(dataset, sol, spectra, options=opts,
-                         bins=cfg["diagnose"]["bins"],
-                         hill_k=None if rule == "sqrt" else rule)
+    try:
+        report = tail_report(dataset, sol, spectra, options=opts,
+                             bins=cfg["diagnose"]["bins"],
+                             hill_k=None if rule == "sqrt" else rule)
+    except EmptySelection as exc:
+        raise EmptySelection(f"{src}: {exc}") from exc
 
     hills = {"in": report.hill_in, "out": report.hill_out}
     if "csv" in cfg["output"]["formats"]:
@@ -467,6 +488,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args)
+        if args.command == "embed":
+            _check_embed_memory(cfg)
         out_dir = Path(cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         rio.write_json(out_dir / "config.json", cfg)

@@ -15,6 +15,12 @@ tables, pmf grids, Hill sweeps (the rows of ``HillReport.k_sweep``, on
 its fixed k grid) and the angular histogram. Node ids and the group
 column are 1-based on disk, 0-based in the Python API. JSON artifacts
 keep their key order with a 2-space indent, so reruns stay byte-identical.
+
+A table's transient buffers are bounded and under numpy's 4 MiB huge-page
+threshold: writes format CHUNK rows at a time (rows * width * 21 bytes,
+1.4 MB at width 4), and reads go in READ_BLOCK-byte blocks. Whether a huge
+page backs a larger array depends on where address randomisation puts it,
+so such a buffer moved a process's peak RSS by chance.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ if TYPE_CHECKING:
     from .branching import JointPmfEstimate
     from .simulate import GraphState, Trajectory
 
-CHUNK = 1 << 16             # rows per write in write_table
+CHUNK = 1 << 14             # rows per write in write_table
+READ_BLOCK = 1 << 18        # bytes per read in _parse_int_table
 
 
 def write_table(path, header, columns) -> None:
@@ -112,30 +119,50 @@ def read_table(path, dtypes: dict) -> tuple:
 def _parse_int_table(path, names) -> tuple | None:
     """The named columns of an all-integer table through ``rn_parse_int_rows``,
     or None when the kernel does not load, the header is not plain ASCII
-    naming every column, the body is empty, or the parser refuses it."""
+    naming every column, the body is empty, a line is longer than
+    READ_BLOCK bytes, or the parser refuses a block.
+
+    The body is read twice into one READ_BLOCK buffer: once to count the
+    rows, so that each column is allocated once at its length, then block
+    by block into the columns from the row already filled, with the cut
+    last row moved to the front of the buffer for the next read.
+    """
     if (kernel := _kernel.load()) is None:
         return None
+    buf = bytearray(READ_BLOCK)
+    view, addr = memoryview(buf), np.frombuffer(buf, dtype=np.uint8).ctypes.data
     with open(path, "rb") as fh:
-        data = fh.read()
-    start = data.find(b"\n") + 1
-    if start == 0 or b"\r" in data[:start] or not data[:start].isascii():
-        return None
-    header = data[:start - 1].decode().split(",")
-    if any(name not in header for name in names):
-        return None
-    rows = data.count(b"\n", start)
-    if rows == 0:
-        return None
-    columns = {name: np.empty(rows, dtype=np.int64) for name in names}
-    # one destination per header column; a NULL one is checked and dropped
-    dest = np.zeros(len(header), dtype=np.uintp)
-    for name, column in columns.items():
-        dest[header.index(name)] = column.ctypes.data
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if kernel.rn_parse_int_rows(buf.ctypes.data + start, len(data) - start, len(header),
-                                rows, dest.ctypes.data) != rows:
-        return None
-    return tuple(columns.values())
+        head = fh.readline(READ_BLOCK)
+        if not head.endswith(b"\n") or b"\r" in head or not head.isascii():
+            return None
+        header = head[:-1].decode().split(",")
+        if any(name not in header for name in names):
+            return None
+        start, rows = fh.tell(), 0
+        while size := fh.readinto(buf):
+            rows += buf.count(b"\n", 0, size)
+        if rows == 0:
+            return None
+        columns = {name: np.empty(rows, dtype=np.int64) for name in names}
+        # one destination per header column; a NULL one is checked and dropped
+        dest = np.zeros(len(header), dtype=np.uintp)
+        for name, column in columns.items():
+            dest[header.index(name)] = column.ctypes.data
+        live = dest != 0
+        fh.seek(start)
+        done = carry = 0
+        while size := fh.readinto(view[carry:]):
+            size += carry
+            cut = buf.rfind(b"\n", 0, size) + 1      # 0, so refused, if no row ends here
+            got = kernel.rn_parse_int_rows(addr, cut, len(header), rows - done,
+                                           dest.ctypes.data)
+            if got < 0:
+                return None
+            done += got
+            dest[live] += got * 8
+            carry = size - cut
+            view[:carry] = view[cut:size]
+    return tuple(columns.values()) if carry == 0 and done == rows else None
 
 
 def write_edges(path, state: GraphState) -> None:

@@ -22,7 +22,9 @@ pool-vs-uniform mixture, index, new-node group, reciprocation coin), so
 runs with the same seed are reproducible draw for draw. ``run`` and
 ``step`` share one kernel that applies the transition to a block of
 uniforms; ``run`` draws blocks of up to BLOCK rows, ``step`` one row, and
-the streams are identical.
+the streams are identical. A block of (BLOCK, 5) uniforms is 0.66 MB, under
+the 4 MiB at which numpy asks for huge pages, so it does not move the peak
+RSS by where address randomisation puts it (see ``io``).
 
 The pools double as the edge list: edge i runs from ``out_pool[i]`` to
 ``in_pool[i]``, and ``GraphState.edges`` derives the edge table from them.
@@ -53,7 +55,7 @@ import numpy as np
 from . import _kernel
 from .params import ModelParams, draw_groups
 
-BLOCK = 1 << 16
+BLOCK = 1 << 14
 INT32_MAX = 2**31 - 1
 # below this many rows, setting up the foreign call costs more than the Python loop
 COMPILED_MIN_ROWS = 16

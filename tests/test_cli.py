@@ -297,6 +297,42 @@ def test_diagnose_rejects_out_of_range_degree_rows(tmp_path, capsys, row, column
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("rows", ["1,1,1,1\n", "1,1,0,0\n2,2,0,0\n"],
+                         ids=["one-node", "all-zero"])
+def test_diagnose_empty_selection_names_the_input(tmp_path, capsys, rows):
+    degrees = tmp_path / "degrees.csv"
+    degrees.write_text(f"node,group,in_deg,out_deg\n{rows}")
+    code = main(["diagnose", "--config", str(CONFIGS / "k2.json"),
+                 "--out", str(tmp_path / "out"), "--input", str(degrees)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"recipnet: EmptySelection: {degrees}: no pair has x+y > ")
+
+
+def test_embed_refuses_a_count_vector_past_memory_before_writing(tmp_path, capsys,
+                                                                  monkeypatch):
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    cfg = _k1_config(tmp_path, out)
+    assert main(["embed", "--config", cfg, "--kmax", str(10**12), "--replicates", "10"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("recipnet: ConfigError: embed.kmax=1000000000000 and "
+                             "embed.lmax=1000000000000 need a ")
+    assert err[0].endswith(" bytes of physical memory")
+    assert not out.exists()
+    # a set address-space limit is the limit: K = 1, so (kmax+1)^2 * 8 bytes against 2^20
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**20, resource.RLIM_INFINITY))
+    assert main(["embed", "--config", cfg, "--kmax", "362", "--replicates", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "recipnet: ConfigError: embed.kmax=362 and embed.lmax=362 need a 1054152-byte "
+        "count vector, over the 1048576 bytes of RLIMIT_AS\n")
+    assert not out.exists()
+    assert main(["embed", "--config", cfg, "--kmax", "361", "--replicates", "10"]) == 0
+    assert (out / "pmf.json").exists()
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "out"
     cfgpath = _k1_config(tmp_path, out, extra={

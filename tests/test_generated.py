@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from recipnet import _kernel, branching, simulate
+from recipnet import io as rio
 from recipnet.params import group_rates, validate_params
 from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy,
                          assert_flow_matches_numpy, assert_pcg64_matches_numpy,
@@ -299,3 +300,33 @@ def test_parse_int_rows_accepts_only_what_loadtxt_reads_alike(raw, spare):
         return                          # refused: io.read_table leaves it to loadtxt
     assert 0 < rows <= cap and rows == data.count(b"\n")
     assert np.array_equal(_read(parsed, rows), _loadtxt(data, w, keep))
+
+
+@GENERATED
+@given(st.one_of(raw_tables(), st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.lists(st.lists(CELLS, min_size=w, max_size=w), min_size=1, max_size=30).map(
+        lambda table: "".join(",".join(map(str, row)) + "\n" for row in table).encode()),
+    st.just(w), st.sets(st.integers(0, w - 1), min_size=1).map(sorted)))),
+       st.one_of(st.sampled_from([16, 37, 4096, rio.READ_BLOCK]), st.integers(1, 80)))
+@example((b"1\n2\n", 1, [0]), 2)         # only the header, c0, is longer than the block
+def test_blocked_parse_matches_one_block_parse_and_loadtxt(tmp_path_factory, raw, block):
+    """io._parse_int_table on READ_BLOCK-byte blocks gives the arrays of one
+    block over the whole file and of ``np.loadtxt``, and refuses what that
+    one block refuses and any line longer than the block."""
+    body, w, keep = raw
+    lib = _kernel.load()
+    assert lib is not None, _kernel.error
+    data = ",".join(f"c{j}" for j in range(w)).encode() + b"\n" + body
+    path = tmp_path_factory.getbasetemp() / "blocked.csv"
+    path.write_bytes(data)
+    names = {f"c{j}": np.int64 for j in keep}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rio, "READ_BLOCK", len(data) + 1)
+        whole = rio._parse_int_table(path, names)
+        patch.setattr(rio, "READ_BLOCK", block)
+        got = rio._parse_int_table(path, names)
+    longest = max(len(line) + 1 for line in data.split(b"\n"))
+    assert (got is not None) == (whole is not None and longest <= block)
+    if got is not None:
+        assert np.array_equal(np.array(got).T.reshape(-1, len(keep)), _loadtxt(body, w, keep))
+        assert all(np.array_equal(g, h) for g, h in zip(got, whole))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -214,6 +215,80 @@ def test_int_table_parser_matches_loadtxt(tmp_path, monkeypatch, case):
         for got, want, ref in zip(fast, slow, direct):
             assert got.dtype == want.dtype == ref.dtype == np.int64
             assert np.array_equal(got, want) and np.array_equal(got, ref)
+
+
+# 40000 rows of 8 bytes under a 6-byte header: more than one default block
+BLOCK_ROWS = [f"{i % 7},{i % 1000:03d},{i % 10}\n" for i in range(40000)]
+BLOCK_COLUMNS = {"c": np.int64, "a": np.int64}      # b is checked and dropped
+BAD_ROW = 20000
+
+
+def _with(rows, i, row):
+    return rows[:i] + [row] + rows[i + 1:]
+
+
+# rows, and whether the one-block parse takes them
+BLOCK_CASES = {
+    "whole": (BLOCK_ROWS, True),
+    "crlf": ([row.replace("\n", "\r\n") for row in BLOCK_ROWS], False),
+    "no-final-newline": (_with(BLOCK_ROWS, -1, "1,001,1"), False),
+    "bad-cell-in-last-block": (_with(BLOCK_ROWS, -1, "1,001,x\n"), False),
+    "bad-cell-in-dropped-column": (_with(BLOCK_ROWS, BAD_ROW, "1,0x1,1\n"), False),
+    "row-longer-than-16-bytes": (_with(BLOCK_ROWS, BAD_ROW, "1,00000000000001,1\n"), True),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_parse_matches_one_block_and_loadtxt(tmp_path, monkeypatch, case):
+    """Block edges at row ends (16), inside cells (37), past the file end
+    (4096 and the default) and inside row BAD_ROW's middle cell: the arrays
+    of a one-block parse and of loadtxt, or a refusal where either refuses
+    or a line is longer than the block."""
+    if _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    rows, parsed = BLOCK_CASES[case]
+    default = rio.READ_BLOCK
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(("a,b,c\n" + "".join(rows)).encode())
+    longest = max(map(len, rows))
+    monkeypatch.setattr(rio, "READ_BLOCK", path.stat().st_size + 1)
+    whole = rio._parse_int_table(path, BLOCK_COLUMNS)
+    assert (whole is not None) == parsed
+    with monkeypatch.context() as slow:
+        slow.setattr(_kernel, "load", lambda: None)
+        try:
+            direct = rio.read_table(path, BLOCK_COLUMNS)
+        except ValueError as exc:
+            direct = str(exc)
+    for block in (16, 37, 4096, default, 8 * BAD_ROW + 3):
+        monkeypatch.setattr(rio, "READ_BLOCK", block)
+        got = rio._parse_int_table(path, BLOCK_COLUMNS)
+        assert (got is not None) == (parsed and longest <= block), block
+        if got is not None:
+            assert all(np.array_equal(g, w) for g, w in zip(got, whole))
+            assert all(np.array_equal(g, d) for g, d in zip(got, direct))
+
+
+def test_read_degree_snapshot_holds_its_columns_and_one_block(tmp_path):
+    """tracemalloc's peak while a 2e5-row snapshot is read stays within its
+    three int64 columns, two read blocks and 64 KiB; the reader holds one
+    block and a few small objects besides the columns."""
+    if _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    n = 200_000
+    i = np.arange(n)
+    path = tmp_path / "degrees.csv"
+    rio.write_table(path, ("node", "group", "in_deg", "out_deg"),
+                    (i + 1, i % 2 + 1, i % 1000, i * 7 % 101))
+    assert path.stat().st_size > 3 * rio.READ_BLOCK
+    tracemalloc.start()
+    try:
+        ind, outd, grp = rio.read_degree_snapshot(path, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ind.tolist() == (i % 1000).tolist() and grp.tolist() == (i % 2).tolist()
+    assert peak <= 3 * 8 * n + 2 * rio.READ_BLOCK + (64 << 10), peak
 
 
 def test_write_table_cells_are_str_of_python_values(tmp_path):
