@@ -15,7 +15,7 @@ When recipnet is the first to import numpy, numpy's OpenBLAS runs on one
 thread (the package's BLAS calls are on K x K matrices) unless one of
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
 set; ``os.environ`` is left as it was found. So a CLI process has one OS
-thread, and ``embed`` forks its workers from it.
+thread, and spends no CPU on idle BLAS workers.
 """
 
 import os as _os

@@ -15,7 +15,8 @@ immigration of the paper's branching process with immigration.
 Evaluating a process with the equilibrium-matched random initialization
 at an independent Exp(c*) time T* yields a draw from the limiting joint
 in/out-degree distribution; ``estimate_pkl`` Monte-Carlos that mixture
-over the group label.
+over the group label, one chunk of chains after another in the calling
+process.
 
 T* is memoryless, so that law is also the law of the process's jump
 chain killed in each state with probability c* / (c* + w1 + w2), w1 and
@@ -41,10 +42,6 @@ The raw rows of ``sample_limit_pairs`` come from ``_flow`` in numpy alone.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import signal
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -293,7 +290,7 @@ def _sample_chunk(args):
     return tuple(v[record] for v in (labels, n1, n2, failed))
 
 
-def _tally_chunk(args):
+def _tally_chunk(job, kmax, lmax):
     """One chunk's count vector: the (K, kmax+1, lmax+1) grid cells flat,
     then the overflow count of each group, then the failed count.
 
@@ -301,7 +298,6 @@ def _tally_chunk(args):
     and the model's arrays have the shapes it indexes memory with, from the
     kernel's PCG64 on the stream of ``_chunk_rng(job)``; the numpy code
     below is the statement it mirrors."""
-    job, kmax, lmax = args
     params, rates, sampler, j, size, seed, event_budget = job
     K = params.K
     cells = K * (kmax + 1) * (lmax + 1)
@@ -326,77 +322,6 @@ def _tally_chunk(args):
     code[failed] = cells + K
     np.add.at(counts, code, n)
     return counts
-
-
-def _tally_slice(jobs):
-    """The summed ``_tally_chunk`` counts of a slice of chunks: a child's share, or every chunk."""
-    return sum(map(_tally_chunk, jobs))
-
-
-def _child_result(jobs):
-    """A child's pickled counts, or its exception and traceback text; an
-    exception that does not survive pickling goes as a RuntimeError of its repr."""
-    try:
-        return pickle.dumps(_tally_slice(jobs))
-    except BaseException as exc:
-        import traceback    # only a failing child pays for the import
-
-        tb = traceback.format_exc()
-        try:
-            data = pickle.dumps((exc, tb))
-            pickle.loads(data)
-            return data
-        except Exception:
-            return pickle.dumps((RuntimeError(repr(exc)), tb))
-
-
-def _fork_slices(slices):
-    """The summed counts of ``slices``, one forked child per slice. Each child
-    writes ``_child_result`` into a pipe. The parent draws nothing, so its
-    memory does not grow with the chunks; a tally imports no
-    ``numpy.random``, so the forks buy parallel workers, not a lower peak
-    RSS than a tally in-process. The parent re-raises a child's exception
-    from a ``ChildProcessError`` holding the child's traceback, and raises
-    ``ChildProcessError`` for a child that died without a result. On any
-    error or interrupt the parent kills and reaps the children still
-    running."""
-    _kernel.load()    # built once here; the children inherit the library
-    pipes, running = [], []   # the parent's open pipe ends; the children not yet reaped
-    try:
-        for jobs in slices:
-            r, w = os.pipe()
-            pipes += r, w
-            pid = os.fork()
-            if pid == 0:    # the child leaves through os._exit on every path
-                code = 1
-                try:
-                    with open(w, "wb") as f:
-                        f.write(_child_result(jobs))
-                    code = 0
-                finally:
-                    os._exit(code)
-            running.append(pid)
-            os.close(pipes.pop())
-        total = 0
-        for pid, r in zip(list(running), pipes):
-            with open(r, "rb", closefd=False) as f:
-                data = f.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            running.remove(pid)
-            if code:
-                raise ChildProcessError(f"limit-law worker {pid} died without a result: "
-                                        + (f"signal {-code}" if code < 0 else f"exit code {code}"))
-            out = pickle.loads(data)
-            if isinstance(out, tuple):    # the child's exception and its traceback's text
-                raise out[0] from ChildProcessError(f"in limit-law worker {pid}:\n{out[1]}")
-            total += out
-        return total
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in pipes:
-            os.close(fd)
 
 
 def _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size):
@@ -432,37 +357,25 @@ def sample_limit_pairs(params: ModelParams, sol: EquilibriumSolution,
 def estimate_pkl(params: ModelParams, sol: EquilibriumSolution, replicates: int,
                  kmax: int, lmax: int, seed: int = 0,
                  event_budget: int = DEFAULT_EVENT_BUDGET,
-                 chunk_size: int = CHUNK, workers: int = 1) -> JointPmfEstimate:
+                 chunk_size: int = CHUNK) -> JointPmfEstimate:
     """Estimate the limiting joint degree pmf on {0..kmax} x {0..lmax}.
 
     Replicates are processed in chunks of ``chunk_size``; chunk j uses the
-    generator seeded with SeedSequence([seed, j]), so the result is
-    independent of scheduling and identical for any worker count. Within
-    a chunk the group and initial-state counts are drawn first (two
-    multinomials), then the killed jump chains of all groups move as one
-    binomial flow over their states (``_flow``). Each chunk is
-    tallied where it was drawn into K*(kmax+1)*(lmax+1) + K + 1 counts
-    (grid cells, overflow per group, failed). On Linux, with ``workers`` > 1
-    and more than one chunk, min(workers, chunks) forked children each sum
-    the vectors of one contiguous slice of chunks, and the parent adds one
-    vector per child (``_fork_slices``), so its memory does not grow with
-    ``replicates``; elsewhere every chunk is tallied in-process, in order.
-    Integer sums do not depend on the order, so the counts are the same for
-    any ``workers``.
+    generator seeded with SeedSequence([seed, j]). Within a chunk the group
+    and initial-state counts are drawn first (two multinomials), then the
+    killed jump chains of all groups move as one binomial flow over their
+    states (``_flow``). Each chunk is tallied into K*(kmax+1)*(lmax+1) +
+    K + 1 counts (grid cells, overflow per group, failed), and the chunks'
+    vectors are summed in chunk order, in this process, so memory does
+    not grow with ``replicates``.
     """
     check_count("kmax", kmax, 0)
     check_count("lmax", lmax, 0)
     if sol.regular is not None and not sol.regular.star:
         warnings.warn("regularity conditions fail; the sampled law is not "
                       "a certified degree-frequency limit", RuntimeWarning)
-    jobs = [(job, kmax, lmax)
-            for job in _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size)]
-    if workers > 1 and len(jobs) > 1 and sys.platform == "linux":
-        n = min(workers, len(jobs))
-        counts = _fork_slices([jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n]
-                               for i in range(n)])
-    else:
-        counts = _tally_slice(jobs)
+    counts = sum(_tally_chunk(job, kmax, lmax) for job in
+                 _chunk_jobs(params, sol, replicates, seed, event_budget, chunk_size))
     K = params.K
     cells = K * (kmax + 1) * (lmax + 1)
     return JointPmfEstimate(

@@ -146,9 +146,9 @@ FLAGS = {
     "--replicates": (("embed", "verify"), (("embed", "replicates"), ("verify", "replicates")),
                      {"type": int}),
     "--kmax": (("embed",), (("embed", "kmax"), ("embed", "lmax")), {"type": int}),
-    "--threads": (("embed",), (), {"type": int, "help": "worker cap for replicate fan-out, "
-                                                        "which forks on Linux only (default: "
-                                                        "the CPUs this process may use)"}),
+    "--threads": (("embed",), (), {"type": int, "help": "N >= 1; embed tallies in this "
+                                                        "process, so N changes no byte and "
+                                                        "no speed"}),
     "--input": (("diagnose",), (("diagnose", "input"),), {"help": "degree snapshot CSV"}),
 }
 
@@ -339,7 +339,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
         rio.write_json(out_dir / "summary.json", summary)
 
 
-def cmd_embed(cfg, out_dir: Path, workers: int) -> None:
+def cmd_embed(cfg, out_dir: Path) -> None:
     _load("solve_equilibrium", "estimate_pkl")
     params = _model(cfg)
     sol = solve_equilibrium(params, tol=cfg["solver"]["tol"],
@@ -347,7 +347,7 @@ def cmd_embed(cfg, out_dir: Path, workers: int) -> None:
     emb = cfg["embed"]
     est = estimate_pkl(params, sol, replicates=emb["replicates"],
                        kmax=emb["kmax"], lmax=emb["lmax"], seed=emb["seed"],
-                       event_budget=emb["event_budget"], workers=workers)
+                       event_budget=emb["event_budget"])
     rio.write_pmf(out_dir, est, formats=cfg["output"]["formats"])
 
 
@@ -475,14 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (a ``taskset`` or a container limit), else ``os.cpu_count()``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -498,7 +490,7 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(cfg, out_dir)
         elif args.command == "embed":
-            cmd_embed(cfg, out_dir, workers=args.threads or usable_cpus())
+            cmd_embed(cfg, out_dir)
         elif args.command == "diagnose":
             cmd_diagnose(cfg, out_dir)
         elif args.command == "verify":

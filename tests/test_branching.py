@@ -1,9 +1,8 @@
 import math
 import os
-import signal
 import sys
-import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from recipnet import (
     validate_params,
     verify_equivalence,
 )
-from recipnet import branching
+from recipnet import _kernel
 from recipnet import io as rio
 from recipnet.branching import LimitPairSampler, _event, _tally_chunk
 from recipnet.embedding import _chi_square_against
@@ -356,23 +355,21 @@ def test_estimate_pkl_mass_accounting(k1_ref):
 def test_estimate_pkl_deterministic_and_worker_invariant(k2_ref):
     sol = solve_equilibrium(k2_ref)
     a = estimate_pkl(k2_ref, sol, replicates=30_000, kmax=8, lmax=8, seed=9,
-                     chunk_size=8192, workers=1)
+                     chunk_size=8192)
     b = estimate_pkl(k2_ref, sol, replicates=30_000, kmax=8, lmax=8, seed=9,
-                     chunk_size=8192, workers=2)
+                     chunk_size=8192)
     assert np.array_equal(a.group_counts, b.group_counts)
     assert np.array_equal(a.group_overflow_counts, b.group_overflow_counts)
-    c = estimate_pkl(k2_ref, sol, replicates=30_000, kmax=8, lmax=8, seed=9,
-                     chunk_size=8192)
-    assert np.array_equal(a.group_counts, c.group_counts)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_estimate_pkl_is_a_tally_of_sample_limit_pairs(k2_ref, workers):
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_estimate_pkl_is_a_tally_of_sample_limit_pairs(k2_ref, chunks):
     # kmax != lmax catches a swapped axis; the small budget makes some
-    # replicates fail and others overflow on each axis
+    # replicates fail and others overflow on each axis; with two chunks the
+    # tally is the sum of each chunk's rows
     sol = solve_equilibrium(k2_ref)
     kmax, lmax = 6, 9
-    draw = dict(replicates=5000, seed=13, event_budget=12, chunk_size=2048)
+    draw = dict(replicates=5000, seed=13, event_budget=12, chunk_size=-(-5000 // chunks))
     labels, n1, n2, failed = sample_limit_pairs(k2_ref, sol, **draw)
     counts = np.zeros((k2_ref.K, kmax + 1, lmax + 1), dtype=np.int64)
     over = np.zeros(k2_ref.K, dtype=np.int64)
@@ -385,13 +382,13 @@ def test_estimate_pkl_is_a_tally_of_sample_limit_pairs(k2_ref, workers):
             over[m] += 1
     assert failed.any() and (n1[~failed] > kmax).any() and (n2[~failed] > lmax).any()
 
-    est = estimate_pkl(k2_ref, sol, kmax=kmax, lmax=lmax, workers=workers, **draw)
+    est = estimate_pkl(k2_ref, sol, kmax=kmax, lmax=lmax, **draw)
     assert np.array_equal(est.group_counts, counts)
     assert np.array_equal(est.group_overflow_counts, over)
     assert est.failed == int(failed.sum())
 
 
-def _check_against_per_chunk_tally(params, replicates, chunk_size, workers):
+def _check_against_per_chunk_tally(params, replicates, chunk_size):
     # the oracle: every chunk tallied on its own from SeedSequence([seed, j]),
     # summed in chunk order. On k2 about 12% of the replicates make more than
     # 2 events, so at budget 2 some fail in any stream (80 replicates all
@@ -399,40 +396,26 @@ def _check_against_per_chunk_tally(params, replicates, chunk_size, workers):
     sol = solve_equilibrium(params)
     kmax, lmax, seed, budget = 1, 2, 21, 2
     rates, sampler = group_rates(params), LimitPairSampler.from_solution(params, sol)
-    oracle = sum(_tally_chunk(((params, rates, sampler, j,
-                                min(chunk_size, replicates - j * chunk_size), seed, budget),
-                               kmax, lmax))
+    oracle = sum(_tally_chunk((params, rates, sampler, j,
+                               min(chunk_size, replicates - j * chunk_size), seed, budget),
+                              kmax, lmax)
                  for j in range(-(-replicates // chunk_size)))
     cells = params.K * (kmax + 1) * (lmax + 1)
     assert oracle[-1] > 0 and oracle[cells:-1].any()
-    for w in workers:
-        est = estimate_pkl(params, sol, replicates=replicates, kmax=kmax, lmax=lmax,
-                           seed=seed, event_budget=budget, chunk_size=chunk_size,
-                           workers=w)
-        assert np.array_equal(est.group_counts.ravel(), oracle[:cells]), w
-        assert np.array_equal(est.group_overflow_counts, oracle[cells:-1]), w
-        assert est.failed == oracle[-1], w
+    est = estimate_pkl(params, sol, replicates=replicates, kmax=kmax, lmax=lmax,
+                       seed=seed, event_budget=budget, chunk_size=chunk_size)
+    assert np.array_equal(est.group_counts.ravel(), oracle[:cells])
+    assert np.array_equal(est.group_overflow_counts, oracle[cells:-1])
+    assert est.failed == oracle[-1]
 
 
 @pytest.mark.parametrize("replicates, chunk_size", [
-    (2050, 100),   # 21 chunks, the last one short: slices of several chunks
-    (150, 100),    # 2 chunks: more workers than chunks at 3 workers
+    (2050, 100),   # 21 chunks, the last one short
+    (150, 100),    # 2 chunks
     (80, 100),     # a single chunk
 ], ids=["21-chunks", "2-chunks", "1-chunk"])
 def test_sliced_fan_out_matches_per_chunk_tally(k2_ref, replicates, chunk_size):
-    _check_against_per_chunk_tally(k2_ref, replicates, chunk_size, workers=(1, 2, 3))
-
-
-def test_embed_pool_forks_on_linux(k2_ref, monkeypatch):
-    # on Linux one os.fork per slice, min(workers, chunks) slices, so the
-    # children inherit the loaded kernel; no fork on one worker, on a single
-    # chunk, or elsewhere
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-    _check_against_per_chunk_tally(k2_ref, 2050, 100, workers=(1, 2, 3))
-    _check_against_per_chunk_tally(k2_ref, 80, 100, workers=(3,))
-    assert forks == [os.getpid()] * (5 if sys.platform == "linux" else 0)
+    _check_against_per_chunk_tally(k2_ref, replicates, chunk_size)
 
 
 def _assert_no_child_left(fds):
@@ -442,76 +425,33 @@ def _assert_no_child_left(fds):
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks and reads /proc")
-def test_pools_leave_no_process(k2_ref, tmp_path, monkeypatch):
-    # every child is reaped and every pipe end closed: after a normal run,
-    # after a child that raises while the others still run, and after a
-    # child killed by a signal
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pools_leave_no_process(k2_ref, tmp_path):
+    # no child process and no open file outlives a tally, in-process or
+    # through the CLI
     sol = solve_equilibrium(k2_ref)
-    fan_out = dict(replicates=300, kmax=4, lmax=4, seed=1, chunk_size=100, workers=3)
     fds = len(os.listdir("/proc/self/fd"))
-    estimate_pkl(k2_ref, sol, **fan_out)
+    estimate_pkl(k2_ref, sol, replicates=300, kmax=4, lmax=4, seed=1, chunk_size=100)
     _assert_no_child_left(fds)
     # four chunks of the CLI's size
     run_k2(tmp_path, "embed", {"embed": {"replicates": 3_200_000, "kmax": 4, "lmax": 4}},
            "--threads", "2")
     _assert_no_child_left(fds)
 
-    def first_slice_raises(jobs):
-        if jobs[0][0][3] == 0:
-            raise ValueError("the first slice fails")
-        time.sleep(60)    # the others run until the parent kills them
-
-    monkeypatch.setattr(branching, "_tally_slice", first_slice_raises)
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="the first slice fails"):
-        estimate_pkl(k2_ref, sol, **fan_out)
-    assert time.monotonic() - start < 30
-    _assert_no_child_left(fds)
-    monkeypatch.setattr(branching, "_tally_slice",
-                        lambda jobs: os.kill(os.getpid(), signal.SIGKILL))
-    with pytest.raises(ChildProcessError, match=f"signal {int(signal.SIGKILL)}"):
-        estimate_pkl(k2_ref, sol, **fan_out)
-    _assert_no_child_left(fds)
-
 
 def test_worker_memory_error_reaches_the_caller(k2_ref, monkeypatch):
-    # rn_mbi_flow's failed allocation, raised in a child, keeps its type and
-    # message, and its cause holds the child's traceback
-    def fails(jobs):
-        raise MemoryError("rn_mbi_flow could not allocate its layers")
-
-    monkeypatch.setattr(branching, "_tally_slice", fails)
-    with pytest.raises(MemoryError, match="could not allocate its layers") as err:
+    # rn_mbi_flow's failed allocation (status 1) reaches estimate_pkl's
+    # caller as a MemoryError
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    kernel = SimpleNamespace(rn_mbi_flow=lambda *args: 1, rn_pcg64_seed=lib.rn_pcg64_seed,
+                             rn_uniform_fill=lib.rn_uniform_fill)
+    monkeypatch.setattr(_kernel, "load", lambda: kernel)
+    with pytest.raises(MemoryError) as err:
         estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=300, kmax=4, lmax=4,
-                     chunk_size=100, workers=2)
-    if sys.platform == "linux":
-        assert isinstance(err.value.__cause__, ChildProcessError)
-        assert ", in fails\n" in str(err.value.__cause__)
-
-
-class NeedsTwoArgs(Exception):
-    # pickles, but unpickling calls NeedsTwoArgs(a) and fails
-    def __init__(self, a, b):
-        super().__init__(a)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="forks")
-def test_worker_exception_that_does_not_pickle_keeps_its_text(k2_ref, monkeypatch):
-    class Local(Exception):    # a local class does not pickle
-        pass
-
-    for exc, text in [(Local("the slice failed"), "Local('the slice failed')"),
-                      (NeedsTwoArgs("the slice failed", 2), "NeedsTwoArgs('the slice failed')")]:
-        def fails(jobs, exc=exc):
-            raise exc
-
-        monkeypatch.setattr(branching, "_tally_slice", fails)
-        with pytest.raises(RuntimeError) as err:
-            estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=300, kmax=4, lmax=4,
-                         chunk_size=100, workers=2)
-        assert type(err.value) is RuntimeError and str(err.value) == text
-        assert ", in fails\n" in str(err.value.__cause__)
+                     chunk_size=100)
+    assert str(err.value) == "rn_mbi_flow could not allocate its layers"
 
 
 def test_estimate_pkl_failed_accounting(k1_ref):

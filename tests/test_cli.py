@@ -398,19 +398,16 @@ def test_threads_flag_only_on_embed(tmp_path):
     assert not out.exists()
 
 
-def test_threads_default_is_the_cpu_affinity_set(tmp_path, monkeypatch):
-    # `taskset -c 0 recipnet embed` on a 2-CPU host may use one CPU
-    seen = []
-    monkeypatch.setattr(recipnet.cli, "cmd_embed",
-                        lambda cfg, out_dir, workers: seen.append(workers))
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_embed_starts_no_process_at_any_threads(tmp_path, monkeypatch):
+    # 3200000 replicates are 4 chunks of 2^20, all tallied in this process
+    # whatever --threads asks for
+    def fork():
+        pytest.fail("embed forked")
+
+    monkeypatch.setattr(os, "fork", fork)
     cfgpath = _k1_config(tmp_path, tmp_path / "out")
-    assert main(["embed", "--config", cfgpath]) == 0
-    assert main(["embed", "--config", cfgpath, "--threads", "3"]) == 0
-    monkeypatch.delattr(os, "sched_getaffinity")     # a platform without affinity
-    assert main(["embed", "--config", cfgpath]) == 0
-    assert seen == [1, 3, 8]
+    assert main(["embed", "--config", cfgpath, "--threads", "64",
+                 "--replicates", "3200000"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -604,7 +601,7 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
 
 # exits 77 where a plain ``import numpy`` already loads numpy.random
 WITHOUT_NUMPY_RANDOM = """
-import os, sys
+import sys
 import numpy
 if "numpy.random" in sys.modules:
     sys.exit(77)
@@ -612,12 +609,9 @@ sys.modules["numpy.random"] = None
 from recipnet import _kernel, cli
 if _kernel.load() is None:
     sys.exit(f"no compiled kernel: {_kernel.error}")
-forks = []
-os.register_at_fork(before=lambda: forks.append(1))
 for argv in ARGVS:
     if cli.main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-sys.exit(0 if forks else "embed did not fork")
 """
 
 
@@ -626,8 +620,7 @@ sys.exit(0 if forks else "embed did not fork")
 def test_drawing_subcommands_never_import_numpy_random(tmp_path):
     # with the kernel loaded every draw comes from its PCG64, so numpy.random
     # blocked in a fresh interpreter fails no subcommand that draws; embed's
-    # 3200000 replicates are 4 chunks of 2^20, so two children fork and
-    # inherit the block
+    # 3200000 replicates are 4 chunks of 2^20
     cfg = str(CONFIGS / "k1.json")
     argvs = [["simulate", "--config", cfg, "--out", str(tmp_path / "simulate"),
               "--n-steps", "20000"],
@@ -695,18 +688,3 @@ def test_numpy_imported_first_is_left_alone():
     plain = _fresh("import json, os, numpy; print(len(os.listdir('/proc/self/task')))")
     assert got["tasks"] == got["before"] == plain
     assert got["environ_kept"] and got["blas_vars"] == []
-
-
-@linux_only
-def test_embed_forks_its_pool_from_one_thread(tmp_path):
-    # 3200000 replicates are 4 chunks, so 2 workers fork, one child each, and
-    # the fan-out imports no process pool
-    got = _fresh(
-        "import json, os, sys; forks = []; "
-        "os.register_at_fork(before=lambda: forks.append(len(os.listdir('/proc/self/task')))); "
-        "from recipnet import cli; "
-        f"code = cli.main(['embed', '--config', {str(CONFIGS / 'k1.json')!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}, '--threads', '2', '--replicates', '3200000']); "
-        "assert code == 0, code; print(json.dumps([forks, "
-        "[m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]]))")
-    assert got == [[1, 1], []], got

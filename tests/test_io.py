@@ -362,9 +362,9 @@ def test_every_json_artifact_of_k1_is_strict(tmp_path):
 
 # sha256 of the artifacts of the two-group model at small sizes. The embed
 # digests were recorded when the limit law's chunks grew to 2^20 chains, at
-# four chunks so that two threads fork, with the compiled kernel; the numpy
-# statements write the same bytes, which CI checks with a cache directory
-# the loader refuses
+# four chunks, with the compiled kernel; --threads 1 and 2 must write them
+# alike, and the numpy statements write the same bytes, which CI checks with
+# a cache directory the loader refuses
 PARENT_TABLE_DIGESTS = {
     "embed": {
         "pmf.csv": "972755a212f86508c80d7c207f0ca9f41f7233fd76082f45b2528bf0ff59f68e",

@@ -218,9 +218,9 @@ def _assert_falls_back(match, k2_ref):
     assert _kernel.error is not None and match in _kernel.error, _kernel.error
     result = run(k2_ref, SimConfig(n_steps=300, seed=4))  # blocks big enough for the kernel
     result.state.check_invariants()
-    # three chunks on two workers: the children fork with no library loaded
+    # three chunks, each drawn and tallied by numpy
     est = estimate_pkl(k2_ref, solve_equilibrium(k2_ref), replicates=3000, kmax=5, lmax=5,
-                       seed=2, chunk_size=1000, workers=2)
+                       seed=2, chunk_size=1000)
     assert est.group_counts.sum() + est.group_overflow_counts.sum() + est.failed == 3000
     # the linked chains run as numpy
     assert embedding.verify_equivalence(k2_ref, n=2, replicates=500, seed=1).df > 0
@@ -523,7 +523,7 @@ def assert_flow_matches_numpy(lib, job, grids):
     K = job[0].K
     for kmax, lmax in grids:
         (counts, _), pcg64 = assert_same_run(
-            kernel, lambda: [branching._tally_chunk((job, kmax, lmax))])
+            kernel, lambda: [branching._tally_chunk(job, kmax, lmax)])
         assert pcg64
         cells = K * (kmax + 1) * (lmax + 1)
         code = np.where((n1 <= kmax) & (n2 <= lmax),
