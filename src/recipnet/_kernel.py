@@ -65,10 +65,11 @@ _lib = None
 
 
 def source():
-    """The kernel source shipped as package data."""
-    from importlib import resources
+    """The kernel source shipped as package data, beside this module (so a
+    cached load imports neither ``importlib.resources`` nor ``zipfile``)."""
+    from pathlib import Path
 
-    return resources.files("recipnet") / "_kernel.c"
+    return Path(__file__).with_name("_kernel.c")
 
 
 def cache_dir() -> str:
@@ -147,14 +148,12 @@ def _build() -> str:
 
     import subprocess
     import tempfile
-    from importlib import resources
 
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
     try:
-        with resources.as_file(src) as src_path:
-            done = subprocess.run([CC, *FLAGS, "-o", tmp, str(src_path), *_link()[0]],
-                                  capture_output=True, text=True)
+        done = subprocess.run([CC, *FLAGS, "-o", tmp, str(src), *_link()[0]],
+                              capture_output=True, text=True)
         if done.returncode != 0:
             raise CompileError(f"{CC} exited {done.returncode}: {done.stderr.strip()[-500:]}")
         os.replace(tmp, path)

@@ -26,10 +26,12 @@ enumeration of the graph law on the observable
     (edge count, sorted multiset of (group, in-degree, out-degree)),
 
 which is label-alignment-free: the two constructions agree in law on it.
-Each chunk's rows are packed into int64 keys, and the distinct keys of all
-chunks are decoded once. The p-value is the chi-square tail ``_chi2_sf``,
-a closed-form finite sum for integer degrees of freedom, so the check
-needs nothing beyond numpy and the standard library.
+Each chunk's rows are packed into int64 keys, whose counts join one tally
+as the chunk is drawn, so memory does not grow with the number of chains;
+the distinct keys are decoded once at the end. The p-value is the
+chi-square tail ``_chi2_sf``, a closed-form finite sum for integer degrees
+of freedom, so the check needs nothing beyond numpy and the standard
+library.
 """
 
 from __future__ import annotations
@@ -132,37 +134,47 @@ def _row_keys(labels, n1, n2, K: int) -> np.ndarray:
     """One int64 key per row of ``embedding_chains`` output.
 
     Each process is coded as (g*B + in)*B + out with B = n + 2; the
-    sorted codes of a row are the digits of its key in base K*B*B.
+    sorted codes of a row are the digits of its key in base K*B*B. An
+    odd-even transposition network of compare-exchanges sorts the n + 1
+    code columns (n + 1 rounds sort any row), and Horner's rule sums them.
     """
     B = _code_width(K, labels.shape[1] - 1)
-    codes = np.sort((labels * B + n1) * B + n2, axis=1)
-    return codes @ ((K * B * B) ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64))
+    cols = list(((labels * B + n1) * B + n2).T)
+    for r in range(len(cols)):
+        for i in range(r % 2, len(cols) - 1, 2):
+            lo, hi = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    keys = cols[0]
+    for col in cols[1:]:
+        keys = keys * (K * B * B) + col
+    return keys
 
 
-def _decode(keys: np.ndarray, K: int, n: int) -> Counter:
-    """Counter of observables over the row keys of n-jump chains.
+def _key_counts(keys: np.ndarray) -> dict:
+    """How often each distinct row key occurs, as Python ints."""
+    return dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
 
-    ``np.unique`` tallies the keys, and only distinct keys are decoded.
-    """
+
+def _decode(counts, K: int, n: int) -> Counter:
+    """Counter of observables from the counts of n-jump chains' row keys."""
     B = _code_width(K, n)
     base = K * B * B
     observed: Counter = Counter()
-    for key, count in zip(*np.unique(keys, return_counts=True)):
+    for key, count in sorted(counts.items()):
         cells = []
-        key = int(key)
         for _ in range(n + 1):
             key, code = divmod(key, base)
             code, out = divmod(code, B)
             g, din = divmod(code, B)
             cells.append((g, din, out))
         cells.reverse()
-        observed[(sum(c[1] for c in cells), tuple(cells))] += int(count)
+        observed[(sum(c[1] for c in cells), tuple(cells))] += count
     return observed
 
 
 def _tally(labels, n1, n2, K: int) -> Counter:
     """Counter of observables over the rows of ``embedding_chains`` output."""
-    return _decode(_row_keys(labels, n1, n2, K), K, labels.shape[1] - 1)
+    return _decode(_key_counts(_row_keys(labels, n1, n2, K)), K, labels.shape[1] - 1)
 
 
 def enumerate_graph_law(params: ModelParams, n: int) -> dict:
@@ -324,9 +336,11 @@ def verify_equivalence(params: ModelParams, n: int, replicates: int,
 
     Runs ``replicates`` independent chains for n jumps (n <= 3) from one
     ``default_rng(seed)`` stream (the kernel's PCG64 draws it whenever
-    ``rn_chains`` runs), ``CHUNK`` replicates at a time, keys
-    each row, tallies and decodes the distinct keys of all chunks once, and
-    chi-square-tests the frequencies against the enumerated distribution.
+    ``rn_chains`` runs), ``CHUNK`` replicates at a time, keys each row and
+    adds each chunk's key counts to one tally as soon as it is drawn. So a
+    run holds one chunk plus the distinct keys, whatever ``replicates`` is.
+    The distinct keys are decoded once, and the frequencies are
+    chi-square-tested against the enumerated distribution.
     """
     check_count("replicates", replicates, 1)
     _code_width(params.K, n)
@@ -334,10 +348,11 @@ def verify_equivalence(params: ModelParams, n: int, replicates: int,
     # one stream for every chunk: the kernel's PCG64 only if rn_chains takes
     # the model, since the numpy loop draws from a Generator
     rng = _kernel.default_rng(_chains_kernel(params), seed)
-    chunk_keys = [_row_keys(*embedding_chains(params, n, min(CHUNK, replicates - start), rng),
-                            params.K)
-                  for start in range(0, replicates, CHUNK)]
-    observed = _decode(np.concatenate(chunk_keys), params.K, n)
+    counts: Counter = Counter()
+    for start in range(0, replicates, CHUNK):
+        chains = embedding_chains(params, n, min(CHUNK, replicates - start), rng)
+        counts.update(_key_counts(_row_keys(*chains, params.K)))
+    observed = _decode(counts, params.K, n)
 
     stat, df, p_value, n_merged, impossible = _chi_square_against(exact, observed, replicates)
     keys = set(exact) | set(observed)

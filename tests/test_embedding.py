@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_verify_equivalence_matches_per_chunk_tally(k1_ref, k2_ref):
     models = [k1_ref, k2_ref] + [random_params(rng, k_max=3) for _ in range(5)]
     for i, params in enumerate(models):
         for n in (1, 2, 3):
-            for replicates in (1, CHUNK, CHUNK + 1):
+            for replicates in (1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
                 seed = 100 * i + 10 * n + replicates % 7
                 got = verify_equivalence(params, n=n, replicates=replicates, seed=seed)
                 ref = _per_chunk_report(params, n, replicates, seed)
@@ -204,6 +205,21 @@ def test_verify_equivalence_matches_per_chunk_tally(k1_ref, k2_ref):
                 else:
                     expected = float(chdtrc(got.df, got.statistic))
                     assert abs(got.p_value - expected) <= 1e-12 * expected
+
+
+def test_verify_memory_does_not_grow_with_replicates(k2_ref):
+    # each chunk's key counts join one tally as it is drawn, so a run holds
+    # one chunk plus the distinct keys (806 for k2 at n = 3)
+    verify_equivalence(k2_ref, n=3, replicates=CHUNK, seed=2)   # loads the kernel
+    peaks = []
+    for replicates in (10 * CHUNK, 100 * CHUNK):
+        tracemalloc.start()
+        try:
+            verify_equivalence(k2_ref, n=3, replicates=replicates, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 256 * 1024, peaks
 
 
 CHI2_DFS = list(range(1, 61)) + sorted(

@@ -9,19 +9,22 @@ and the tally of the numpy rows of ``_sample_chunk``, and for
 columns of every width and sign, strided and reversed, for
 ``rn_format_int_rows`` against ``str()``; and integer tables and raw
 bytes, with some columns dropped, for ``rn_parse_int_rows`` against
-``np.loadtxt``. Every comparison is exact, and those of the
+``np.loadtxt``; and rows of chain processes, with repeats, for the
+compare-exchange network of ``embedding._row_keys`` against a row sort
+and a matmul. Every comparison is exact, and those of the
 sampling mirrors include the generator's state after the call. The runs
 are derandomized, so every run tries the same examples.
 """
 
 import io
+import itertools
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from recipnet import _kernel, branching, simulate
+from recipnet import _kernel, branching, embedding, simulate
 from recipnet import io as rio
 from recipnet.params import group_rates, validate_params
 from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy,
@@ -55,6 +58,43 @@ def test_chains_match_numpy_loop_on_generated_models(params, n, replicates, seed
     assert lib is not None, _kernel.error
     with pytest.MonkeyPatch.context() as patch:
         assert_chains_match_numpy(patch, lib, params, n, replicates, seed)
+
+
+def admitted_ns(K):
+    """Every jump count n whose row keys ``_code_width`` admits for K groups."""
+    for n in itertools.count():
+        try:
+            embedding._code_width(K, n)
+        except ValueError:
+            return list(range(n))
+
+
+@st.composite
+def chain_rows(draw):
+    """(labels, n1, n2, K) with every process drawn from a pool of at most
+    three, so codes repeat within rows and rows repeat; degrees reach the
+    code width's bound B - 1 = n + 1."""
+    K = draw(st.integers(1, 4))
+    n = draw(st.sampled_from(admitted_ns(K)))
+    process = st.tuples(st.integers(0, K - 1), st.integers(0, n + 1), st.integers(0, n + 1))
+    pool = draw(st.lists(process, min_size=1, max_size=3))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n + 1, max_size=n + 1),
+                         max_size=12))
+    cells = np.array(rows, dtype=np.int64).reshape(len(rows), n + 1, 3)
+    return cells[..., 0], cells[..., 1], cells[..., 2], K
+
+
+@GENERATED
+@given(chain_rows())
+def test_row_keys_match_sort_and_matmul_on_generated_rows(rows):
+    labels, n1, n2, K = rows
+    n = labels.shape[1] - 1
+    B = n + 2
+    codes = (labels * B + n1) * B + n2
+    reference = np.sort(codes, axis=1) @ (K * B * B) ** np.arange(n, -1, -1, dtype=np.int64)
+    keys = embedding._row_keys(labels, n1, n2, K)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, reference)
 
 
 ENTROPY_INTS = st.integers(0, 2**130 - 1)

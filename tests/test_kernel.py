@@ -17,6 +17,8 @@ patched to return None.
 import ctypes
 import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from types import SimpleNamespace
 
@@ -211,6 +213,25 @@ def test_kernel_source_is_package_data(fresh_loader):
     assert built.is_file()
     assert os.listdir(fresh_loader) == [built.name]  # no temporary file left behind
     assert os.stat(fresh_loader).st_mode & 0o777 == 0o700
+
+
+def test_cached_load_imports_no_resource_modules():
+    # -S runs no site hook, which may import these modules in every
+    # interpreter; the source path beside the module needs none of them
+    if NO_CC:
+        pytest.skip(f"no C compiler ({_kernel.CC}) to build the kernel")
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, site, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\nfrom recipnet import _kernel\n"
+            "assert _kernel.load() is not None, _kernel.error\n"
+            "print([m for m in ('importlib.resources', 'tempfile', 'zipfile') if m in sys.modules])")
+    for _ in range(2):      # the first launch builds the library if the cache lacks it
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _assert_falls_back(match, k2_ref):
