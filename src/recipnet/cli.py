@@ -99,7 +99,6 @@ SCHEMA = {
     ("sim", "snapshots"): ([], (lambda v: isinstance(v, list) and all(map(_is_int, v))),
                            "a list of integers"),
     ("sim", "emit_edges"): (False, (lambda v: isinstance(v, bool)), "true or false"),
-    ("sim", "max_edges"): _int_at_least(100_000_000, 1),
     ("embed", "replicates"): _int_at_least(100_000, 1),
     ("embed", "kmax"): _int_at_least(30, 0),
     ("embed", "lmax"): _int_at_least(30, 0),
@@ -210,9 +209,6 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     bad = [s for s in sim["snapshots"] if not 1 <= s <= sim["n_steps"]]
     if bad:
         raise ParseError(f"sim.snapshots must lie in [1, {sim['n_steps']}], got {bad}")
-    if sim["max_edges"] < 2 * sim["n_steps"] + 1:   # the edges n_steps can make
-        raise ParseError(f"sim.max_edges must be >= 2 * sim.n_steps + 1 = "
-                         f"{2 * sim['n_steps'] + 1}, got {sim['max_edges']}")
     _model(cfg)    # the model's checks, too, come before any output is written
     return cfg
 
@@ -221,21 +217,39 @@ def _model(cfg):
     return validate_params(**cfg["model"])
 
 
-def _check_embed_memory(cfg) -> None:
-    """Refuse an embed whose count vector, K*(kmax+1)*(lmax+1) int64s, exceeds
-    the address-space limit (RLIMIT_AS) when one is set, else physical memory."""
+def _check_memory(cfg, command: str) -> None:
+    """Refuse a run whose largest arrays, sized from the config, exceed RLIMIT_AS
+    when it is set, else physical memory: simulate's graph state, embed's count
+    vector or diagnose's histogram. A simulate past int32 edges is refused first."""
+    if command == "simulate":
+        from .simulate import INT32_MAX
+        n = cfg["sim"]["n_steps"]
+        if 2 * n + 1 > INT32_MAX:
+            raise ConfigError(f"sim.n_steps={n} implies up to {2 * n + 1} edges, over the "
+                              f"{INT32_MAX} that int32 node ids, pools and degrees hold")
+        # two int32 pools of 2n+1 entries; two int32 degree arrays and one int8
+        # (int32 past 127 groups) group array of n+2 entries
+        need = 8 * (2 * n + 1) + (9 if _model(cfg).K <= 127 else 12) * (n + 2)
+        keys, array = f"sim.n_steps={n} needs", "graph state"
+    elif command == "embed":
+        kmax, lmax = cfg["embed"]["kmax"], cfg["embed"]["lmax"]
+        need = _model(cfg).K * (kmax + 1) * (lmax + 1) * 8
+        keys, array = f"embed.kmax={kmax} and embed.lmax={lmax} need", "count vector"
+    elif command == "diagnose":
+        bins = cfg["diagnose"]["bins"]
+        # np.histogram's float64 edges, its int64 counts and the bincount it adds
+        need, keys, array = 24 * bins, f"diagnose.bins={bins} needs", "histogram"
+    else:
+        return
     try:
         import resource
     except ImportError:     # not Unix: no limit to read
         return
-    emb = cfg["embed"]
-    need = _model(cfg).K * (emb["kmax"] + 1) * (emb["lmax"] + 1) * 8
     limit, what = resource.getrlimit(resource.RLIMIT_AS)[0], "RLIMIT_AS"
     if limit == resource.RLIM_INFINITY:
         limit, what = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     if need > limit:
-        raise ConfigError(f"embed.kmax={emb['kmax']} and embed.lmax={emb['lmax']} need a "
-                          f"{need}-byte count vector, over the {limit} bytes of {what}")
+        raise ConfigError(f"{keys} a {need}-byte {array}, over the {limit} bytes of {what}")
 
 
 def _spectra_payload(spectra, order):
@@ -309,8 +323,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
     params = _model(cfg)
     sim = cfg["sim"]
     config = SimConfig(n_steps=sim["n_steps"], seed=sim["seed"],
-                       snapshot_steps=tuple(sim["snapshots"]),
-                       max_edges=sim["max_edges"])
+                       snapshot_steps=tuple(sim["snapshots"]))
     result = run(params, config)
     state = result.state
     csv_on = "csv" in cfg["output"]["formats"]
@@ -480,21 +493,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args)
-        if args.command == "embed":
-            _check_embed_memory(cfg)
+        _check_memory(cfg, args.command)
         out_dir = Path(cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         rio.write_json(out_dir / "config.json", cfg)
-        if args.command == "analyze":
-            cmd_analyze(cfg, out_dir)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, out_dir)
-        elif args.command == "embed":
-            cmd_embed(cfg, out_dir)
-        elif args.command == "diagnose":
-            cmd_diagnose(cfg, out_dir)
-        elif args.command == "verify":
-            cmd_verify(cfg, out_dir)
+        globals()[f"cmd_{args.command}"](cfg, out_dir)   # a wrapper set with setattr runs
     except (ConfigError, ParameterError) as exc:
         print(f"recipnet: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -62,15 +62,16 @@ COMPILED_MIN_ROWS = 16
 
 
 class ResourceLimit(RuntimeError):
-    """Requested run would exceed the configured edge-memory budget."""
+    """Requested run would make more edges than its int32 arrays hold (INT32_MAX)."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """``n_steps`` steps from ``seed``; ``n_steps`` alone sizes ``run``'s arrays."""
+
     n_steps: int
     seed: int = 0
     snapshot_steps: tuple = ()
-    max_edges: int = 100_000_000
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -324,11 +325,6 @@ def run(params: ModelParams, config: SimConfig) -> SimResult:
     Snapshot steps record (|E(k)|, per-group edge counts) after step k.
     """
     edges = 2 * config.n_steps + 1
-    if edges > config.max_edges:
-        raise ResourceLimit(
-            f"n_steps={config.n_steps} implies up to {edges} edges, "
-            f"over budget {config.max_edges}"
-        )
     if edges > INT32_MAX:
         raise ResourceLimit(
             f"n_steps={config.n_steps} implies up to {edges} edges; node ids, pool "

@@ -131,7 +131,6 @@ def test_unknown_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command, section, value", [
     ("simulate", "sim", {"n_steps": "100"}),
     ("simulate", "sim", {"seed": True}),
-    ("simulate", "sim", {"max_edges": 1.5}),
     ("simulate", "sim", {"snapshots": [10, "20"]}),
     ("simulate", "sim", {"snapshots": 10}),
     ("simulate", "sim", {"emit_edges": "no"}),
@@ -149,13 +148,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("verify", "verify", {"repetitions": 0}),
     ("verify", "verify", {"replicates": "5"}),
     ("analyze", "solver", {"tol": float("inf")}),
-    ("simulate", "sim", {"n_steps": 10, "max_edges": 20}),
-], ids=["n_steps-str", "seed-bool", "max_edges-float", "snapshots-str-entry",
+], ids=["n_steps-str", "seed-bool", "snapshots-str-entry",
         "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0",
         "hill_k_rule-0", "hill_k_rule-bool", "embed-replicates-str", "embed-kmax-str",
         "embed-kmax-negative", "embed-seed-float", "solver-tol-str", "diagnose-bins-str",
         "radius_quantile-2", "verify-repetitions-0", "verify-replicates-str",
-        "solver-tol-inf", "max_edges-below-2n+1"])
+        "solver-tol-inf"])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, value):
     out = tmp_path / "out"
     code = main([command, "--config", _k1_config(tmp_path, out, extra={section: value})])
@@ -331,6 +329,73 @@ def test_embed_refuses_a_count_vector_past_memory_before_writing(tmp_path, capsy
     assert not out.exists()
     assert main(["embed", "--config", cfg, "--kmax", "361", "--replicates", "10"]) == 0
     assert (out / "pmf.json").exists()
+
+
+def _int32_refusal(n):
+    return (f"recipnet: ConfigError: sim.n_steps={n} implies up to {2 * n + 1} edges, over "
+            f"the 2147483647 that int32 node ids, pools and degrees hold\n")
+
+
+def test_simulate_refuses_n_steps_past_int32_before_writing(tmp_path, capsys, monkeypatch):
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(recipnet.cli, "run", lambda *args: pytest.fail("simulate ran"))
+    out = tmp_path / "out"
+    cfg = _k1_config(tmp_path, out)
+    # on this host's limit, then on one that no graph state reaches
+    for huge in (False, True):
+        if huge:
+            monkeypatch.setattr(resource, "getrlimit", lambda which: (2**200, 2**200))
+        assert main(["simulate", "--config", cfg, "--n-steps", str(2**62)]) == 2
+        assert capsys.readouterr().err == _int32_refusal(2**62)
+        assert not out.exists()
+    # 2^30 steps can make 2^31 + 1 edges, one too many; one step fewer meets the memory rule
+    assert main(["simulate", "--config", cfg, "--n-steps", str(2**30)]) == 2
+    assert capsys.readouterr().err == _int32_refusal(2**30)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**20, resource.RLIM_INFINITY))
+    assert main(["simulate", "--config", cfg, "--n-steps", str(2**30 - 1)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"recipnet: ConfigError: sim.n_steps={2**30 - 1} needs a ")
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_graph_state_past_memory_before_writing(tmp_path, capsys,
+                                                                    monkeypatch):
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**20, resource.RLIM_INFINITY))
+    out = tmp_path / "out"
+    cfg = _k1_config(tmp_path, out)
+    # K = 1: 8(2n+1) bytes of pools and 9(n+2) of degrees and groups, 25n + 26 <= 2^20
+    assert main(["simulate", "--config", cfg, "--n-steps", "41943"]) == 2
+    assert capsys.readouterr().err == (
+        "recipnet: ConfigError: sim.n_steps=41943 needs a 1048601-byte graph state, over the "
+        "1048576 bytes of RLIMIT_AS\n")
+    assert not out.exists()
+    assert main(["simulate", "--config", cfg, "--n-steps", "41942"]) == 0
+    assert json.loads((out / "summary.json").read_text())["nodes"] == 41943
+
+
+@pytest.mark.parametrize("bins", [10**12, 2**63], ids=["1e12", "2^63"])
+def test_diagnose_refuses_a_histogram_past_memory_before_writing(tmp_path, capsys, bins):
+    pytest.importorskip("resource")
+    degrees = tmp_path / "degrees.csv"
+    degrees.write_text("node,group,in_deg,out_deg\n1,1,3,2\n2,1,1,2\n")
+    out = tmp_path / "out"
+    cfg = _k1_config(tmp_path, out, extra={"diagnose": {"bins": bins, "input": str(degrees)}})
+    assert main(["diagnose", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"recipnet: ConfigError: diagnose.bins={bins} needs a "
+                             f"{24 * bins}-byte histogram, over the ")
+    assert not out.exists()
+
+
+def test_removed_max_edges_key_is_unknown(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _k1_config(tmp_path, out, extra={"sim": {"n_steps": 10, "max_edges": 100}})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "recipnet: UnknownKey: unknown key(s) in 'sim': ['max_edges']\n")
+    assert not out.exists()
 
 
 def test_verify_subcommand(tmp_path):

@@ -319,7 +319,7 @@ def test_run_refuses_int32_overflow_before_allocating(k1_ref, monkeypatch):
 
     monkeypatch.setattr(simulate, "GraphState", no_allocation)
     with pytest.raises(ResourceLimit, match="int32"):
-        run(k1_ref, SimConfig(n_steps=2**30, seed=0, max_edges=2**40))
+        run(k1_ref, SimConfig(n_steps=2**30, seed=0))
 
 
 def test_reserve_refuses_int32_overflow():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from recipnet import (
-    ResourceLimit,
     SimConfig,
     degree_histogram,
     enumerate_graph_law,
@@ -313,12 +312,6 @@ def test_degree_histogram_conservation(k2_ref):
     cells = grid[hist.x[inside].astype(int), hist.y[inside].astype(int)]
     assert np.array_equal(cells, hist.weight[inside] / hist.n)
     assert np.count_nonzero(grid) == inside.sum()
-
-
-def test_resource_limit():
-    p = validate_params(alpha=0.5, delta=1.0, pi=[1.0], rho=[[0.5]])
-    with pytest.raises(ResourceLimit):
-        run(p, SimConfig(n_steps=10_000, seed=0, max_edges=100))
 
 
 def test_sim_config_rejects_zero_steps():
