@@ -52,7 +52,7 @@ _EXPORTS = {
     "tails": ("ConditionsUnmet", "DegenerateTail", "DegreeDataset", "EmptySelection",
               "GridMismatch", "InsufficientData", "NonPositiveValues", "PeelOptions",
               "angular_transform", "compare_pmf", "degree_histogram", "hill_estimator",
-              "hrv_peel", "ray_distance", "tail_report"),
+              "hrv_peel", "pair_table", "ray_distance", "tail_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -24,6 +24,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import io as rio
 from .params import ParameterError, group_rates, validate_params
 
@@ -35,7 +37,7 @@ P_THRESHOLD = 0.001
 # wrapper set with setattr is the one that runs.
 _LAZY = {"build_jstar", "solve_equilibrium", "all_spectra", "order_groups", "SimConfig",
          "run", "estimate_pkl", "verify_equivalence", "DegreeDataset", "PeelOptions",
-         "tail_report", "EmptySelection"}
+         "tail_report", "EmptySelection", "pair_table"}
 
 
 def __getattr__(name):
@@ -62,6 +64,10 @@ class ParseError(ConfigError):
 
 class UnknownKey(ConfigError):
     """Config contains a key outside the schema."""
+
+
+class BadInput(ConfigError):
+    """diagnose's input snapshot cannot be read or lacks a needed column."""
 
 
 MODEL_KEYS = {"alpha", "delta", "pi", "rho", "k"}
@@ -252,6 +258,23 @@ def _check_memory(cfg, command: str) -> None:
         raise ConfigError(f"{keys} a {need}-byte {array}, over the {limit} bytes of {what}")
 
 
+def _check_input(cfg, args) -> None:
+    """Refuse a diagnose without an input, or whose input cannot be opened or
+    has a header without the columns a degree snapshot needs, naming the key
+    that gave the path. A bad row below a good header fails only at run time."""
+    src = cfg["diagnose"]["input"]
+    if src is None:
+        raise ParseError("diagnose requires an input degree CSV "
+                         "(--input or diagnose.input)")
+    key = "--input" if args.input is not None else "diagnose.input"
+    try:
+        rio.check_degree_header(src)
+    except OSError as exc:
+        raise BadInput(f"{key} {src}: cannot read it: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise BadInput(f"{key} {src}: {exc}") from exc
+
+
 def _spectra_payload(spectra, order):
     rows = []
     for s in spectra:
@@ -364,17 +387,25 @@ def cmd_embed(cfg, out_dir: Path) -> None:
     rio.write_pmf(out_dir, est, formats=cfg["output"]["formats"])
 
 
+def _fold_pair_table(src, K: int):
+    """The (in, out) pair table of a degree snapshot, the only input of the
+    tail statistics: each block's table joins the running one by
+    ``pair_table``'s own rule, so no column per node is held."""
+    _load("pair_table")
+    table = None
+    for ind, outd, _ in rio.read_degree_blocks(src, K):
+        block = pair_table(ind, outd)
+        table = block if table is None else pair_table(
+            *(np.concatenate(pair) for pair in zip(table, block)))
+    return table
+
+
 def cmd_diagnose(cfg, out_dir: Path) -> None:
     src = cfg["diagnose"]["input"]
-    if src is None:
-        raise ParseError("diagnose requires an input degree CSV "
-                         "(--input or diagnose.input)")
     _load("solve_equilibrium", "all_spectra", "DegreeDataset", "PeelOptions", "tail_report",
           "EmptySelection")
     params = _model(cfg)
-    ind, outd = rio.read_degree_snapshot(src, params.K)[:2]
-    dataset = DegreeDataset(x=ind, y=outd)
-    del ind, outd   # the statistics read only the pair table
+    dataset = DegreeDataset(*_fold_pair_table(src, params.K))
     sol = solve_equilibrium(params, tol=cfg["solver"]["tol"],
                             max_iter=cfg["solver"]["max_iter"])
     spectra = all_spectra(params)
@@ -494,6 +525,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args)
         _check_memory(cfg, args.command)
+        if args.command == "diagnose":
+            _check_input(cfg, args)
         out_dir = Path(cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         rio.write_json(out_dir / "config.json", cfg)

@@ -18,7 +18,9 @@ keep their key order with a 2-space indent, so reruns stay byte-identical.
 
 A table's transient buffers are bounded and under numpy's 4 MiB huge-page
 threshold: writes format CHUNK rows at a time (rows * width * 21 bytes,
-1.4 MB at width 4), and reads go in READ_BLOCK-byte blocks. Whether a huge
+1.4 MB at width 4), and reads go in READ_BLOCK-byte blocks;
+``read_degree_blocks`` hands a degree snapshot over one block of rows at a
+time, so its caller need not hold a column per node. Whether a huge
 page backs a larger array depends on where address randomisation puts it,
 so such a buffer moved a process's peak RSS by chance.
 """
@@ -39,7 +41,7 @@ if TYPE_CHECKING:
     from .simulate import GraphState, Trajectory
 
 CHUNK = 1 << 14             # rows per write in write_table
-READ_BLOCK = 1 << 18        # bytes per read in _parse_int_table
+READ_BLOCK = 1 << 18        # bytes per read in _int_blocks
 
 
 def write_table(path, header, columns) -> None:
@@ -87,21 +89,22 @@ def _write_chunks(path, header, chunks) -> None:
 def read_table(path, dtypes: dict) -> tuple:
     """Read the columns named in ``dtypes`` (name -> dtype), one array each.
 
-    The ``loadtxt`` call below is the rule, and names every error. A table
-    whose columns are all int64 is first parsed by the compiled kernel's
-    ``rn_parse_int_rows``, when it loads; it gives the same arrays for the
-    bytes ``rn_format_int_rows`` writes and refuses anything else, which
-    then goes to ``loadtxt``.
+    The ``loadtxt`` call in ``_loadtxt_table`` is the rule, and names every
+    error. A table whose columns are all int64 is first parsed by the
+    compiled kernel's ``rn_parse_int_rows``, when it loads; it gives the same
+    arrays for the bytes ``rn_format_int_rows`` writes and refuses anything
+    else, which then goes to ``loadtxt``.
     """
     if all(np.dtype(dtype) == np.int64 for dtype in dtypes.values()):
         columns = _parse_int_table(path, dtypes)
         if columns is not None:
             return columns
+    return _loadtxt_table(path, dtypes)
+
+
+def _loadtxt_table(path, dtypes: dict) -> tuple:
     with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        missing = [name for name in dtypes if name not in header]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
+        header = _header(fh, path, dtypes)
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # see below
@@ -116,53 +119,79 @@ def read_table(path, dtypes: dict) -> tuple:
     return tuple(rows[name] for name in dtypes)
 
 
+def _header(fh, path, names) -> list:
+    """The header row of the open table ``fh``; a ValueError naming ``path``
+    when it lacks one of ``names``."""
+    header = fh.readline().rstrip("\r\n").split(",")
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
+    return header
+
+
 def _parse_int_table(path, names) -> tuple | None:
     """The named columns of an all-integer table through ``rn_parse_int_rows``,
-    or None when the kernel does not load, the header is not plain ASCII
-    naming every column, the body is empty, a line is longer than
-    READ_BLOCK bytes, or the parser refuses a block.
+    or None where ``_int_blocks`` refuses it."""
+    columns, = _int_blocks(path, names, whole=True)
+    return columns
 
-    The body is read twice into one READ_BLOCK buffer: once to count the
-    rows, so that each column is allocated once at its length, then block
-    by block into the columns from the row already filled, with the cut
-    last row moved to the front of the buffer for the next read.
+
+def _int_blocks(path, names, whole: bool):
+    """Parse an all-integer table with ``rn_parse_int_rows`` one READ_BLOCK
+    buffer at a time, and yield the named columns' rows, one int64 array
+    each: with ``whole``, once, as the table's columns, which a first read
+    of the body sized by counting its rows; else after each block, as views
+    of one block of columns (READ_BLOCK / (2 * header width) rows, since a
+    cell takes a digit and a separator) that the next block reuses. The
+    cut last row of a read moves to the front of the buffer for the next.
+
+    Yields None last when the kernel does not load, the header is not plain
+    ASCII naming every column, the body is empty, a line is longer than
+    READ_BLOCK bytes, or the parser refuses a block.
     """
     if (kernel := _kernel.load()) is None:
-        return None
+        yield None
+        return
     buf = bytearray(READ_BLOCK)
     view, addr = memoryview(buf), np.frombuffer(buf, dtype=np.uint8).ctypes.data
     with open(path, "rb") as fh:
         head = fh.readline(READ_BLOCK)
-        if not head.endswith(b"\n") or b"\r" in head or not head.isascii():
-            return None
-        header = head[:-1].decode().split(",")
-        if any(name not in header for name in names):
-            return None
-        start, rows = fh.tell(), 0
-        while size := fh.readinto(buf):
-            rows += buf.count(b"\n", 0, size)
-        if rows == 0:
-            return None
-        columns = {name: np.empty(rows, dtype=np.int64) for name in names}
+        header = head[:-1].decode().split(",") if head.isascii() else []
+        if not head.endswith(b"\n") or b"\r" in head or any(n not in header for n in names):
+            yield None
+            return
+        if whole:
+            start, cap = fh.tell(), 0
+            while size := fh.readinto(buf):
+                cap += buf.count(b"\n", 0, size)
+            fh.seek(start)
+        else:
+            cap = READ_BLOCK // (2 * len(header))
+        columns = {name: np.empty(cap, dtype=np.int64) for name in names}
         # one destination per header column; a NULL one is checked and dropped
         dest = np.zeros(len(header), dtype=np.uintp)
         for name, column in columns.items():
             dest[header.index(name)] = column.ctypes.data
         live = dest != 0
-        fh.seek(start)
-        done = carry = 0
+        done = carry = got = 0
         while size := fh.readinto(view[carry:]):
             size += carry
             cut = buf.rfind(b"\n", 0, size) + 1      # 0, so refused, if no row ends here
-            got = kernel.rn_parse_int_rows(addr, cut, len(header), rows - done,
+            got = kernel.rn_parse_int_rows(addr, cut, len(header), cap - done if whole else cap,
                                            dest.ctypes.data)
             if got < 0:
-                return None
+                break
             done += got
-            dest[live] += got * 8
+            if whole:
+                dest[live] += got * 8
+            else:
+                yield tuple(column[:got] for column in columns.values())
             carry = size - cut
             view[:carry] = view[cut:size]
-    return tuple(columns.values()) if carry == 0 and done == rows else None
+    if got < 0 or carry or done == 0 or whole and done != cap:
+        yield None
+    elif whole:
+        yield tuple(columns.values())
 
 
 def write_edges(path, state: GraphState) -> None:
@@ -180,21 +209,54 @@ def write_degree_snapshot(path, state: GraphState) -> None:
                     ind[lo:lo + CHUNK], outd[lo:lo + CHUNK]) for lo in range(0, len(ind), CHUNK)))
 
 
+DEGREE_COLUMNS = {"in_deg": np.int64, "out_deg": np.int64, "group": np.int64}
+
+
+def check_degree_header(path) -> None:
+    """Open a degree snapshot and read its header: an OSError when the file
+    cannot be read, a ValueError naming it when a column is missing."""
+    with open(path, newline="") as fh:
+        _header(fh, path, DEGREE_COLUMNS)
+
+
 def read_degree_snapshot(path, K: int | None = None):
     """(in_deg, out_deg, groups) arrays of a degree snapshot; groups 0-based.
 
     A negative degree, a group below 1 or, when the model's ``K`` is given,
     a group above it is a ValueError naming the file.
     """
-    ind, outd, grp = read_table(path, {"in_deg": np.int64, "out_deg": np.int64,
-                                       "group": np.int64})
-    for name, column, lo in (("in_deg", ind, 0), ("out_deg", outd, 0), ("group", grp, 1)):
-        if column.min() < lo:
-            raise ValueError(f"{path}: {name} must be >= {lo}, got {column.min()}")
-    if K is not None and grp.max() > K:
-        raise ValueError(f"{path}: group must be <= K = {K}, got {grp.max()}")
-    grp -= 1
+    (ind, outd, grp), = read_degree_blocks(path, K, whole=True)
     return ind, outd, grp
+
+
+def read_degree_blocks(path, K: int | None = None, whole: bool = False):
+    """Yield the (in_deg, out_deg, groups) rows of a degree snapshot, groups
+    0-based, block by block: views of one reused block of rows, each valid
+    until the next is read; with ``whole``, all rows at once.
+
+    Where the compiled parser refuses the file or does not load, ``loadtxt``
+    reads the whole file as ``read_table`` does, and its rows past those
+    already yielded follow in one block. Once every row is read, a negative
+    degree, a group below 1 or, when ``K`` is given, a group above it is a
+    ValueError naming the file and the file's least or largest value.
+    """
+    done, low, high = 0, [float("inf")] * 3, -float("inf")
+    for block in _int_blocks(path, DEGREE_COLUMNS, whole):
+        if block is None:
+            block = tuple(column[done:] for column in _loadtxt_table(path, DEGREE_COLUMNS))
+            if not len(block[0]):
+                break
+        ind, outd, grp = block
+        low = [min(least, int(column.min())) for least, column in zip(low, block)]
+        high = max(high, int(grp.max()))
+        done += len(grp)
+        grp -= 1
+        yield ind, outd, grp
+    for name, least, lo in zip(DEGREE_COLUMNS, low, (0, 0, 1)):
+        if least < lo:
+            raise ValueError(f"{path}: {name} must be >= {lo}, got {least}")
+    if K is not None and high > K:
+        raise ValueError(f"{path}: group must be <= K = {K}, got {high}")
 
 
 def write_trajectory(path, traj: Trajectory) -> None:

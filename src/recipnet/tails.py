@@ -35,6 +35,7 @@ from .spectral import GroupSpectral, order_groups, regime_slack
 
 HILL_SWEEP_POINTS = 256     # sweep grid: every k up to this many, then this many geometric
 PAIR_KEY_SPAN = 4           # pair_table bincounts keys spanning up to this many per row
+SWEEP_CHUNK = 1 << 14       # sample entries per chunk of the Hill sweep's running sums
 
 
 class InsufficientData(ValueError):
@@ -61,18 +62,22 @@ class GridMismatch(ValueError):
     """Pmf grids have different shapes."""
 
 
-def pair_table(x, y):
+def pair_table(x, y, weights=None):
     """The distinct (x, y) pairs of two equal-length arrays, in increasing
-    (x, y) order, and how many times each occurs: ``(x, y, weight)``.
+    (x, y) order, and the total weight of each: ``(x, y, weight)``. Each row
+    weighs its entry of the int64 ``weights``, or 1 when it is None.
 
-    Non-negative integer arrays whose key ``x*(max y + 1) + y`` spans at most
-    PAIR_KEY_SPAN times their length are tallied by one ``np.bincount``;
-    other input (floats, negative values, wide key ranges) by ``np.unique``.
+    Unweighted non-negative integer arrays whose key ``x*(max y + 1) + y``
+    spans at most PAIR_KEY_SPAN times their length are tallied by one
+    ``np.bincount``; other input (weights, floats, negative values, wide key
+    ranges) by a sort. So the tables of two samples, joined with their
+    weights, give the table of the joined samples.
     """
     x, y = np.asarray(x), np.asarray(y)
-    if len(x) != len(y) or len(x) == 0:
-        raise ValueError("x and y must be equal-length, non-empty")
-    if (all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64) for a in (x, y))
+    if len(x) != len(y) or len(x) == 0 or weights is not None and len(weights) != len(x):
+        raise ValueError("x, y and weights must be equal-length, non-empty")
+    if (weights is None
+            and all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64) for a in (x, y))
             and x.min() >= 0 and y.min() >= 0):
         width = int(y.max()) + 1
         span = (int(x.max()) + 1) * width
@@ -83,8 +88,12 @@ def pair_table(x, y):
             counts = np.bincount(key, minlength=span)
             key = np.flatnonzero(counts)
             return key // width, key % width, counts[key]
-    rows, weight = np.unique(np.stack([x, y], axis=1), axis=0, return_counts=True)
-    return rows[:, 0], rows[:, 1], weight
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    first = np.flatnonzero(np.concatenate([[True], (x[1:] != x[:-1]) | (y[1:] != y[:-1])]))
+    weight = (np.diff(first, append=len(x)) if weights is None
+              else np.add.reduceat(np.asarray(weights, dtype=np.int64)[order], first))
+    return x[first], y[first], weight
 
 
 @dataclass(frozen=True)
@@ -93,17 +102,20 @@ class DegreeDataset:
     in-degrees and y = out-degrees (as floats), ``weight``, the number of
     nodes with each pair, and ``n``, the number of nodes.
 
-    Every statistic below reads the rows with their weights and equals the
-    same statistic on the sample with each pair repeated ``weight`` times.
+    ``weight`` (default 1 per row) counts the nodes of each given row, so a
+    pair table built elsewhere, such as one folded block by block, gives
+    itself. Every statistic below reads the rows with their weights and
+    equals the same statistic on the sample with each pair repeated
+    ``weight`` times.
     """
 
     x: np.ndarray
     y: np.ndarray
-    weight: np.ndarray = field(init=False)
+    weight: np.ndarray | None = None
     n: int = field(init=False)
 
     def __post_init__(self):
-        x, y, weight = pair_table(self.x, self.y)
+        x, y, weight = pair_table(self.x, self.y, self.weight)
         for name, value in (("x", x.astype(float)), ("y", y.astype(float)),
                             ("weight", weight), ("n", int(weight.sum()))):
             object.__setattr__(self, name, value)
@@ -197,16 +209,40 @@ def hill_estimator(values, k: int, sweep: bool = False, weights=None) -> HillRep
 
     k_sweep = None
     if sweep:
-        # running Hill estimate at the grid's k, for stability plots; the
-        # logs are summed one order statistic at a time, so each row is the
-        # expanded sample's to the bit
-        logs = np.repeat(np.log(desc), counts)
+        # running Hill estimate at the grid's k, for stability plots
+        logs = np.log(desc)
         ks = hill_sweep_ks(n_pos - 1, k)
-        inv_ks = np.cumsum(logs[:-1])[ks - 1] / ks - logs[ks]
+        # logs[r] is the log of the sorted sample's entries cum[r] to cum[r+1] - 1
+        inv_ks = _running_sums(logs, cum, ks) / ks - logs[np.searchsorted(cum, ks, "right") - 1]
         with np.errstate(divide="ignore"):
             est_ks = np.where(inv_ks > 0.0, 1.0 / inv_ks, np.inf)
         k_sweep = np.stack([ks, est_ks], axis=1)
     return HillReport(k=k, index_estimate=est, se=est / math.sqrt(k), k_sweep=k_sweep)
+
+
+def _running_sums(logs, cum, ks) -> np.ndarray:
+    """The sum of the first k entries of the sample that repeats ``logs[r]``
+    from entry ``cum[r]`` to ``cum[r+1] - 1``, for each k of the increasing
+    ``ks``: ``np.cumsum`` of that sample at k - 1, to the bit.
+
+    The sample is expanded SWEEP_CHUNK entries at a time, and each chunk's
+    ``np.cumsum`` starts from the last sum of the chunk before. numpy
+    accumulates one entry at a time, so every sum is the whole sample's.
+    """
+    sums = np.empty(len(ks))
+    end = int(ks[-1])
+    for lo in range(0, end, SWEEP_CHUNK):
+        hi = min(lo + SWEEP_CHUNK, end)
+        # the rows that hold entries lo to hi - 1
+        r0, r1 = np.searchsorted(cum, lo, "right") - 1, np.searchsorted(cum, hi)
+        run = np.repeat(logs[r0:r1], np.diff(np.clip(cum[r0:r1 + 1], lo, hi)))
+        if lo:
+            run[0] += last      # the seed: the one addition np.cumsum makes at entry lo
+        np.cumsum(run, out=run)
+        i0, i1 = np.searchsorted(ks, [lo, hi], "right")
+        sums[i0:i1] = run[ks[i0:i1] - 1 - lo]
+        last = run[-1]
+    return sums
 
 
 def hill_sweep_ks(k_max: int, k: int) -> np.ndarray:

@@ -181,6 +181,30 @@ def test_model_value_that_is_no_finite_number_exits_2(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+# case -> (config file body, or None for no file; the ParseError's message)
+CONFIG_REFUSALS = {
+    "unreadable": (None, "cannot read config {path}: [Errno 2] No such file or directory: "
+                         "'{path}'"),
+    "root-not-object": ([1, 2], "config root must be a JSON object"),
+    "no-model": ({}, "config must contain a 'model' section"),
+    "model-not-object": ({"model": 3}, "'model' must be an object"),
+    "section-not-object": ({"model": {"alpha": 0.5, "delta": 1.0, "pi": [1.0], "rho": [[0.5]]},
+                            "sim": 3}, "'sim' must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_REFUSALS)
+def test_config_refusals_exit_2_before_writing(tmp_path, capsys, case):
+    body, message = CONFIG_REFUSALS[case]
+    path = tmp_path / "config.json"
+    if body is not None:
+        path.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"recipnet: ParseError: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
 def test_unparseable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -252,11 +276,45 @@ def test_diagnose_missing_input_is_config_error(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
-def test_diagnose_unreadable_input_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["no-input", "missing-file", "missing-file-in-config",
+                                  "directory", "header-without-columns"])
+def test_diagnose_refuses_a_bad_input_before_writing(tmp_path, capsys, case):
+    """Checked before the output directory is made: exit 2, one line that
+    names the error, the key that gave the path, and the path."""
     out = tmp_path / "out"
-    code = main(["diagnose", "--config", _k1_config(tmp_path, out),
-                 "--input", str(tmp_path / "missing.csv")])
-    assert code == 1
+    path = {"directory": tmp_path}.get(case, tmp_path / "degrees.csv")
+    if case == "header-without-columns":
+        path.write_text("node,group,in,out\n1,1,2,0\n")
+    if case.endswith("in-config"):
+        argv = ["--config", _k1_config(tmp_path, out, extra={"diagnose": {"input": str(path)}})]
+    else:
+        argv = ["--config", _k1_config(tmp_path, out)]
+        argv += [] if case == "no-input" else ["--input", str(path)]
+    assert main(["diagnose", *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    key = "diagnose.input" if case.endswith("in-config") else "--input"
+    assert err[0] == {
+        "no-input": "recipnet: ParseError: diagnose requires an input degree CSV "
+                    "(--input or diagnose.input)",
+        "header-without-columns": f"recipnet: BadInput: --input {path}: {path}: missing "
+                                  f"column(s) ['in_deg', 'out_deg']; header is "
+                                  f"['node', 'group', 'in', 'out']",
+    }.get(case, f"recipnet: BadInput: {key} {path}: cannot read it: "
+                f"{'Is a directory' if case == 'directory' else 'No such file or directory'}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["", "1,1,2,0\n2,1,x,0\n"], ids=["header-only", "bad-cell"])
+def test_diagnose_bad_rows_below_a_good_header_exit_1(tmp_path, capsys, body):
+    degrees = tmp_path / "degrees.csv"
+    degrees.write_text("node,group,in_deg,out_deg\n" + body)
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", _k1_config(tmp_path, out),
+                 "--input", str(degrees)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"recipnet: ValueError: {degrees}: ")
+    assert not (out / "report.json").exists()
 
 
 def test_diagnose_sparse_degrees_skips_hrv(tmp_path):

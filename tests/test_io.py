@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recipnet import SimConfig, _kernel, estimate_pkl, run, solve_equilibrium
+from recipnet import (SimConfig, _kernel, all_spectra, estimate_pkl, pair_table, run,
+                      solve_equilibrium, tail_report)
+from recipnet import cli
 from recipnet import io as rio
 from recipnet.cli import main
-from conftest import run_k2, sha256s
+from conftest import K2_MODEL, run_k2, sha256s
 
-K1_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "configs" / "k1.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+K1_CONFIG = CONFIGS / "k1.json"
 
 
 def test_degree_snapshot_roundtrip(tmp_path, k2_ref):
@@ -289,6 +292,188 @@ def test_read_degree_snapshot_holds_its_columns_and_one_block(tmp_path):
         tracemalloc.stop()
     assert ind.tolist() == (i % 1000).tolist() and grp.tolist() == (i % 2).tolist()
     assert peak <= 3 * 8 * n + 2 * rio.READ_BLOCK + (64 << 10), peak
+
+
+def _snapshot(path, rng, n):
+    """Write a degree snapshot of n nodes with heavy-tailed degrees drawn from
+    ``rng``; return its (in_deg, out_deg, group) columns, groups 1-based."""
+    ind, outd = (np.floor(rng.pareto(rng.uniform(0.5, 3.0), n) * rng.uniform(1, 40))
+                 .astype(np.int64) for _ in range(2))
+    grp = rng.integers(1, 3, n)
+    rio.write_table(path, ("node", "group", "in_deg", "out_deg"),
+                    (np.arange(1, n + 1), grp, ind, outd))
+    return ind, outd, grp
+
+
+def _blocks(path, K=2):
+    """Copies of the blocks of read_degree_blocks, whose views the next block reuses."""
+    return [tuple(column.copy() for column in block) for block in rio.read_degree_blocks(path, K)]
+
+
+@pytest.mark.parametrize("n, block", [(1, None), (700, 128), (9000, 4096), (60000, None)])
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "loadtxt"])
+def test_degree_blocks_fold_to_the_pair_table_of_the_columns(tmp_path, monkeypatch, n, block,
+                                                             kernel):
+    """Folding the blocks, as diagnose does, gives pair_table of the per-node
+    columns exactly (pairs, weights, order and dtypes), and the blocks are
+    read_degree_snapshot's columns cut in order. The kernel's blocks each fill
+    at most one buffer; without the kernel, loadtxt reads the file as one block."""
+    if kernel and _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    if block is not None:
+        monkeypatch.setattr(rio, "READ_BLOCK", block)
+    path = tmp_path / "degrees.csv"
+    ind, outd, grp = _snapshot(path, np.random.default_rng(n), n)
+    blocks = _blocks(path)
+    # a kernel block holds the rows that end within one READ_BLOCK-byte read
+    body = path.stat().st_size - len(HEADER)
+    assert len(blocks) >= -(-body // rio.READ_BLOCK) if kernel else len(blocks) == 1
+    for got, want in zip(map(np.concatenate, zip(*blocks)), (ind, outd, grp - 1)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for got, want in zip(cli._fold_pair_table(path, 2), pair_table(ind, outd)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# row -> its text, written into a 40000-row snapshot that spans two read blocks
+FALLBACK_CASES = {
+    "plus-sign": {35000: "35001,1,+5,0"},
+    "blank-cell": {35000: "35001,1, 5,0"},
+    "bad-cell": {35000: "35001,1,x,0"},
+    "negative-in-both-blocks": {10: "11,1,-9,0", 35000: "35001,1,-3,0"},
+    "negative-out-in-later-block": {35000: "35001,1,2,-4"},
+    "group-zero-in-later-block": {35000: "35001,0,2,4"},
+    "group-above-K-in-both-blocks": {10: "11,5,2,4", 35000: "35001,3,2,4"},
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_degree_blocks_past_a_refused_block_fall_back_to_loadtxt(tmp_path, monkeypatch, case):
+    """A cell that the compiled parser refuses past the first block sends the
+    whole file to loadtxt, and the rows not yet yielded follow: every row is
+    folded once. A bad row fails with read_degree_snapshot's message through
+    loadtxt, a degree or group out of range with the file's least or largest
+    value, as before the fold."""
+    if _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    n = 40000
+    rows = [f"{i + 1},{i % 2 + 1},{i * 7 % 101},{i % 13}" for i in range(n)]
+    for i, row in FALLBACK_CASES[case].items():
+        rows[i] = row
+    path = tmp_path / "degrees.csv"
+    path.write_text(HEADER + "\n".join(rows) + "\n")
+    assert path.stat().st_size > rio.READ_BLOCK
+
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as exc:
+            return str(exc)
+
+    fold = outcome(lambda: cli._fold_pair_table(path, 2))
+    blocks = outcome(lambda: _blocks(path))
+    whole = outcome(lambda: rio.read_degree_snapshot(path, 2))
+    with monkeypatch.context() as slow:
+        slow.setattr(_kernel, "load", lambda: None)
+        want = outcome(lambda: rio.read_degree_snapshot(path, 2))
+    if isinstance(want, str):
+        assert fold == blocks == whole == want
+        assert want.startswith(f"{path}: ")
+        return
+    assert len(blocks) > 1 and sum(len(block[0]) for block in blocks) == n
+    for got, ref, col in zip(map(np.concatenate, zip(*blocks)), whole, want):
+        assert np.array_equal(got, col) and np.array_equal(ref, col)
+    for got, ref in zip(fold, pair_table(*want[:2])):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert fold[2].sum() == n
+
+
+def _synthetic_snapshot(path, n):
+    """Write an n-node degree snapshot CHUNK rows at a time: node i has about
+    2000/sqrt(i) in-edges and 1500/i^0.45 out-edges, so the pairs are few and
+    the tails distinct at any n."""
+    def chunks():
+        for lo in range(0, n, rio.CHUNK):
+            i = np.arange(lo, min(lo + rio.CHUNK, n))
+            yield (i + 1, i % 2 + 1, (2000 / np.sqrt(i + 1)).astype(np.int64) + i % 3,
+                   (1500 / (i + 1) ** 0.45).astype(np.int64) + i % 2)
+    rio._write_chunks(path, ("node", "group", "in_deg", "out_deg"), chunks())
+
+
+def test_diagnose_memory_does_not_grow_with_nodes(tmp_path, k2_ref):
+    """tracemalloc's peak while diagnose folds a snapshot's pair table and
+    takes its tail report is the same at 2e6 nodes as at 2e5, within 512 KiB.
+    Three int64 columns per node would add 43 MB."""
+    if _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.error}")
+    sol, spectra = solve_equilibrium(k2_ref), all_spectra(k2_ref)
+    paths = []
+    for n in (200_000, 2_000_000):
+        paths.append(tmp_path / f"degrees-{n}.csv")
+        _synthetic_snapshot(paths[-1], n)
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            report = tail_report(cli.DegreeDataset(*cli._fold_pair_table(path, 2)), sol, spectra)
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    peak(paths[0])      # warm-up: first-call caches
+    (small, report), (large, _) = peak(paths[0]), peak(paths[1])
+    assert report.hill_in is not None and report.hill_out is not None
+    assert large <= small + (512 << 10), (small, large)
+
+
+# sha256 of diagnose's artifacts on snapshots of grow-k2's config (the k2
+# model at 5e5 steps, seed 2001) and of demos/configs/k1.json and k2.json as
+# they are (1e6 steps), recorded before diagnose folded its pair table block
+# by block and took the Hill sweep's sums in chunks
+DIAGNOSE_DIGESTS = {
+    "grow-k2": {
+        "report.json": "9d35581ea825a42d4455c6d5bb139d861c31b4469ad377f9818057c24eb687b2",
+        "hill_sweep_in.csv": "3e87f2175e28bf6043b46e0baa375ea72c7d03764b345789b4fb742591ad5e89",
+        "hill_sweep_out.csv": "f5d206e5c6a7489fcf33261ac56dfed4f971a304f339bb21cfdf3377eebcbee5",
+        "angular_hist.csv": "00de307be7c9666fa627f351d4e6dcd12a7b7e0d0f938a970fdf989e9d3f2a4e",
+    },
+    "k1": {
+        "report.json": "47da74804d6f873441aa2e8a6fa3280946ae27d6ca41183a3e81c6033b6a751e",
+        "hill_sweep_in.csv": "c38d398a0ceacbc1d1de92b491726e6b017ca1876a88c0a00261c453a421c0a8",
+        "hill_sweep_out.csv": "ea3e14ccbe5be0fee672169a1c564c47fbedb95e5bf270c726dea4dc395ffae0",
+        "angular_hist.csv": "972f30584b7838633e047e4f5a2a46299858c1dbde4284a9496724521971644f",
+    },
+    "k2": {
+        "report.json": "f68aa9fb504b9a80c5f6b59b07efbf0d48a31d89efcd1a9eb8a0a26472bdebd0",
+        "hill_sweep_in.csv": "bf1fc9c5aeff977cf173fb431125b1ce2216b95654a3d73a68ece3b8d2f05532",
+        "hill_sweep_out.csv": "dc431c3c0ce63215f6568dfa3494d5891dea9ac0a99ea4451caed7a4a3a86a03",
+        "angular_hist.csv": "cd947548d9796c2b84a387234dd2169150bdb715502eab62a33fa0382092dadb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", DIAGNOSE_DIGESTS)
+def test_diagnose_artifacts_match_parent_digests(tmp_path, monkeypatch, name):
+    """Without the kernel too: then diagnose reads its snapshot through loadtxt
+    (and simulate runs its Python loop). Where the kernel loads, the grow-k2
+    snapshot is also diagnosed through loadtxt."""
+    if name == "grow-k2":
+        cfg = tmp_path / "grow-k2.json"
+        cfg.write_text(json.dumps({"model": K2_MODEL, "sim": {"n_steps": 500_000, "seed": 2001}}))
+    else:
+        cfg = CONFIGS / f"{name}.json"
+    sim = tmp_path / "simulate"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    runs = [True, False] if name == "grow-k2" and _kernel.load() is not None else [True]
+    for kernel in runs:
+        out = tmp_path / f"diagnose-{kernel}"
+        with monkeypatch.context() as patched:
+            if not kernel:
+                patched.setattr(_kernel, "load", lambda: None)
+            assert main(["diagnose", "--config", str(cfg), "--out", str(out),
+                         "--input", str(sim / "degrees.csv")]) == 0
+        assert sha256s(out, DIAGNOSE_DIGESTS[name]) == DIAGNOSE_DIGESTS[name], kernel
 
 
 def test_write_table_cells_are_str_of_python_values(tmp_path):

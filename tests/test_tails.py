@@ -28,6 +28,7 @@ from recipnet import (
     validate_params,
 )
 from recipnet.spectral import order_groups
+from recipnet import tails
 from recipnet.tails import (HILL_SWEEP_POINTS, HillReport, hill_sweep_ks, pair_table,
                             weighted_median, weighted_quantile)
 
@@ -158,12 +159,17 @@ def test_angular_empty_selection():
     ds = DegreeDataset(x=np.array([1.0]), y=np.array([1.0]))
     with pytest.raises(EmptySelection):
         angular_transform(ds, 10.0)
+    with pytest.raises(ValueError, match="radius threshold must be nonnegative"):
+        angular_transform(ds, -1.0)
 
 
 def test_ray_distance_values():
     assert ray_distance((3.0, 5.0), 1.0) == 2.0
     assert ray_distance((4.0, 2.0), 0.5) == 0.0
     assert ray_distance((100.0, 115.0), 1.15470) == pytest.approx(0.470, abs=1e-9)
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError, match="ray slope must be positive"):
+            ray_distance((3.0, 5.0), a)
 
 
 def test_ray_distance_homogeneous():
@@ -337,6 +343,60 @@ def test_pair_table_bincount_and_unique_agree():
     assert tx.tolist() == [0, 10**12] and ty.tolist() == [5, -1] and w.tolist() == [1, 2]
     with pytest.raises(ValueError):
         pair_table(np.array([1]), np.array([1, 2]))
+
+
+def test_pair_table_of_joined_tables_is_the_table_of_the_joined_samples():
+    """Tables of consecutive pieces of a sample, joined with their weights
+    piece by piece as diagnose joins its read blocks, give the whole sample's
+    table: the same pairs in the same order, the same weights and dtypes."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 3000))
+        x = np.floor(rng.pareto(rng.uniform(0.5, 3.0), n) * rng.uniform(1, 30)).astype(np.int64)
+        y = np.floor(rng.pareto(rng.uniform(0.5, 3.0), n) * rng.uniform(1, 30)).astype(np.int64)
+        cuts = np.sort(rng.integers(1, n, int(rng.integers(0, 6)))) if n > 1 else []
+        table = None
+        for px, py in zip(np.split(x, cuts), np.split(y, cuts)):
+            if len(px) == 0:
+                continue
+            piece = pair_table(px, py)
+            table = piece if table is None else pair_table(
+                *(np.concatenate(pair) for pair in zip(table, piece)))
+        for got, want in zip(table, pair_table(x, y)):
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(pair_table(*table), table))
+        folded, whole = DegreeDataset(*table), DegreeDataset(x=x, y=y)
+        for name in ("x", "y", "weight"):
+            assert np.array_equal(getattr(folded, name), getattr(whole, name))
+        assert folded.n == whole.n == n
+    with pytest.raises(ValueError):
+        pair_table(np.array([1, 2]), np.array([1, 2]), np.array([1]))
+
+
+@pytest.mark.parametrize("chunk", [5, 64, tails.SWEEP_CHUNK])
+def test_chunked_sweep_sums_equal_cumsum_of_the_expanded_sample(monkeypatch, chunk):
+    """The sweep's running log sums, taken chunk by chunk, equal np.cumsum
+    over the expanded sample bit for bit, and so does every sweep row: small
+    chunks cross many chunk edges, inside a row's run and at its ends."""
+    monkeypatch.setattr(tails, "SWEEP_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for _ in range(25):
+        rows = int(rng.integers(1, 200))
+        logs = np.sort(np.log1p(rng.pareto(1.0, rows) * 50.0))[::-1]
+        counts = rng.integers(0, 40, rows)
+        counts[0] += 2                    # at least two entries
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        total = int(cum[-1])
+        expanded = np.cumsum(np.repeat(logs, counts)[:-1])
+        for ks in (np.arange(1, total), hill_sweep_ks(total - 1, int(rng.integers(1, total)))):
+            assert np.array_equal(tails._running_sums(logs, cum, ks), expanded[ks - 1])
+        values, k = np.exp(logs), int(rng.integers(1, total))
+        try:
+            want = expanded_hill_estimator(np.repeat(values, counts), k, sweep=True)
+        except DegenerateTail:
+            continue
+        got = hill_estimator(values, k, sweep=True, weights=counts)
+        assert np.array_equal(got.k_sweep, want.k_sweep)
 
 
 def test_weighted_quantile_and_median_match_numpy():
