@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recipnet import (SimConfig, _kernel, all_spectra, estimate_pkl, pair_table, run,
-                      solve_equilibrium, tail_report)
+from recipnet import (DegreeDataset, SimConfig, _kernel, all_spectra, estimate_pkl,
+                      pair_table, run, solve_equilibrium, tail_report)
 from recipnet import cli
 from recipnet import io as rio
 from recipnet.cli import main
@@ -315,8 +315,8 @@ def _blocks(path, K=2):
 def test_degree_blocks_fold_to_the_pair_table_of_the_columns(tmp_path, monkeypatch, n, block,
                                                              kernel):
     """Folding the blocks, as diagnose does, gives pair_table of the per-node
-    columns exactly (pairs, weights, order and dtypes), and the blocks are
-    read_degree_snapshot's columns cut in order. The kernel's blocks each fill
+    columns exactly (pairs, weights, order and dtypes), and the blocks are the
+    written columns cut in order, groups 0-based. The kernel's blocks each fill
     at most one buffer; without the kernel, loadtxt reads the file as one block."""
     if kernel and _kernel.load() is None:
         pytest.skip(f"no compiled kernel: {_kernel.error}")
@@ -416,7 +416,7 @@ def test_diagnose_memory_does_not_grow_with_nodes(tmp_path, k2_ref):
     def peak(path):
         tracemalloc.start()
         try:
-            report = tail_report(cli.DegreeDataset(*cli._fold_pair_table(path, 2)), sol, spectra)
+            report = tail_report(DegreeDataset(*cli._fold_pair_table(path, 2)), sol, spectra)
             return tracemalloc.get_traced_memory()[1], report
         finally:
             tracemalloc.stop()
@@ -455,9 +455,9 @@ DIAGNOSE_DIGESTS = {
 
 @pytest.mark.parametrize("name", DIAGNOSE_DIGESTS)
 def test_diagnose_artifacts_match_parent_digests(tmp_path, monkeypatch, name):
-    """Without the kernel too: then diagnose reads its snapshot through loadtxt
-    (and simulate runs its Python loop). Where the kernel loads, the grow-k2
-    snapshot is also diagnosed through loadtxt."""
+    """The snapshots span several read blocks. Where the kernel loads, the
+    grow-k2 snapshot is also diagnosed through loadtxt; where it does not,
+    simulate runs its Python loop and diagnose reads through loadtxt."""
     if name == "grow-k2":
         cfg = tmp_path / "grow-k2.json"
         cfg.write_text(json.dumps({"model": K2_MODEL, "sim": {"n_steps": 500_000, "seed": 2001}}))
