@@ -70,6 +70,10 @@ class BadInput(ConfigError):
     """diagnose's input snapshot cannot be read or lacks a needed column."""
 
 
+class BadOutput(ConfigError):
+    """The output directory cannot be made, e.g. its path names a file."""
+
+
 MODEL_KEYS = {"alpha", "delta", "pi", "rho", "k"}
 
 
@@ -122,9 +126,6 @@ SCHEMA = {
     ("verify", "repetitions"): _int_at_least(1, 1),
     ("verify", "seed"): _SEED,
     ("output", "directory"): ("out", (lambda v: isinstance(v, str)), "a path string"),
-    ("output", "formats"): (["csv", "json"], (lambda v: isinstance(v, list)
-                                              and all(f in ("csv", "json") for f in v)),
-                            "a list within ['csv', 'json']"),
 }
 
 # section -> {key: default}, filled in for absent keys
@@ -337,8 +338,7 @@ def cmd_analyze(cfg, out_dir: Path) -> None:
                      for s in order.ranked if not s.degenerate],
         },
     }
-    if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "analyze.json", report)
+    rio.write_json(out_dir / "analyze.json", report)
 
 
 def cmd_simulate(cfg, out_dir: Path) -> None:
@@ -349,13 +349,11 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
                        snapshot_steps=tuple(sim["snapshots"]))
     result = run(params, config)
     state = result.state
-    csv_on = "csv" in cfg["output"]["formats"]
-    if csv_on:
-        rio.write_degree_snapshot(out_dir / "degrees.csv", state)
-        if len(result.trajectory.steps):
-            rio.write_trajectory(out_dir / "trajectory.csv", result.trajectory)
-        if sim["emit_edges"]:
-            rio.write_edges(out_dir / "edges.csv", state)
+    rio.write_degree_snapshot(out_dir / "degrees.csv", state)
+    if len(result.trajectory.steps):
+        rio.write_trajectory(out_dir / "trajectory.csv", result.trajectory)
+    if sim["emit_edges"]:
+        rio.write_edges(out_dir / "edges.csv", state)
     n = state.n
     summary = {
         "schema": "recipnet/simulate/v1",
@@ -371,8 +369,7 @@ def cmd_simulate(cfg, out_dir: Path) -> None:
         "group_out_per_step": [c / n for c in state.group_out_edges.tolist()],
         "group_node_counts": state.group_node_counts.tolist(),
     }
-    if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "summary.json", summary)
+    rio.write_json(out_dir / "summary.json", summary)
 
 
 def cmd_embed(cfg, out_dir: Path) -> None:
@@ -384,7 +381,7 @@ def cmd_embed(cfg, out_dir: Path) -> None:
     est = estimate_pkl(params, sol, replicates=emb["replicates"],
                        kmax=emb["kmax"], lmax=emb["lmax"], seed=emb["seed"],
                        event_budget=emb["event_budget"])
-    rio.write_pmf(out_dir, est, formats=cfg["output"]["formats"])
+    rio.write_pmf(out_dir, est)
 
 
 def _fold_pair_table(src, K: int):
@@ -420,12 +417,11 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
         raise EmptySelection(f"{src}: {exc}") from exc
 
     hills = {"in": report.hill_in, "out": report.hill_out}
-    if "csv" in cfg["output"]["formats"]:
-        for name, rep in hills.items():
-            if rep is not None and rep.k_sweep is not None:
-                rio.write_hill_sweep(out_dir / f"hill_sweep_{name}.csv", rep.k_sweep)
-        rio.write_angular_hist(out_dir / "angular_hist.csv", report.angular_bins,
-                               report.angular_counts)
+    for name, rep in hills.items():
+        if rep is not None and rep.k_sweep is not None:
+            rio.write_hill_sweep(out_dir / f"hill_sweep_{name}.csv", rep.k_sweep)
+    rio.write_angular_hist(out_dir / "angular_hist.csv", report.angular_bins,
+                           report.angular_counts)
 
     payload = {
         "schema": "recipnet/diagnose/v1",
@@ -458,8 +454,7 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
             "degraded": list(h.degraded),
             "rays": [{**asdict(r), "group": r.group + 1} for r in h.rays],
         }
-    if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "report.json", payload)
+    rio.write_json(out_dir / "report.json", payload)
 
 
 def cmd_verify(cfg, out_dir: Path) -> None:
@@ -494,8 +489,7 @@ def cmd_verify(cfg, out_dir: Path) -> None:
         "total": total,
         "runs": runs,
     }
-    if "json" in cfg["output"]["formats"]:
-        rio.write_json(out_dir / "verify.json", payload)
+    rio.write_json(out_dir / "verify.json", payload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -528,7 +522,11 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             _check_input(cfg, args)
         out_dir = Path(cfg["output"]["directory"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            key = "--out" if args.out is not None else "output.directory"
+            raise BadOutput(f"{key} {out_dir}: cannot make it: {exc.strerror or exc}") from exc
         rio.write_json(out_dir / "config.json", cfg)
         globals()[f"cmd_{args.command}"](cfg, out_dir)   # a wrapper set with setattr runs
     except (ConfigError, ParameterError) as exc:

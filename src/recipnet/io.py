@@ -5,12 +5,12 @@ wraps, for a table built chunk by chunk) and ``read_table``: a header row,
 then one comma-separated row per entry, nothing quoted. A cell is
 ``str()`` of the column's Python value (ints as digits, floats in
 shortest round-trip form, ``inf`` as ``inf``); the compiled kernel
-formats all-integer chunks, byte for byte the same, reading each column
+writes all-integer chunks, byte for byte the same, reading each column
 where it lies, and parses those bytes back into the arrays ``np.loadtxt``
 gives, filling only the requested columns. Readers find columns by name
 in any order; a missing column, a header-only file or a cell that does
 not parse as its dtype is a ValueError naming the file. This
-module alone knows the artifact formats: edges, degrees and trajectory
+module alone knows the artifact layouts: edges, degrees and trajectory
 tables, pmf grids, Hill sweeps (the rows of ``HillReport.k_sweep``, on
 its fixed k grid) and the angular histogram. Node ids and the group
 column are 1-based on disk, 0-based in the Python API. JSON artifacts
@@ -273,18 +273,16 @@ def write_pmf_grid(path, grid: np.ndarray) -> None:
     write_table(path, ("k", "l", "probability"), (k, l, grid.ravel()))
 
 
-def write_pmf(directory, est: JointPmfEstimate, formats=("csv", "json")) -> dict:
-    """Write the mixed and per-group grids (``"csv"`` in ``formats``) and the
-    metadata file pmf.json (``"json"``); return the metadata either way."""
+def write_pmf(directory, est: JointPmfEstimate) -> dict:
+    """Write the mixed and per-group grids and pmf.json; return pmf.json's metadata."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     mixed_file = "pmf.csv"
     group_files = {str(m + 1): f"pmf_group_{m + 1}.csv"
                    for m in range(est.group_counts.shape[0])}
-    if "csv" in formats:
-        write_pmf_grid(directory / mixed_file, est.grid)
-        for m, name in enumerate(group_files.values()):
-            write_pmf_grid(directory / name, est.group_grid(m))
+    write_pmf_grid(directory / mixed_file, est.grid)
+    for m, name in enumerate(group_files.values()):
+        write_pmf_grid(directory / name, est.group_grid(m))
 
     meta = {
         "schema": "recipnet/pmf/v1",
@@ -297,8 +295,7 @@ def write_pmf(directory, est: JointPmfEstimate, formats=("csv", "json")) -> dict
         "mixed_file": mixed_file,
         "group_files": group_files,
     }
-    if "json" in formats:
-        write_json(directory / "pmf.json", meta)
+    write_json(directory / "pmf.json", meta)
     return meta
 
 
@@ -326,9 +323,11 @@ def write_angular_hist(path, bins: np.ndarray, counts: np.ndarray) -> None:
 
 
 def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON; a non-finite number is a ValueError
+    raised before the file is opened, so ``path`` is left as it was."""
+    text = json.dumps(jsonable(payload), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(jsonable(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def jsonable(obj):

@@ -456,6 +456,36 @@ def test_removed_max_edges_key_is_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_removed_formats_key_is_unknown(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _k1_config(tmp_path, out, extra={
+        "output": {"directory": str(out), "formats": ["csv", "json"]}})
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "recipnet: UnknownKey: unknown key(s) in 'output': ['formats']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["--out", "output.directory"])
+@pytest.mark.parametrize("case", ["file", "under-a-file"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, case, key):
+    """A path that names a file, or lies under one, is refused before any
+    output, with the key that gave it; the file keeps its bytes."""
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory\n")
+    out = blocker if case == "file" else blocker / "out"
+    if key == "--out":
+        argv = ["--config", _k1_config(tmp_path, tmp_path / "unused"), "--out", str(out)]
+    else:
+        argv = ["--config", _k1_config(tmp_path, out)]
+    assert main(["analyze", *argv]) == 2
+    reason = "File exists" if case == "file" else "Not a directory"
+    assert capsys.readouterr().err == (
+        f"recipnet: BadOutput: {key} {out}: cannot make it: {reason}\n")
+    assert blocker.read_bytes() == b"not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "out"
     cfgpath = _k1_config(tmp_path, out, extra={
@@ -574,13 +604,12 @@ def test_embed_all_replicates_failed_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "estimate_pkl", all_failed)
     out = tmp_path / "out"
     cfgpath = _k1_config(tmp_path, out, extra={
-        "embed": {"replicates": 30, "kmax": 4, "lmax": 4},
-        "output": {"directory": str(out), "formats": ["json"]}})
+        "embed": {"replicates": 30, "kmax": 4, "lmax": 4}})
     assert main(["embed", "--config", cfgpath]) == 1
     err = capsys.readouterr().err
     assert err.startswith("recipnet: EventBudgetExceeded:") and "30 failed of 30" in err
     assert err.count("\n") == 1
-    assert not (out / "pmf.json").exists()
+    assert not (out / "pmf.json").exists() and not (out / "pmf.csv").exists()
 
 
 def test_verify_writes_strict_json_on_impossible_support(tmp_path, monkeypatch):
@@ -604,28 +633,6 @@ def test_verify_writes_strict_json_on_impossible_support(tmp_path, monkeypatch):
     run = report["runs"][0]
     assert run["statistic"] is None and run["impossible_support"] is True
     assert run["p_value"] == 0.0 and run["pass"] is False
-
-
-@pytest.mark.parametrize("command, formats, written, skipped", [
-    ("embed", ["json"], ["pmf.json"], ["pmf.csv", "pmf_group_1.csv"]),
-    ("embed", ["csv"], ["pmf.csv", "pmf_group_1.csv"], ["pmf.json"]),
-    ("analyze", ["csv"], [], ["analyze.json"]),
-    ("verify", ["csv"], [], ["verify.json"]),
-], ids=["embed-json", "embed-csv", "analyze-csv", "verify-csv"])
-def test_output_formats_gate_artifacts(tmp_path, command, formats, written, skipped):
-    out = tmp_path / "out"
-    cfgpath = _k1_config(tmp_path, out, extra={
-        "embed": {"replicates": 2000, "kmax": 6, "lmax": 6, "seed": 1},
-        "verify": {"n": 1, "replicates": 2000},
-        "output": {"directory": str(out), "formats": formats},
-    })
-    code = main([command, "--config", cfgpath])
-    assert code == 0
-    assert (out / "config.json").exists()
-    for name in written:
-        assert (out / name).exists()
-    for name in skipped:
-        assert not (out / name).exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

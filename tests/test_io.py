@@ -525,8 +525,15 @@ def _strict_json(path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # refused before the file is opened: no file is made, none is truncated
+    path, payload = tmp_path / "x.json", {"a": 1, "x": [1.0, np.float64(value)]}
     with pytest.raises(ValueError):
-        rio.write_json(tmp_path / "x.json", {"x": [1.0, np.float64(value)]})
+        rio.write_json(path, payload)
+    assert not path.exists()
+    path.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(ValueError):
+        rio.write_json(path, payload)
+    assert path.read_bytes() == b'{"kept": true}\n'
 
 
 def test_every_json_artifact_of_k1_is_strict(tmp_path):
