@@ -1,7 +1,8 @@
 """Build and load ``_kernel.c``: ``rn_advance``, the compiled mirror of
-``simulate._advance``; ``rn_format_int_rows`` and ``rn_parse_int_rows``,
-the compiled mirrors of ``io._write_chunks`` and ``io.read_table`` for
-integer tables, which read and fill the columns where they lie;
+``simulate._advance``; ``rn_format_int_rows``, the compiled mirror of
+``io._write_chunks`` for integer tables, and ``rn_parse_int_rows``, of
+``io.read_table``'s ``loadtxt`` rule through ``io._int_blocks``, which
+read and fill the columns where they lie;
 ``rn_mbi_batch``, the compiled mirror of the fixed-horizon loop of
 ``branching.simulate_mbi_batch`` around one mirror of its event step
 ``_event``; ``rn_mbi_flow``, the compiled mirror of the limit law's

@@ -118,7 +118,6 @@ SCHEMA = {
                                   "'sqrt' or an integer k >= 1"),
     ("diagnose", "radius_quantile"): _QUANTILE,
     ("diagnose", "distance_quantile"): _QUANTILE,
-    ("diagnose", "bins"): _int_at_least(50, 1),
     ("diagnose", "input"): (None, (lambda v: v is None or isinstance(v, str)),
                             "a path string or null"),
     ("verify", "n"): (2, (lambda v: _is_int(v) and v in (1, 2, 3)), "1, 2 or 3"),
@@ -167,15 +166,27 @@ def _check_values(cfg: dict) -> None:
             raise ParseError(f"{section}.{key} must be {what}, got {value!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: an object, or a ValueError on a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     """Strict parse of the run config; fills defaults for absent sections."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:    # RFC 8259 8.1: JSON is UTF-8
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:   # not UTF-8, or a key repeated in one object
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("config root must be a JSON object")
 
@@ -226,8 +237,8 @@ def _model(cfg):
 
 def _check_memory(cfg, command: str) -> None:
     """Refuse a run whose largest arrays, sized from the config, exceed RLIMIT_AS
-    when it is set, else physical memory: simulate's graph state, embed's count
-    vector or diagnose's histogram. A simulate past int32 edges is refused first."""
+    when it is set, else physical memory: simulate's graph state or embed's count
+    vector. A simulate past int32 edges is refused first."""
     if command == "simulate":
         from .simulate import INT32_MAX
         n = cfg["sim"]["n_steps"]
@@ -242,10 +253,6 @@ def _check_memory(cfg, command: str) -> None:
         kmax, lmax = cfg["embed"]["kmax"], cfg["embed"]["lmax"]
         need = _model(cfg).K * (kmax + 1) * (lmax + 1) * 8
         keys, array = f"embed.kmax={kmax} and embed.lmax={lmax} need", "count vector"
-    elif command == "diagnose":
-        bins = cfg["diagnose"]["bins"]
-        # np.histogram's float64 edges, its int64 counts and the bincount it adds
-        need, keys, array = 24 * bins, f"diagnose.bins={bins} needs", "histogram"
     else:
         return
     try:
@@ -411,7 +418,6 @@ def cmd_diagnose(cfg, out_dir: Path) -> None:
     rule = cfg["diagnose"]["hill_k_rule"]
     try:
         report = tail_report(dataset, sol, spectra, options=opts,
-                             bins=cfg["diagnose"]["bins"],
                              hill_k=None if rule == "sqrt" else rule)
     except EmptySelection as exc:
         raise EmptySelection(f"{src}: {exc}") from exc

@@ -1,20 +1,23 @@
 """File interfaces: the one CSV table codec and the artifacts built on it.
 
-Every CSV goes through ``write_table`` (or ``_write_chunks``, which it
-wraps, for a table built chunk by chunk) and ``read_table``: a header row,
-then one comma-separated row per entry, nothing quoted. A cell is
-``str()`` of the column's Python value (ints as digits, floats in
-shortest round-trip form, ``inf`` as ``inf``); the compiled kernel
-writes all-integer chunks, byte for byte the same, reading each column
-where it lies, and parses those bytes back into the arrays ``np.loadtxt``
-gives, filling only the requested columns. Readers find columns by name
-in any order; a missing column, a header-only file or a cell that does
-not parse as its dtype is a ValueError naming the file. This
-module alone knows the artifact layouts: edges, degrees and trajectory
-tables, pmf grids, Hill sweeps (the rows of ``HillReport.k_sweep``, on
-its fixed k grid) and the angular histogram. Node ids and the group
-column are 1-based on disk, 0-based in the Python API. JSON artifacts
-keep their key order with a 2-space indent, so reruns stay byte-identical.
+Every CSV is written through ``write_table`` (or ``_write_chunks``, which
+it wraps, for a table built chunk by chunk): a header row, then one
+comma-separated row per entry, nothing quoted. A cell is ``str()`` of the
+column's Python value (ints as digits, floats in shortest round-trip form,
+``inf`` as ``inf``); the compiled kernel writes all-integer chunks, byte
+for byte the same, reading each column where it lies. ``read_table``'s
+``np.loadtxt`` call is the rule for reading a table back. A degree
+snapshot is read through ``read_degree_blocks``, where the kernel parses
+the writer's bytes into the arrays ``np.loadtxt`` gives, filling only the
+requested columns, and leaves anything else to ``read_table``. Readers
+find columns by name in any order; a missing column, a header-only file
+or a cell that does not parse as its dtype is a ValueError naming the
+file. This module alone knows the artifact layouts: edges, degrees and
+trajectory tables, pmf grids, Hill sweeps (the rows of
+``HillReport.k_sweep``, on its fixed k grid) and the angular histogram.
+Node ids and the group column are 1-based on disk, 0-based in the Python
+API. JSON artifacts keep their key order with a 2-space indent, so reruns
+stay byte-identical.
 
 A table's transient buffers are bounded and under numpy's 4 MiB huge-page
 threshold: writes format CHUNK rows at a time (rows * width * 21 bytes,
@@ -89,20 +92,8 @@ def _write_chunks(path, header, chunks) -> None:
 def read_table(path, dtypes: dict) -> tuple:
     """Read the columns named in ``dtypes`` (name -> dtype), one array each.
 
-    The ``loadtxt`` call in ``_loadtxt_table`` is the rule, and names every
-    error. A table whose columns are all int64 is first parsed by the
-    compiled kernel's ``rn_parse_int_rows``, when it loads; it gives the same
-    arrays for the bytes ``rn_format_int_rows`` writes and refuses anything
-    else, which then goes to ``loadtxt``.
+    The ``loadtxt`` call is the rule, and names every error.
     """
-    if all(np.dtype(dtype) == np.int64 for dtype in dtypes.values()):
-        columns = _parse_int_table(path, dtypes)
-        if columns is not None:
-            return columns
-    return _loadtxt_table(path, dtypes)
-
-
-def _loadtxt_table(path, dtypes: dict) -> tuple:
     with open(path, newline="") as fh:
         header = _header(fh, path, dtypes)
         try:
@@ -127,13 +118,6 @@ def _header(fh, path, names) -> list:
     if missing:
         raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
     return header
-
-
-def _parse_int_table(path, names) -> tuple | None:
-    """The named columns of an all-integer table through ``rn_parse_int_rows``,
-    or None where ``_int_blocks`` refuses it."""
-    columns, = _int_blocks(path, names, whole=True)
-    return columns
 
 
 def _int_blocks(path, names, whole: bool):
@@ -234,8 +218,8 @@ def read_degree_blocks(path, K: int | None = None, whole: bool = False):
     0-based, block by block: views of one reused block of rows, each valid
     until the next is read; with ``whole``, all rows at once.
 
-    Where the compiled parser refuses the file or does not load, ``loadtxt``
-    reads the whole file as ``read_table`` does, and its rows past those
+    Where the compiled parser refuses the file or does not load,
+    ``read_table`` reads the whole file, and its rows past those
     already yielded follow in one block. Once every row is read, a negative
     degree, a group below 1 or, when ``K`` is given, a group above it is a
     ValueError naming the file and the file's least or largest value.
@@ -243,7 +227,7 @@ def read_degree_blocks(path, K: int | None = None, whole: bool = False):
     done, low, high = 0, [float("inf")] * 3, -float("inf")
     for block in _int_blocks(path, DEGREE_COLUMNS, whole):
         if block is None:
-            block = tuple(column[done:] for column in _loadtxt_table(path, DEGREE_COLUMNS))
+            block = tuple(column[done:] for column in read_table(path, DEGREE_COLUMNS))
             if not len(block[0]):
                 break
         ind, outd, grp = block

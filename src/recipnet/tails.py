@@ -36,6 +36,7 @@ from .spectral import GroupSpectral, order_groups, regime_slack
 HILL_SWEEP_POINTS = 256     # sweep grid: every k up to this many, then this many geometric
 PAIR_KEY_SPAN = 4           # pair_table bincounts keys spanning up to this many per row
 SWEEP_CHUNK = 1 << 14       # sample entries per chunk of the Hill sweep's running sums
+ANGULAR_BINS = 50           # equal bins of tail_report's angular histogram on [0, 1]
 
 
 class InsufficientData(ValueError):
@@ -429,7 +430,7 @@ def default_hill_k(n: int) -> int:
 def tail_report(dataset: DegreeDataset, sol: EquilibriumSolution,
                 spectra: list[GroupSpectral],
                 options: PeelOptions = PeelOptions(),
-                bins: int = 50, hill_k: int | None = None) -> TailReport:
+                hill_k: int | None = None) -> TailReport:
     """Marginal Hill estimates, angular histogram and the ray peel.
 
     Zero degrees are excluded from the marginal Hill inputs but kept for
@@ -452,7 +453,8 @@ def tail_report(dataset: DegreeDataset, sol: EquilibriumSolution,
             skips[name] = str(exc)
 
     r_thr = weighted_quantile(dataset.x + dataset.y, dataset.weight, options.radius_quantile)
-    counts, edges = np.histogram(angular_transform(dataset, r_thr), bins=bins, range=(0.0, 1.0))
+    counts, edges = np.histogram(angular_transform(dataset, r_thr), bins=ANGULAR_BINS,
+                                 range=(0.0, 1.0))
 
     hrv = None
     skip_reason = None

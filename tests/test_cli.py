@@ -143,7 +143,6 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("embed", "embed", {"kmax": -1}),
     ("embed", "embed", {"seed": 1.5}),
     ("analyze", "solver", {"tol": "x"}),
-    ("diagnose", "diagnose", {"bins": "7"}),
     ("diagnose", "diagnose", {"radius_quantile": 2.0}),
     ("verify", "verify", {"repetitions": 0}),
     ("verify", "verify", {"replicates": "5"}),
@@ -151,7 +150,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
 ], ids=["n_steps-str", "seed-bool", "snapshots-str-entry",
         "snapshots-int", "emit_edges-str", "verify-n-5", "verify-n-0",
         "hill_k_rule-0", "hill_k_rule-bool", "embed-replicates-str", "embed-kmax-str",
-        "embed-kmax-negative", "embed-seed-float", "solver-tol-str", "diagnose-bins-str",
+        "embed-kmax-negative", "embed-seed-float", "solver-tol-str",
         "radius_quantile-2", "verify-repetitions-0", "verify-replicates-str",
         "solver-tol-inf"])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, command, section, value):
@@ -181,7 +180,11 @@ def test_model_value_that_is_no_finite_number_exits_2(tmp_path, capsys, key, val
     assert not out.exists()
 
 
-# case -> (config file body, or None for no file; the ParseError's message)
+MODEL_TEXT = '"model": {"alpha": 0.5, "delta": 1.0, "pi": [1.0], "rho": [[0.5]]}'
+LATIN_1 = ("{" + MODEL_TEXT + ', "output": {"directory": "caf\u00e9"}}').encode("latin-1")
+
+# case -> (config file body: an object to dump, bytes as they are, or None
+# for no file; the ParseError's message)
 CONFIG_REFUSALS = {
     "unreadable": (None, "cannot read config {path}: [Errno 2] No such file or directory: "
                          "'{path}'"),
@@ -190,6 +193,14 @@ CONFIG_REFUSALS = {
     "model-not-object": ({"model": 3}, "'model' must be an object"),
     "section-not-object": ({"model": {"alpha": 0.5, "delta": 1.0, "pi": [1.0], "rho": [[0.5]]},
                             "sim": 3}, "'sim' must be an object"),
+    "repeated-section": (("{" + MODEL_TEXT + ', "sim": {"n_steps": 10}, "sim": {"n_steps": 20}}')
+                         .encode(), "{path}: repeated key 'sim'"),
+    "repeated-sim-key": (("{" + MODEL_TEXT + ', "sim": {"n_steps": 10, "n_steps": 20}}').encode(),
+                         "{path}: repeated key 'n_steps'"),
+    "repeated-model-key": (("{" + MODEL_TEXT.replace('0.5,', '0.5, "alpha": 0.6,') + "}")
+                           .encode(), "{path}: repeated key 'alpha'"),
+    "not-utf8": (LATIN_1, f"{{path}}: 'utf-8' codec can't decode byte 0xe9 in position "
+                          f"{LATIN_1.index(0xE9)}: invalid continuation byte"),
 }
 
 
@@ -197,7 +208,9 @@ CONFIG_REFUSALS = {
 def test_config_refusals_exit_2_before_writing(tmp_path, capsys, case):
     body, message = CONFIG_REFUSALS[case]
     path = tmp_path / "config.json"
-    if body is not None:
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    elif body is not None:
         path.write_text(json.dumps(body))
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
@@ -432,37 +445,15 @@ def test_simulate_refuses_a_graph_state_past_memory_before_writing(tmp_path, cap
     assert json.loads((out / "summary.json").read_text())["nodes"] == 41943
 
 
-@pytest.mark.parametrize("bins", [10**12, 2**63], ids=["1e12", "2^63"])
-def test_diagnose_refuses_a_histogram_past_memory_before_writing(tmp_path, capsys, bins):
-    pytest.importorskip("resource")
-    degrees = tmp_path / "degrees.csv"
-    degrees.write_text("node,group,in_deg,out_deg\n1,1,3,2\n2,1,1,2\n")
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "max_edges", 100), ("output", "formats", ["csv", "json"]), ("diagnose", "bins", 50),
+], ids=["sim.max_edges", "output.formats", "diagnose.bins"])
+def test_removed_key_is_unknown(tmp_path, capsys, section, key, value):
     out = tmp_path / "out"
-    cfg = _k1_config(tmp_path, out, extra={"diagnose": {"bins": bins, "input": str(degrees)}})
-    assert main(["diagnose", "--config", cfg]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"recipnet: ConfigError: diagnose.bins={bins} needs a "
-                             f"{24 * bins}-byte histogram, over the ")
-    assert not out.exists()
-
-
-def test_removed_max_edges_key_is_unknown(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _k1_config(tmp_path, out, extra={"sim": {"n_steps": 10, "max_edges": 100}})
-    assert main(["simulate", "--config", cfg]) == 2
+    cfg = _k1_config(tmp_path, out, extra={section: {key: value}})
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "recipnet: UnknownKey: unknown key(s) in 'sim': ['max_edges']\n")
-    assert not out.exists()
-
-
-def test_removed_formats_key_is_unknown(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _k1_config(tmp_path, out, extra={
-        "output": {"directory": str(out), "formats": ["csv", "json"]}})
-    assert main(["analyze", "--config", cfg]) == 2
-    assert capsys.readouterr().err == (
-        "recipnet: UnknownKey: unknown key(s) in 'output': ['formats']\n")
+        f"recipnet: UnknownKey: unknown key(s) in '{section}': ['{key}']\n")
     assert not out.exists()
 
 

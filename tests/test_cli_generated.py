@@ -34,8 +34,7 @@ KEYS = [("model", key) for key in sorted(MODEL_KEYS)] + [
 # keys whose every integer value is cheap to run or refused before it runs: a
 # size key past memory is refused; replicates and repetitions cost time, not memory
 HUGE_INT_KEYS = {key for key in KEYS if key[0] == "model" or key[1] in (
-    "seed", "tol", "max_iter", "event_budget", "n_steps", "kmax", "lmax", "bins",
-    "hill_k_rule")}
+    "seed", "tol", "max_iter", "event_budget", "n_steps", "kmax", "lmax", "hill_k_rule")}
 
 SPECIAL = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0.0, -0.0, 1.0, 0.5]
 HUGE_INTS = [2**63, -(2**63) - 1, 2**64, 10**400]
@@ -78,7 +77,7 @@ def _strict(text):
 @example(("embed", ("model", "delta"), 1e308))
 @example(("analyze", ("solver", "tol"), math.inf))
 @example(("simulate", ("sim", "n_steps"), 2**63))
-@example(("diagnose", ("diagnose", "bins"), 10**12))
+@example(("embed", ("embed", "kmax"), 10**12))
 def test_generated_config_value_runs_or_exits_2(workdir, run):
     command, (section, key), value = run
     body = {"model": dict(MODEL), **json.loads(json.dumps(BASE)),

@@ -337,7 +337,7 @@ def test_parse_int_rows_accepts_only_what_loadtxt_reads_alike(raw, spare):
     cap = max(data.count(b"\n") + spare, 0)    # spare -1: one row too few
     rows, parsed = parse_rows(lib, data, w, cap, keep)
     if rows == -1:
-        return                          # refused: io.read_table leaves it to loadtxt
+        return                          # refused: io.read_table's loadtxt reads it
     assert 0 < rows <= cap and rows == data.count(b"\n")
     assert np.array_equal(_read(parsed, rows), _loadtxt(data, w, keep))
 
@@ -350,9 +350,9 @@ def test_parse_int_rows_accepts_only_what_loadtxt_reads_alike(raw, spare):
        st.one_of(st.sampled_from([16, 37, 4096, rio.READ_BLOCK]), st.integers(1, 80)))
 @example((b"1\n2\n", 1, [0]), 2)         # only the header, c0, is longer than the block
 def test_blocked_parse_matches_one_block_parse_and_loadtxt(tmp_path_factory, raw, block):
-    """io._parse_int_table on READ_BLOCK-byte blocks gives the arrays of one
-    block over the whole file and of ``np.loadtxt``, and refuses what that
-    one block refuses and any line longer than the block."""
+    """``io._int_blocks(..., whole=True)`` on READ_BLOCK-byte blocks gives
+    the arrays of one block over the whole file and of ``np.loadtxt``, and
+    refuses what that one block refuses and any line longer than the block."""
     body, w, keep = raw
     lib = _kernel.load()
     assert lib is not None, _kernel.error
@@ -362,9 +362,9 @@ def test_blocked_parse_matches_one_block_parse_and_loadtxt(tmp_path_factory, raw
     names = {f"c{j}": np.int64 for j in keep}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rio, "READ_BLOCK", len(data) + 1)
-        whole = rio._parse_int_table(path, names)
+        whole, = rio._int_blocks(path, names, whole=True)
         patch.setattr(rio, "READ_BLOCK", block)
-        got = rio._parse_int_table(path, names)
+        got, = rio._int_blocks(path, names, whole=True)
     longest = max(len(line) + 1 for line in data.split(b"\n"))
     assert (got is not None) == (whole is not None and longest <= block)
     if got is not None:

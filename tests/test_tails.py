@@ -257,12 +257,22 @@ def test_hrv_peel_iterates_while_conditions_hold(lams, n_rays):
         assert abs(ray.theta_median - slopes[j] / (1 + slopes[j])) <= 0.05
 
 
-def test_hrv_peel_single_ray_degenerate_distance():
+def test_hrv_peel_single_ray_degenerate_distance(k2_ref):
     x = np.linspace(1, 100, 1000)
     ds = DegreeDataset(x=x, y=2.0 * x)
     spectra = [_fake_spectrum(0, 0.8, 2.0), _fake_spectrum(1, 0.7, 0.5)]
     with pytest.raises(DegenerateTail):
         hrv_peel(ds, spectra, _FakeSolution(1.2), PeelOptions())
+    # off the first ray, but 985 of 1000 nodes share the largest distance, so
+    # its median leaves no exceedances; tail_report then skips the peel
+    ds = DegreeDataset(x=np.array([1, 30, 10]), y=np.array([1, 35, 1]),
+                       weight=np.array([10, 5, 985]))
+    sol, spectra = solve_equilibrium(k2_ref), all_spectra(k2_ref)
+    reason = "distance quantile leaves no exceedances"
+    with pytest.raises(EmptySelection, match=f"^{reason}$"):
+        hrv_peel(ds, spectra, sol, PeelOptions(0.99, 0.5))
+    rep = tail_report(ds, sol, spectra, options=PeelOptions(0.99, 0.5))
+    assert rep.hrv is None and rep.hrv_skip_reason == reason
 
 
 def test_hrv_peel_single_group_unmet(k1_ref):
