@@ -187,6 +187,8 @@ def load_config(path) -> dict:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:   # not UTF-8, or a key repeated in one object
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested deeper than Python's recursion limit") from exc
     if not isinstance(raw, dict):
         raise ParseError("config root must be a JSON object")
 

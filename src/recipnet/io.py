@@ -9,7 +9,8 @@ for byte the same, reading each column where it lies. ``read_table``'s
 ``np.loadtxt`` call is the rule for reading a table back. A degree
 snapshot is read through ``read_degree_blocks``, where the kernel parses
 the writer's bytes into the arrays ``np.loadtxt`` gives, filling only the
-requested columns, and leaves anything else to ``read_table``. Readers
+requested columns, and leaves anything else to ``read_table``;
+``read_degree_snapshot`` joins those blocks into columns. Readers
 find columns by name in any order; a missing column, a header-only file
 or a cell that does not parse as its dtype is a ValueError naming the
 file. This module alone knows the artifact layouts: edges, degrees and
@@ -120,14 +121,13 @@ def _header(fh, path, names) -> list:
     return header
 
 
-def _int_blocks(path, names, whole: bool):
+def _int_blocks(path, names):
     """Parse an all-integer table with ``rn_parse_int_rows`` one READ_BLOCK
-    buffer at a time, and yield the named columns' rows, one int64 array
-    each: with ``whole``, once, as the table's columns, which a first read
-    of the body sized by counting its rows; else after each block, as views
-    of one block of columns (READ_BLOCK / (2 * header width) rows, since a
-    cell takes a digit and a separator) that the next block reuses. The
-    cut last row of a read moves to the front of the buffer for the next.
+    buffer at a time, and yield the named columns' rows after each block,
+    one int64 array each: views of one block of columns (READ_BLOCK /
+    (2 * header width) rows, since a cell takes a digit and a separator)
+    that the next block reuses. The cut last row of a read moves to the
+    front of the buffer for the next.
 
     Yields None last when the kernel does not load, the header is not plain
     ASCII naming every column, the body is empty, a line is longer than
@@ -144,38 +144,25 @@ def _int_blocks(path, names, whole: bool):
         if not head.endswith(b"\n") or b"\r" in head or any(n not in header for n in names):
             yield None
             return
-        if whole:
-            start, cap = fh.tell(), 0
-            while size := fh.readinto(buf):
-                cap += buf.count(b"\n", 0, size)
-            fh.seek(start)
-        else:
-            cap = READ_BLOCK // (2 * len(header))
+        cap = READ_BLOCK // (2 * len(header))
         columns = {name: np.empty(cap, dtype=np.int64) for name in names}
         # one destination per header column; a NULL one is checked and dropped
         dest = np.zeros(len(header), dtype=np.uintp)
         for name, column in columns.items():
             dest[header.index(name)] = column.ctypes.data
-        live = dest != 0
         done = carry = got = 0
         while size := fh.readinto(view[carry:]):
             size += carry
             cut = buf.rfind(b"\n", 0, size) + 1      # 0, so refused, if no row ends here
-            got = kernel.rn_parse_int_rows(addr, cut, len(header), cap - done if whole else cap,
-                                           dest.ctypes.data)
+            got = kernel.rn_parse_int_rows(addr, cut, len(header), cap, dest.ctypes.data)
             if got < 0:
                 break
             done += got
-            if whole:
-                dest[live] += got * 8
-            else:
-                yield tuple(column[:got] for column in columns.values())
+            yield tuple(column[:got] for column in columns.values())
             carry = size - cut
             view[:carry] = view[cut:size]
-    if got < 0 or carry or done == 0 or whole and done != cap:
+    if got < 0 or carry or done == 0:
         yield None
-    elif whole:
-        yield tuple(columns.values())
 
 
 def write_edges(path, state: GraphState) -> None:
@@ -206,17 +193,18 @@ def check_degree_header(path) -> None:
 def read_degree_snapshot(path, K: int | None = None):
     """(in_deg, out_deg, groups) arrays of a degree snapshot; groups 0-based.
 
-    A negative degree, a group below 1 or, when the model's ``K`` is given,
-    a group above it is a ValueError naming the file.
+    The copied blocks of ``read_degree_blocks``, joined, so the columns are
+    briefly held twice. A negative degree, a group below 1 or, when the
+    model's ``K`` is given, a group above it is a ValueError naming the file.
     """
-    (ind, outd, grp), = read_degree_blocks(path, K, whole=True)
-    return ind, outd, grp
+    blocks = [tuple(column.copy() for column in block) for block in read_degree_blocks(path, K)]
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def read_degree_blocks(path, K: int | None = None, whole: bool = False):
+def read_degree_blocks(path, K: int | None = None):
     """Yield the (in_deg, out_deg, groups) rows of a degree snapshot, groups
     0-based, block by block: views of one reused block of rows, each valid
-    until the next is read; with ``whole``, all rows at once.
+    until the next is read.
 
     Where the compiled parser refuses the file or does not load,
     ``read_table`` reads the whole file, and its rows past those
@@ -225,7 +213,7 @@ def read_degree_blocks(path, K: int | None = None, whole: bool = False):
     ValueError naming the file and the file's least or largest value.
     """
     done, low, high = 0, [float("inf")] * 3, -float("inf")
-    for block in _int_blocks(path, DEGREE_COLUMNS, whole):
+    for block in _int_blocks(path, DEGREE_COLUMNS):
         if block is None:
             block = tuple(column[done:] for column in read_table(path, DEGREE_COLUMNS))
             if not len(block[0]):

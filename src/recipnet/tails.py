@@ -320,16 +320,14 @@ class HrvReport:
 
 
 def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
-             sol: EquilibriumSolution, options: PeelOptions = PeelOptions(),
-             radius_threshold: float | None = None) -> HrvReport:
+             sol: EquilibriumSolution, options: PeelOptions = PeelOptions()) -> HrvReport:
     """Two-stage (or iterated) ray detection.
 
-    Stage 1 reads the dominant regime from radius exceedances; stage j>=2
-    ranks points by distance to the already-identified rays and reads the
-    next regime from the distance exceedances. ``radius_threshold`` is the
-    ``options.radius_quantile`` of the radii x + y when the caller has
-    already taken it; None takes it here. Raises ConditionsUnmet
-    when fewer than two non-degenerate, distinct-eigenvalue groups exist.
+    Stage 1 reads the dominant regime from the radii x + y above their
+    ``options.radius_quantile``; stage j>=2 ranks points by distance to the
+    already-identified rays and reads the next regime from the distance
+    exceedances. Raises ConditionsUnmet when fewer than two non-degenerate,
+    distinct-eigenvalue groups exist.
     The second regime is always attempted, and a failed regime condition
     at rank 2 only degrades the report; ray j >= 3 is peeled while both
     conditions hold at every rank from 2 to j.
@@ -372,9 +370,7 @@ def hrv_peel(dataset: DegreeDataset, spectra: list[GroupSpectral],
         )
 
     # stage 1: dominant regime from radius exceedances
-    if radius_threshold is None:
-        radius_threshold = weighted_quantile(rad, w, options.radius_quantile)
-    rays = [read_ray(0, rad, radius_threshold, "radius")]
+    rays = [read_ray(0, rad, weighted_quantile(rad, w, options.radius_quantile), "radius")]
 
     # stages 2..: distance to the union of identified rays; one more ray
     # per leading rank where both conditions hold, and the second always
@@ -459,7 +455,7 @@ def tail_report(dataset: DegreeDataset, sol: EquilibriumSolution,
     hrv = None
     skip_reason = None
     try:
-        hrv = hrv_peel(dataset, spectra, sol, options, radius_threshold=r_thr)
+        hrv = hrv_peel(dataset, spectra, sol, options)
     except (ConditionsUnmet, EmptySelection, DegenerateTail, InsufficientData) as exc:
         skip_reason = str(exc)
 

@@ -201,6 +201,7 @@ CONFIG_REFUSALS = {
                            .encode(), "{path}: repeated key 'alpha'"),
     "not-utf8": (LATIN_1, f"{{path}}: 'utf-8' codec can't decode byte 0xe9 in position "
                           f"{LATIN_1.index(0xE9)}: invalid continuation byte"),
+    "too-deep": (b"[" * 100_000, "{path}: nested deeper than Python's recursion limit"),
 }
 
 

@@ -30,6 +30,7 @@ from recipnet.params import group_rates, validate_params
 from test_kernel import (NO_CC, STATE_FIELDS, assert_chains_match_numpy,
                          assert_flow_matches_numpy, assert_pcg64_matches_numpy,
                          assert_same_run, format_rows, parse_rows, str_rows)
+from test_io import joined_blocks
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -350,9 +351,9 @@ def test_parse_int_rows_accepts_only_what_loadtxt_reads_alike(raw, spare):
        st.one_of(st.sampled_from([16, 37, 4096, rio.READ_BLOCK]), st.integers(1, 80)))
 @example((b"1\n2\n", 1, [0]), 2)         # only the header, c0, is longer than the block
 def test_blocked_parse_matches_one_block_parse_and_loadtxt(tmp_path_factory, raw, block):
-    """``io._int_blocks(..., whole=True)`` on READ_BLOCK-byte blocks gives
+    """The joined blocks of ``io._int_blocks`` on READ_BLOCK-byte blocks are
     the arrays of one block over the whole file and of ``np.loadtxt``, and
-    refuses what that one block refuses and any line longer than the block."""
+    it refuses what that one block refuses and any line longer than the block."""
     body, w, keep = raw
     lib = _kernel.load()
     assert lib is not None, _kernel.error
@@ -362,9 +363,9 @@ def test_blocked_parse_matches_one_block_parse_and_loadtxt(tmp_path_factory, raw
     names = {f"c{j}": np.int64 for j in keep}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rio, "READ_BLOCK", len(data) + 1)
-        whole, = rio._int_blocks(path, names, whole=True)
+        whole = joined_blocks(path, names)
         patch.setattr(rio, "READ_BLOCK", block)
-        got, = rio._int_blocks(path, names, whole=True)
+        got = joined_blocks(path, names)
     longest = max(len(line) + 1 for line in data.split(b"\n"))
     assert (got is not None) == (whole is not None and longest <= block)
     if got is not None:

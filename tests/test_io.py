@@ -190,10 +190,15 @@ def _read(path):
         return str(exc)
 
 
-def _compiled(path, names):
-    """The compiled parse of the whole table, or None where it refuses it."""
-    columns, = rio._int_blocks(path, names, whole=True)
-    return columns
+def joined_blocks(path, names):
+    """The copied blocks of the compiled parse, joined, or None where it
+    refuses the table."""
+    blocks = []
+    for block in rio._int_blocks(path, names):
+        if block is None:
+            return None
+        blocks.append(tuple(column.copy() for column in block))
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 @pytest.mark.parametrize("case", READ_CASES)
@@ -204,7 +209,7 @@ def test_int_table_parser_matches_loadtxt(tmp_path, case):
     path.write_bytes(text.encode())
     if _kernel.load() is None:
         pytest.skip(f"no compiled kernel: {_kernel.error}")
-    fast = _compiled(path, DEGREE_COLUMNS)
+    fast = joined_blocks(path, DEGREE_COLUMNS)
     assert (fast is not None) == parsed
     slow = _read(path)
     with open(path, newline="") as fh, warnings.catch_warnings():    # loadtxt itself
@@ -260,7 +265,7 @@ def test_blocked_parse_matches_one_block_and_loadtxt(tmp_path, monkeypatch, case
     path.write_bytes(("a,b,c\n" + "".join(rows)).encode())
     longest = max(map(len, rows))
     monkeypatch.setattr(rio, "READ_BLOCK", path.stat().st_size + 1)
-    whole = _compiled(path, BLOCK_COLUMNS)
+    whole = joined_blocks(path, BLOCK_COLUMNS)
     assert (whole is not None) == parsed
     try:
         direct = rio.read_table(path, BLOCK_COLUMNS)
@@ -268,33 +273,11 @@ def test_blocked_parse_matches_one_block_and_loadtxt(tmp_path, monkeypatch, case
         direct = str(exc)
     for block in (16, 37, 4096, default, 8 * BAD_ROW + 3):
         monkeypatch.setattr(rio, "READ_BLOCK", block)
-        got = _compiled(path, BLOCK_COLUMNS)
+        got = joined_blocks(path, BLOCK_COLUMNS)
         assert (got is not None) == (parsed and longest <= block), block
         if got is not None:
             assert all(np.array_equal(g, w) for g, w in zip(got, whole))
             assert all(np.array_equal(g, d) for g, d in zip(got, direct))
-
-
-def test_read_degree_snapshot_holds_its_columns_and_one_block(tmp_path):
-    """tracemalloc's peak while a 2e5-row snapshot is read stays within its
-    three int64 columns, two read blocks and 64 KiB; the reader holds one
-    block and a few small objects besides the columns."""
-    if _kernel.load() is None:
-        pytest.skip(f"no compiled kernel: {_kernel.error}")
-    n = 200_000
-    i = np.arange(n)
-    path = tmp_path / "degrees.csv"
-    rio.write_table(path, ("node", "group", "in_deg", "out_deg"),
-                    (i + 1, i % 2 + 1, i % 1000, i * 7 % 101))
-    assert path.stat().st_size > 3 * rio.READ_BLOCK
-    tracemalloc.start()
-    try:
-        ind, outd, grp = rio.read_degree_snapshot(path, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ind.tolist() == (i % 1000).tolist() and grp.tolist() == (i % 2).tolist()
-    assert peak <= 3 * 8 * n + 2 * rio.READ_BLOCK + (64 << 10), peak
 
 
 def _snapshot(path, rng, n):

@@ -275,6 +275,16 @@ def test_hrv_peel_single_ray_degenerate_distance(k2_ref):
     assert rep.hrv is None and rep.hrv_skip_reason == reason
 
 
+@pytest.mark.parametrize("options", [PeelOptions(), PeelOptions(0.99, 0.99)])
+def test_tail_report_peels_as_hrv_peel_does(k2_ref, options):
+    """hrv_peel takes the radius quantile itself, the value tail_report reports."""
+    sol, spectra = solve_equilibrium(k2_ref), all_spectra(k2_ref)
+    ds = degree_histogram(run(k2_ref, SimConfig(n_steps=30_000, seed=4)).state)
+    rep = tail_report(ds, sol, spectra, options)
+    assert rep.hrv is not None and rep.hrv == hrv_peel(ds, spectra, sol, options)
+    assert rep.hrv.rays[0].n_selected == int(ds.weight[ds.x + ds.y > rep.radius_threshold].sum())
+
+
 def test_hrv_peel_single_group_unmet(k1_ref):
     sol = solve_equilibrium(k1_ref)
     spectra = all_spectra(k1_ref)
